@@ -40,6 +40,7 @@ from .training import (
     AlphaModel,
     AuxiliarySample,
     FactorizationError,
+    NonFiniteError,
     alpha_at,
     alpha_at_parts,
     enumerate_auxiliary,

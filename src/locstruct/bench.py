@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .decoder import AngularDecoder, LeastSquaresDecoder
-from .kernels import GaussianParts, LinearParts, Restriction, gram_matrix
+from .kernels import GaussianParts, LinearParts, Restriction
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
 from .training import enumerate_auxiliary, fit_alpha, generate_auxiliary
@@ -273,11 +273,11 @@ class _LocalLS:
     set with a linear restriction kernel, decode with the squared-loss
     closed form."""
 
-    def __init__(self, Xtr, Ytr, lam, scheme: VectorBlocks, normalize: bool, gram=None, aux=None):
+    def __init__(self, Xtr, Ytr, lam, scheme: VectorBlocks, normalize: bool, aux=None):
         train = list(zip(Xtr, Ytr))
         self.aux = enumerate_auxiliary(train, scheme) if aux is None else aux
         inputs = [x for x, _ in train]
-        self.model = fit_alpha(inputs, self.aux, Restriction(LinearParts()), lam, scheme, gram=gram)
+        self.model = fit_alpha(inputs, self.aux, Restriction(LinearParts()), lam, scheme)
         pi = Uniform(scheme.num_parts)
         self.decoder = LeastSquaresDecoder(self.model, pi, normalize=normalize)
 
@@ -343,11 +343,9 @@ def _select_local_lambda(Xtr, Ytr, cfg, scheme, normalize) -> float:
     tr, ho = _holdout_split(Xtr.shape[0])
     train = list(zip(Xtr[tr], Ytr[tr]))
     aux = enumerate_auxiliary(train, scheme)
-    anchors = [(train[s.chi_ref][0], s.p) for s in aux]
-    gram = gram_matrix(Restriction(LinearParts()), anchors, scheme)
     best_lam, best = None, math.inf
     for lam in cfg.lambda_grid:
-        est = _LocalLS(Xtr[tr], Ytr[tr], lam, scheme, normalize, gram=gram, aux=aux)
+        est = _LocalLS(Xtr[tr], Ytr[tr], lam, scheme, normalize, aux=aux)
         err = _mse(est.predict(Xtr[ho]), Ytr[ho])
         if err < best:
             best, best_lam = err, lam

@@ -38,7 +38,7 @@ from .modelio import (
 )
 from .parts import Uniform
 from .svgplot import heatmap, line_plot
-from .training import fit_alpha, generate_auxiliary
+from .training import NonFiniteError, fit_alpha, generate_auxiliary
 
 log = logging.getLogger("locstruct")
 
@@ -50,17 +50,6 @@ def _setup_logging():
     level = os.environ.get("LOCSTRUCT_LOG", "warn").lower()
     logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _limit_threads(n: int):
-    if n <= 0:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        log.warning("threadpoolctl not available, --threads ignored")
 
 
 def _out_dir(args) -> Path:
@@ -253,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=0, help="BLAS thread cap (0 = auto)")
 
     common(sub.add_parser("train", help="fit and persist a model"))
     common(sub.add_parser("predict", help="decode a dataset with a saved model"))
@@ -266,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--parts", required=True, help="part count(s), comma separated")
     bc.add_argument("--r2", type=float, default=1.0, help="similarity sup bound")
     bc.add_argument("--out", default=None, help="optional output directory for the CSV")
-    bc.add_argument("--threads", type=int, default=0, help="BLAS thread cap (0 = auto)")
     return parser
 
 
@@ -288,7 +275,6 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    _limit_threads(args.threads)
     try:
         return _DISPATCH[args.command](args)
     except (ConfigError, ParseError) as e:
@@ -296,6 +282,9 @@ def run_command(argv) -> int:
         return 2
     except OSError as e:
         print(json.dumps({"error": {"kind": "io", "message": str(e)}}), file=sys.stderr)
+        return 2
+    except NonFiniteError as e:
+        print(json.dumps({"error": {"kind": "non_finite", "message": str(e)}}), file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive
         log.debug("command failed", exc_info=True)

@@ -240,12 +240,12 @@ class LeastSquaresDecoder:
         self.normalize = normalize
         H, self.part_shape = _eta_matrix(model)
         ones = np.ones((model.m, 1))
-        # U^T v(x,p) yields (sum_j alpha_j eta_j, sum_j alpha_j) per query
-        self.dual = model.apply_inverse(np.hstack([H, ones]))
+        # the readout yields (sum_j alpha_j eta_j, sum_j alpha_j) per query
+        self._readout = model.readout_weights(np.hstack([H, ones]))
 
     def part_sums(self, x, parts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         queries = [(x, int(p)) for p in parts]
-        S = self.dual.T @ self.model.prepared_anchors.cross(queries)
+        S = self.model.readout(self._readout, queries)
         return S[:-1, :], S[-1, :]
 
     def decode(self, x) -> np.ndarray:
@@ -257,7 +257,7 @@ class LeastSquaresDecoder:
         scheme = self.model.scheme
         active = _active_parts(self.weights)
         queries = [(x, int(p)) for x in xs for p in active]
-        S = self.dual.T @ self.model.prepared_anchors.cross(queries)
+        S = self.model.readout(self._readout, queries)
         d = int(np.prod(self.part_shape, dtype=int))
         wy = S[:-1, :].reshape(d, len(xs), len(active))
         wsum = S[-1, :].reshape(len(xs), len(active))
@@ -308,7 +308,7 @@ class AngularDecoder:
         self.model = model
         self.weights = part_weights(pi, model.scheme.num_parts)
         H, self.part_shape = _eta_matrix(model)
-        self.dual = model.apply_inverse(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
+        self._readout = model.readout_weights(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
         self._d = H.shape[1]
 
     def decode(self, x) -> np.ndarray:
@@ -319,7 +319,7 @@ class AngularDecoder:
         scheme = self.model.scheme
         active = _active_parts(self.weights)
         queries = [(x, int(p)) for x in xs for p in active]
-        S = self.dual.T @ self.model.prepared_anchors.cross(queries)
+        S = self.model.readout(self._readout, queries)
         cos_part = S[: self._d, :].reshape(self._d, len(xs), len(active))
         sin_part = S[self._d :, :].reshape(self._d, len(xs), len(active))
         shape = (len(xs),) + _canvas_shape(scheme, self.part_shape)

@@ -137,6 +137,13 @@ def kernel_eval(spec: KernelSpec, a: tuple, b: tuple, scheme: PartScheme) -> flo
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
+def has_feature_map(spec: KernelSpec) -> bool:
+    """True when the pair kernel is the inner product of the two extracted
+    parts, so that over fixed-shape numeric parts ``K = F F^T`` with ``F``
+    the stacked parts."""
+    return isinstance(spec, Restriction) and isinstance(spec.base, LinearParts)
+
+
 def kernel_sup(spec: KernelSpec):
     """sup over pairs of k(a, a), or None when unbounded."""
     if isinstance(spec, Restriction):
@@ -254,6 +261,21 @@ class PreparedAnchors:
                 PreparedAnchors(spec.universal, self.anchors, scheme),
                 PreparedAnchors(spec.local, self.anchors, scheme),
             )
+
+    @property
+    def features(self):
+        """The explicit feature matrix ``F`` (len(anchors), d) with
+        ``K = F F^T``, or None when the kernel has no such map or the anchor
+        parts do not stack."""
+        return self._parts if has_feature_map(self.spec) else None
+
+    def query_features(self, queries) -> np.ndarray:
+        """Queries in the anchors' feature space, shape (len(queries), d), so
+        that ``cross(queries) == features @ query_features(queries).T``."""
+        B = _stack_parts(list(queries), self.scheme)
+        if B is None or B.shape[1] != self.features.shape[1]:
+            raise ShapeMismatchError("query parts do not match the shape of the anchor parts")
+        return B
 
     def cross(self, queries) -> np.ndarray:
         """k(anchor_j, query_i), shape (len(anchors), len(queries))."""

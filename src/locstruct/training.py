@@ -5,6 +5,12 @@ the matching output parts, and factorizes ``K + m * lambda * I`` over the
 sampled anchors. The fitted model maps any query ``(x, p)`` to the weight
 vector ``alpha(x, p) = (K + m lambda I)^{-1} v(x, p)`` with
 ``v(x, p)_j = k((chi_j, p_j), (x, p))``.
+
+The solve follows the kernel's structure. When the pair kernel has an
+explicit feature map ``K = F F^T`` with ``F`` of shape (m, d) and ``d < m``
+(a linear restriction kernel on fixed-shape numeric parts), only the d x d
+system ``F^T F + m lambda I`` is factored and the m x m Gram is never
+built; otherwise the dense m x m system is factored.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernels import KernelSpec, PreparedAnchors, gram_matrix, GramMatrix
+from .kernels import KernelSpec, PreparedAnchors, gram_matrix, GramMatrix, has_feature_map
 from .parts import PartDistribution, PartScheme, extract_part, sample_part
 
 log = logging.getLogger(__name__)
@@ -25,6 +31,10 @@ log = logging.getLogger(__name__)
 
 class FactorizationError(np.linalg.LinAlgError):
     """Raised when the regularized kernel system cannot be factorized."""
+
+
+class NonFiniteError(ValueError):
+    """Raised when kernel values or anchor output parts are NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,13 @@ def enumerate_auxiliary(train: Sequence[tuple], scheme: PartScheme) -> list[Auxi
 class AlphaModel:
     """Fitted estimator: anchors plus a factorization of ``K + m lambda I``.
 
-    The dense inverse is never materialized; solves go through the stored
-    Cholesky factor. Immutable after fit, safe for concurrent queries.
+    With ``features`` unset, ``factor`` is the Cholesky factor of the m x m
+    system ``K + shift I``. With ``features = F`` (m x d, ``K = F F^T``) it
+    is the factor of the d x d system ``F^T F + shift I``: ``apply_inverse``
+    then uses the Woodbury identity, and weights and readouts use the
+    push-through identity ``(F F^T + s I)^{-1} F = F (F^T F + s I)^{-1}``.
+    ``shift`` is ``m * lam + jitter`` either way. The dense inverse is never
+    materialized. Immutable after fit, safe for concurrent queries.
     """
 
     inputs: tuple
@@ -87,10 +102,16 @@ class AlphaModel:
     scheme: PartScheme
     factor: tuple = field(repr=False)
     jitter: float = 0.0
+    features: Optional[np.ndarray] = field(default=None, repr=False)
+    _prepared: Optional[PreparedAnchors] = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.aux)
+
+    @property
+    def shift(self) -> float:
+        return self.m * self.lam + self.jitter
 
     @cached_property
     def anchors(self) -> tuple:
@@ -98,17 +119,61 @@ class AlphaModel:
 
     @cached_property
     def prepared_anchors(self) -> PreparedAnchors:
+        if self._prepared is not None:
+            return self._prepared
         return PreparedAnchors(self.kernel, self.anchors, self.scheme)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns."""
-        return cho_solve(self.factor, v)
+        if self.features is None:
+            return cho_solve(self.factor, v)
+        F = self.features
+        return (v - F @ cho_solve(self.factor, F.T @ v)) / self.shift
+
+    def alphas(self, queries) -> np.ndarray:
+        """Weight vectors ``alpha(q)`` stacked as columns, shape (m, len(queries)).
+
+        With features this is ``F (F^T F + s I)^{-1} B^T`` for the query
+        features ``B``, the push-through form of ``(K + s I)^{-1} F B^T``.
+        """
+        if self.features is None:
+            return self.apply_inverse(self.prepared_anchors.cross(queries))
+        B = self.prepared_anchors.query_features(queries)
+        return self.features @ cho_solve(self.factor, B.T)
+
+    def readout_weights(self, E: np.ndarray) -> np.ndarray:
+        """Weights ``R`` such that ``readout(R, queries)`` gives
+        ``sum_j alpha_j(q) E[j]`` per query; ``E`` has one row per anchor.
+
+        Dual form: ``R = (K + s I)^{-1} E``, shape (m, c). With features the
+        push-through identity ``E^T (F F^T + s I)^{-1} F = E^T F (F^T F +
+        s I)^{-1}`` gives ``R = (F^T F + s I)^{-1} F^T E``, shape (d, c); this
+        also avoids the cancellation of a Woodbury solve contracted with F.
+        """
+        if self.features is None:
+            return self.apply_inverse(E)
+        return cho_solve(self.factor, self.features.T @ E)
+
+    def readout(self, R: np.ndarray, queries) -> np.ndarray:
+        """Alpha-weighted sums for ``queries``, shape (c, len(queries)), from
+        weights made by ``readout_weights``."""
+        if self.features is None:
+            return R.T @ self.prepared_anchors.cross(queries)
+        return R.T @ self.prepared_anchors.query_features(queries).T
 
 
-def _factor_system(K: np.ndarray, shift: float):
-    """Cholesky of K + shift*I with diagonal jitter escalation on failure."""
+def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None):
+    """Cholesky of K + shift*I with diagonal jitter escalation on failure.
+
+    Jitter starts at ``1e-12 * scale`` and grows tenfold up to ``1e-6 *
+    scale``. ``scale`` defaults to the mean diagonal of ``K``; the
+    feature-space solve passes ``trace(K) / m`` of the full kernel matrix so
+    that a jitter means the same on both paths.
+    """
     m = K.shape[0]
-    base = 1e-12 * np.trace(K) / m
+    if scale is None:
+        scale = np.trace(K) / m
+    base = 1e-12 * scale
     jitter = 0.0
     while True:
         A = K.copy()
@@ -120,7 +185,7 @@ def _factor_system(K: np.ndarray, shift: float):
                 jitter = base if base > 0 else 1e-12
             else:
                 jitter *= 10.0
-            if jitter > 1e-6 * np.trace(K) / m:
+            if jitter > 1e-6 * scale:
                 w = np.linalg.eigvalsh(K + shift * np.eye(m))
                 cond = abs(w[-1] / w[0]) if w[0] != 0 else np.inf
                 raise FactorizationError(
@@ -152,7 +217,13 @@ def fit_alpha(
         Regularization, strictly positive; the system matrix is
         ``K + len(aux) * lam * I``.
     gram : GramMatrix, optional
-        Precomputed Gram over the anchors, to share across several fits.
+        Precomputed Gram over the anchors. Passing one forces the dense
+        m x m solve.
+
+    Raises
+    ------
+    NonFiniteError
+        If a kernel value or a numeric anchor output part is NaN or infinite.
     """
     if lam <= 0:
         raise ValueError("lambda must be strictly positive")
@@ -160,29 +231,58 @@ def fit_alpha(
     if not aux:
         raise ValueError("auxiliary set must be non-empty")
     inputs = tuple(inputs)
-    anchors = [(inputs[s.chi_ref], s.p) for s in aux]
-    if gram is None:
-        gram = gram_matrix(kernel, anchors, scheme)
-    elif gram.entries.shape[0] != len(aux):
-        raise ValueError("precomputed Gram size does not match the auxiliary set")
     m = len(aux)
-    factor, jitter = _factor_system(np.asarray(gram.entries, dtype=float), m * lam)
+    if gram is not None and gram.entries.shape[0] != m:
+        raise ValueError("precomputed Gram size does not match the auxiliary set")
+    _check_finite_outputs(aux)
+    anchors = [(inputs[s.chi_ref], s.p) for s in aux]
+    prepared = None
+    if gram is None and has_feature_map(kernel):
+        prepared = PreparedAnchors(kernel, anchors, scheme)
+    F = prepared.features if prepared is not None else None
+    if F is not None and F.shape[1] < m:
+        _check_finite(F, "anchor features")
+        G = F.T @ F
+        factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m)
+    else:
+        F = None
+        if gram is None:
+            gram = gram_matrix(kernel, anchors, scheme)
+        K = np.asarray(gram.entries, dtype=float)
+        _check_finite(K, "kernel matrix")
+        factor, jitter = _factor_system(K, m * lam)
     if jitter:
         log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
     return AlphaModel(
         inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-        factor=factor, jitter=jitter,
+        factor=factor, jitter=jitter, features=F, _prepared=prepared,
     )
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"non-finite values in the {what}; check the inputs for NaN or inf")
+
+
+def _check_finite_outputs(aux: tuple) -> None:
+    """Reject NaN or infinite values in numeric anchor output parts."""
+    etas = [s.eta for s in aux if not isinstance(s.eta, str)]
+    if not etas:
+        return
+    try:
+        stacked = [np.asarray(etas)]  # one array when the parts share a shape
+    except ValueError:
+        stacked = [np.asarray(e) for e in etas]
+    for a in stacked:
+        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+            raise NonFiniteError("non-finite values in the anchor output parts")
 
 
 def alpha_at(model: AlphaModel, x, p: int) -> np.ndarray:
     """Weight vector ``alpha(x, p)`` of length ``model.m`` for one query."""
-    v = model.prepared_anchors.cross([(x, int(p))])[:, 0]
-    return model.apply_inverse(v)
+    return model.alphas([(x, int(p))])[:, 0]
 
 
 def alpha_at_parts(model: AlphaModel, x, parts: Sequence[int]) -> np.ndarray:
     """Stacked weights for one input and several parts, shape (m, len(parts))."""
-    queries = [(x, int(p)) for p in parts]
-    V = model.prepared_anchors.cross(queries)
-    return model.apply_inverse(V)
+    return model.alphas([(x, int(p)) for p in parts])

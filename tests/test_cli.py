@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from locstruct.cli import run_command
 from locstruct.modelio import read_dataset, write_dataset
@@ -136,6 +137,23 @@ class TestTrainPredict:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "typo_key" in err["error"]["message"]
+
+    @pytest.mark.parametrize("base", [{"kind": "linear"}, {"kind": "gaussian", "sigma": 1.0}],
+                             ids=["feature_space", "dual"])
+    def test_non_finite_input_fails_without_a_model(self, tmp_path, capsys, base):
+        ds = tmp_path / "d.jsonl"
+        pairs = _vector_dataset(ds, n=6)
+        pairs[3][0][:] = np.nan
+        write_dataset(ds, pairs)
+        cfg = _write_json(tmp_path / "t.json", {
+            "seed": 1, "dataset": str(ds), "scheme": SCHEME_JSON,
+            "kernel": {"kind": "restriction", "base": base}, "lambda": 0.1, "m": 40,
+        })
+        rc = run_command(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "non_finite"
+        assert not (tmp_path / "o" / "model.json").exists()
 
     def test_missing_dataset_reports_io_error(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {

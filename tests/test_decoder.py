@@ -3,25 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor
+
+from locstruct.bench import DEFAULT_LAMBDA_GRID
 
 from locstruct.decoder import (
     AngleWrap,
+    AngularDecoder,
     CapacityError,
     ClosedForm,
     DecodeRequest,
     DegenerateDecodeWarning,
     ExactEnumeration,
+    LeastSquaresDecoder,
     SGM,
     decode_angular,
     decode_exact,
     decode_least_squares,
     decode_sgm,
 )
-from locstruct.kernels import GaussianParts, LinearParts, Restriction
+from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
 from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, part_weights
-from locstruct.training import AlphaModel, AuxiliarySample, alpha_at, fit_alpha
+from locstruct.training import (
+    AlphaModel,
+    AuxiliarySample,
+    alpha_at,
+    alpha_at_parts,
+    fit_alpha,
+    generate_auxiliary,
+)
 
 
 def scalar_model(anchor_vals, etas, scale=1.0):
@@ -78,6 +90,49 @@ class TestDecodeLeastSquares:
         z = decode_least_squares(req)
         assert z.shape == (3,)
         assert np.all(np.isfinite(z))
+
+
+class TestFeatureSpaceOracle:
+    """The feature-space solve of a linear restriction kernel (K = F F^T,
+    d < m) against the dense m x m solve on the same anchors, which passing
+    the Gram forces."""
+
+    # with fewer distinct anchor parts than d a total can still fall below
+    # zero; both paths then take the flagged unnormalized branch
+    @pytest.mark.filterwarnings("ignore::locstruct.decoder.DegenerateDecodeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), num_parts=st.integers(1, 4), n=st.integers(1, 8),
+           extra=st.integers(1, 40), lam=st.sampled_from(DEFAULT_LAMBDA_GRID),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dual_solve(self, d, num_parts, n, extra, lam, seed):
+        rng = np.random.default_rng(seed)
+        scheme = VectorBlocks(block_dim=d, num_blocks=num_parts)
+        pi = Uniform(num_parts)
+        # Inputs in a positive box and outputs that follow them keep the
+        # weight totals, conditional means and angular resultants of order
+        # one. Where one of them nears zero the readout cancels, and the dual
+        # oracle's own rounding (about 1e-11 of the output scale at lambda =
+        # 1e-6) is no longer small against the result.
+        X = rng.uniform(0.5, 1.5, (n, d * num_parts))
+        Y = 0.5 * X + 0.1 * rng.standard_normal(X.shape)
+        inputs = list(X)
+        aux = generate_auxiliary(list(zip(X, Y)), d + extra, scheme, pi, rng)
+        kernel = Restriction(LinearParts())
+        primal = fit_alpha(inputs, aux, kernel, lam, scheme)
+        gram = gram_matrix(kernel, [(inputs[s.chi_ref], s.p) for s in aux], scheme)
+        dual = fit_alpha(inputs, aux, kernel, lam, scheme, gram=gram)
+        assert primal.features is not None and dual.features is None
+
+        def close(a, b):
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+        Q = rng.uniform(0.5, 1.5, (3, d * num_parts))
+        parts = range(num_parts)
+        close(alpha_at_parts(primal, Q[0], parts), alpha_at_parts(dual, Q[0], parts))
+        for normalize in (True, False):
+            close(LeastSquaresDecoder(primal, pi, normalize).decode_batch(Q),
+                  LeastSquaresDecoder(dual, pi, normalize).decode_batch(Q))
+        close(AngularDecoder(primal, pi).decode_batch(Q), AngularDecoder(dual, pi).decode_batch(Q))
 
 
 class TestDecodeAngular:

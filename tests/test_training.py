@@ -4,13 +4,16 @@ import pytest
 from locstruct.kernels import (
     GaussianGlobal,
     GaussianParts,
+    LinearParts,
     Restriction,
+    SumKernel,
     gram_matrix,
 )
 from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, extract_part
 from locstruct.training import (
     AuxiliarySample,
     FactorizationError,
+    NonFiniteError,
     _factor_system,
     alpha_at,
     alpha_at_parts,
@@ -21,6 +24,7 @@ from locstruct.training import (
 
 SCHEME = VectorBlocks(block_dim=2, num_blocks=3)
 GAUSS = Restriction(GaussianParts(1.0))
+LINEAR = Restriction(LinearParts())
 
 
 def _train_set(rng, n):
@@ -88,13 +92,22 @@ class TestFitAlpha:
         out = model.apply_inverse(np.ones(2))
         assert out == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=1e-8)
 
-    @pytest.mark.parametrize("m,lam", [(5, 0.3), (40, 1e-3)])
-    def test_inverse_residual(self, m, lam):
+    @pytest.mark.parametrize("kernel,m,lam", [
+        pytest.param(GAUSS, 5, 0.3, id="5-0.3"),
+        pytest.param(GAUSS, 40, 1e-3, id="40-0.001"),
+        pytest.param(GAUSS, 40, 1e-6, id="40-1e-06"),
+        pytest.param(LINEAR, 5, 0.3, id="linear-5-0.3"),
+        pytest.param(LINEAR, 40, 1e-3, id="linear-40-0.001"),
+        pytest.param(LINEAR, 40, 1e-6, id="linear-40-1e-06"),
+    ])
+    def test_inverse_residual(self, kernel, m, lam):
         rng = np.random.default_rng(m)
         train = _train_set(rng, 6)
         aux = generate_auxiliary(train, m, SCHEME, Uniform(3), rng)
-        model = fit_alpha([x for x, _ in train], aux, GAUSS, lam, SCHEME)
-        K = gram_matrix(GAUSS, model.anchors, SCHEME).entries
+        model = fit_alpha([x for x, _ in train], aux, kernel, lam, SCHEME)
+        # parts of dimension 2 < m: the linear kernel takes the feature-space solve
+        assert (model.features is not None) == (kernel is LINEAR)
+        K = gram_matrix(kernel, model.anchors, SCHEME).entries
         A = K + m * lam * np.eye(m)
         for _ in range(10):
             v = rng.standard_normal(m)
@@ -110,6 +123,61 @@ class TestFitAlpha:
     def test_empty_aux_rejected(self):
         with pytest.raises(ValueError):
             fit_alpha([np.zeros(6)], [], GAUSS, 1.0, SCHEME)
+
+    @pytest.mark.parametrize("case", ["d_ge_m", "string_parts", "gaussian_restriction",
+                                      "gaussian_global", "sum_kernel", "supplied_gram"])
+    def test_dual_path_kept(self, case):
+        rng = np.random.default_rng(11)
+        train = _train_set(rng, 4)
+        inputs = [x for x, _ in train]
+        aux = generate_auxiliary(train, 12, SCHEME, Uniform(3), rng)
+        scheme, kernel, gram = SCHEME, LINEAR, None
+        if case == "d_ge_m":
+            aux = aux[:2]  # parts of dimension 2, two anchors
+        elif case == "string_parts":
+            scheme = SequenceWindows(4, 2)
+            train = [("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")]
+            inputs = [x for x, _ in train]
+            aux = enumerate_auxiliary(train, scheme)
+        elif case == "gaussian_restriction":
+            kernel = GAUSS
+        elif case == "gaussian_global":
+            kernel = GaussianGlobal(1.0)
+        elif case == "sum_kernel":
+            kernel = SumKernel(GaussianGlobal(1.0), LINEAR)
+        else:
+            gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
+        model = fit_alpha(inputs, aux, kernel, 0.1, scheme, gram=gram)
+        assert model.features is None
+        assert model.factor[0].shape == (model.m, model.m)
+
+    def test_linear_kernel_takes_feature_space_solve(self):
+        rng = np.random.default_rng(12)
+        train = _train_set(rng, 4)
+        aux = generate_auxiliary(train, 12, SCHEME, Uniform(3), rng)
+        model = fit_alpha([x for x, _ in train], aux, LINEAR, 0.1, SCHEME)
+        assert model.features.shape == (12, 2)
+        assert model.factor[0].shape == (2, 2)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, GAUSS], ids=["feature_space", "dual"])
+    def test_non_finite_input_rejected(self, kernel):
+        rng = np.random.default_rng(13)
+        train = _train_set(rng, 4)
+        aux = enumerate_auxiliary(train, SCHEME)
+        inputs = [x.copy() for x, _ in train]
+        inputs[2][3] = np.nan
+        with pytest.raises(NonFiniteError):
+            fit_alpha(inputs, aux, kernel, 0.1, SCHEME)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, GAUSS], ids=["feature_space", "dual"])
+    def test_non_finite_output_part_rejected(self, kernel):
+        rng = np.random.default_rng(14)
+        train = _train_set(rng, 4)
+        aux = enumerate_auxiliary(train, SCHEME)
+        aux[5] = AuxiliarySample(aux[5].chi_ref, aux[5].p, np.array([1.0, np.inf]))
+        with pytest.raises(NonFiniteError):
+            fit_alpha([x for x, _ in train], aux, kernel, 0.1, SCHEME)
+        assert issubclass(NonFiniteError, ValueError)
 
     def test_jitter_rescues_singular_system(self):
         K = np.ones((4, 4))  # rank one, plain Cholesky fails at shift 0
