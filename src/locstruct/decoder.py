@@ -161,6 +161,29 @@ def _active_parts(weights: np.ndarray) -> np.ndarray:
     return np.flatnonzero(weights > 0)
 
 
+def _read_parts(model: AlphaModel, R: np.ndarray, xs: list, active: np.ndarray) -> np.ndarray:
+    """Alpha-weighted sums ``sum_j alpha_j(x, p) E[j]`` from the readout
+    weights ``R`` of ``E``, for every input and active part, shape
+    (channels, len(xs), len(active))."""
+    queries = [(x, int(p)) for x in xs for p in active]
+    return model.readout(R, queries).reshape(-1, len(xs), len(active))
+
+
+def _scatter_parts(scheme: PartScheme, weights: np.ndarray, active: np.ndarray,
+                   channels: Sequence[np.ndarray], part_shape: tuple) -> list:
+    """Sum the per-part values of each channel, weighted by pi, into one
+    output array per channel. A channel has shape (d, n, len(active)) with
+    ``d`` the flat part size; each output has shape (n,) + output canvas."""
+    n = channels[0].shape[1]
+    lead = (n,) + part_shape
+    outs = [np.zeros((n,) + _canvas_shape(scheme, part_shape)) for _ in channels]
+    for col, p in enumerate(active):
+        for out, channel in zip(outs, channels):
+            block = np.moveaxis(channel[:, :, col], 0, -1).reshape(lead)
+            _scatter_add(out, scheme, int(p), weights[p] * block)
+    return outs
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration
 # ---------------------------------------------------------------------------
@@ -254,13 +277,9 @@ class LeastSquaresDecoder:
     def decode_batch(self, xs) -> np.ndarray:
         """Decode several inputs with one batched kernel evaluation."""
         xs = list(xs)
-        scheme = self.model.scheme
         active = _active_parts(self.weights)
-        queries = [(x, int(p)) for x in xs for p in active]
-        S = self.model.readout(self._readout, queries)
-        d = int(np.prod(self.part_shape, dtype=int))
-        wy = S[:-1, :].reshape(d, len(xs), len(active))
-        wsum = S[-1, :].reshape(len(xs), len(active))
+        S = _read_parts(self.model, self._readout, xs, active)
+        wy, wsum = S[:-1], S[-1]
         if self.normalize:
             ok = wsum > 1e-10
             if not np.all(ok):
@@ -269,18 +288,9 @@ class LeastSquaresDecoder:
                     "unnormalized weighted sum",
                     DegenerateDecodeWarning,
                 )
-            denom = np.where(ok, wsum, 1.0)
-            z_parts = wy / denom[None, :, :]
-        else:
-            z_parts = wy
-        num = np.zeros((len(xs),) + _canvas_shape(scheme, self.part_shape))
-        den = np.zeros_like(num)
-        part_block = np.moveaxis(z_parts, 0, -1)  # (n, active, d)
-        lead = (len(xs),) + self.part_shape
-        for col, p in enumerate(active):
-            block = part_block[:, col, :].reshape(lead)
-            _scatter_add(num, scheme, int(p), self.weights[p] * block)
-            _scatter_add(den, scheme, int(p), self.weights[p] * np.ones(lead))
+            wy = wy / np.where(ok, wsum, 1.0)
+        num, den = _scatter_parts(self.model.scheme, self.weights, active,
+                                  (wy, np.broadcast_to(1.0, wy.shape)), self.part_shape)
         out = np.zeros_like(num)
         np.divide(num, den, out=out, where=den > 0)
         return out
@@ -309,27 +319,17 @@ class AngularDecoder:
         self.weights = part_weights(pi, model.scheme.num_parts)
         H, self.part_shape = _eta_matrix(model)
         self._readout = model.readout_weights(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
-        self._d = H.shape[1]
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
 
     def decode_batch(self, xs) -> np.ndarray:
         xs = list(xs)
-        scheme = self.model.scheme
         active = _active_parts(self.weights)
-        queries = [(x, int(p)) for x in xs for p in active]
-        S = self.model.readout(self._readout, queries)
-        cos_part = S[: self._d, :].reshape(self._d, len(xs), len(active))
-        sin_part = S[self._d :, :].reshape(self._d, len(xs), len(active))
-        shape = (len(xs),) + _canvas_shape(scheme, self.part_shape)
-        c = np.zeros(shape)
-        s = np.zeros(shape)
-        lead = (len(xs),) + self.part_shape
-        for col, p in enumerate(active):
-            w = self.weights[p]
-            _scatter_add(c, scheme, int(p), w * np.moveaxis(cos_part[:, :, col], 0, -1).reshape(lead))
-            _scatter_add(s, scheme, int(p), w * np.moveaxis(sin_part[:, :, col], 0, -1).reshape(lead))
+        S = _read_parts(self.model, self._readout, xs, active)
+        d = S.shape[0] // 2
+        c, s = _scatter_parts(self.model.scheme, self.weights, active,
+                              (S[:d], S[d:]), self.part_shape)
         theta = 0.5 * np.arctan2(s, c)
         dead = (c == 0.0) & (s == 0.0)
         if np.any(dead):
@@ -429,13 +429,7 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
         g = _part_subgradient(req.loss, _gather(z, scheme, p, part_shape), etas[j])
         u = math.copysign(1.0, alphas[j, col]) * A_xp * g
         step = c / math.sqrt(t)
-        zp = _gather(z, scheme, p, part_shape) - step * u
-        if isinstance(scheme, VectorBlocks):
-            d = zp.size
-            z[p * d : (p + 1) * d] = zp.ravel()
-        else:
-            rows, cols_ = scheme.patch_rows_cols(p)
-            z[..., rows[:, None], cols_[None, :]] = zp
+        _scatter_add(z, scheme, p, -step * u)
         z = _project(z, projection)
         stepped = True
         if t > tail_from:

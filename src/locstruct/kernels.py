@@ -10,7 +10,9 @@ Two layers:
 
 String parts are compared through their implicit one-hot encoding, so the
 linear kernel counts matching positions and the squared distance inside the
-Gaussian is twice the number of mismatches.
+Gaussian is twice the number of mismatches. Gram, cross and prepared-anchor
+matrices all come from ``_matrix``: vectorized over stacked numeric parts or
+inputs, and from the scalar ``kernel_eval`` where the pairs do not stack.
 """
 
 from __future__ import annotations
@@ -175,58 +177,68 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _stack_parts(pairs, scheme):
-    """Stack extracted parts into an (n, d) float matrix, or None if parts
-    are not fixed-shape numeric arrays."""
-    parts = [extract_part(x, scheme, p) for x, p in pairs]
-    first = parts[0]
-    if isinstance(first, str):
+def _stack_arrays(objs):
+    """Stack array-likes into an (n, d) float matrix, or None when they are
+    strings or their shapes differ."""
+    if isinstance(objs[0], str):
         return None
-    arrs = [np.asarray(pt, dtype=float) for pt in parts]
+    arrs = [np.asarray(o, dtype=float) for o in objs]
     shape = arrs[0].shape
     if any(a.shape != shape for a in arrs):
         return None
     return np.stack([a.ravel() for a in arrs])
 
 
-def _stack_inputs(pairs):
-    arrs = [np.asarray(x, dtype=float) for x, _ in pairs]
-    shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        return None
-    return np.stack([a.ravel() for a in arrs])
+def stack_parts(pairs, scheme: PartScheme):
+    """Extracted parts of ``(input, part index)`` pairs stacked into an
+    (n, d) float matrix, or None if they are not fixed-shape numeric arrays."""
+    return _stack_arrays([extract_part(x, scheme, p) for x, p in pairs])
 
 
-def _sqdist_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    na = np.einsum("ij,ij->i", A, A)
-    nb = np.einsum("ij,ij->i", B, B)
-    d2 = na[:, None] + nb[None, :] - 2.0 * (A @ B.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return d2
-
-
-def _pairwise(spec, rows, cols, scheme):
-    """Kernel matrix between two lists of (input, part) pairs, vectorized
-    where the data allows it."""
-    if isinstance(spec, SumKernel):
-        return _pairwise(spec.universal, rows, cols, scheme) + _pairwise(spec.local, rows, cols, scheme)
+def _stack(spec: KernelSpec, pairs, scheme: PartScheme):
+    """The numeric form of ``pairs`` that ``_matrix`` vectorizes over: the
+    stacked parts for a restriction kernel, the stacked inputs plus part ids
+    for the global Gaussian, one stack per child for a sum, and None when
+    the pairs do not stack."""
     if isinstance(spec, Restriction):
-        A = _stack_parts(rows, scheme)
-        B = _stack_parts(cols, scheme) if cols is not rows else A
-        if A is not None and B is not None and A.shape[1] == B.shape[1]:
-            if isinstance(spec.base, LinearParts):
-                return A @ B.T
-            if isinstance(spec.base, GaussianParts):
-                return np.exp(-_sqdist_matrix(A, B) / (2.0 * spec.base.sigma**2))
-    elif isinstance(spec, GaussianGlobal):
-        X = _stack_inputs(rows)
-        Y = _stack_inputs(cols) if cols is not rows else X
-        if X is not None and Y is not None and X.shape[1] == Y.shape[1]:
-            K0 = np.exp(-_sqdist_matrix(X, Y) / (2.0 * spec.sigma**2))
-            pr = np.array([int(p) for _, p in rows])
-            pc = np.array([int(p) for _, p in cols])
-            return K0 * (pr[:, None] == pc[None, :])
-    # generic fallback, one evaluation per entry
+        return stack_parts(pairs, scheme)
+    if isinstance(spec, GaussianGlobal):
+        X = _stack_arrays([x for x, _ in pairs])
+        return None if X is None else (X, np.array([int(p) for _, p in pairs]))
+    if isinstance(spec, SumKernel):
+        return _stack(spec.universal, pairs, scheme), _stack(spec.local, pairs, scheme)
+    raise TypeError(f"unknown kernel spec {spec!r}")
+
+
+def part_kernel_matrix(kernel: PartKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Part kernel between the rows of two stacked part matrices."""
+    if isinstance(kernel, LinearParts):
+        return A @ B.T
+    if isinstance(kernel, GaussianParts):
+        na = np.einsum("ij,ij->i", A, A)
+        nb = np.einsum("ij,ij->i", B, B)
+        K = na[:, None] + nb[None, :] - 2.0 * (A @ B.T)  # squared distances
+        np.clip(K, 0.0, None, out=K)
+        np.negative(K, out=K)  # in place: a query batch's K can be the largest array
+        K /= 2.0 * kernel.sigma**2
+        return np.exp(K, out=K)
+    raise TypeError(f"unknown part kernel {kernel!r}")
+
+
+def _matrix(spec: KernelSpec, A, B, rows, cols, scheme: PartScheme) -> np.ndarray:
+    """Kernel matrix k(rows_i, cols_j) from the stacks ``A`` of ``rows`` and
+    ``B`` of ``cols``. Where a stack is None or the widths differ, every
+    entry comes from ``kernel_eval``; ``cols is rows`` marks a Gram, for
+    which that loop fills one triangle and mirrors it."""
+    if isinstance(spec, SumKernel):
+        return (_matrix(spec.universal, A[0], B[0], rows, cols, scheme)
+                + _matrix(spec.local, A[1], B[1], rows, cols, scheme))
+    if A is not None and B is not None:
+        if isinstance(spec, Restriction) and A.shape[1] == B.shape[1]:
+            return part_kernel_matrix(spec.base, A, B)
+        if isinstance(spec, GaussianGlobal) and A[0].shape[1] == B[0].shape[1]:
+            K0 = part_kernel_matrix(GaussianParts(spec.sigma), A[0], B[0])
+            return K0 * (A[1][:, None] == B[1][None, :])
     out = np.empty((len(rows), len(cols)))
     if cols is rows:
         for i, a in enumerate(rows):
@@ -240,39 +252,26 @@ def _pairwise(spec, rows, cols, scheme):
 
 
 class PreparedAnchors:
-    """A fixed anchor list with its stacked numeric representation cached,
-    for repeated cross-kernel evaluation against fresh queries."""
+    """A fixed anchor list with its stack cached, for repeated cross-kernel
+    evaluation against fresh queries."""
 
     def __init__(self, spec: KernelSpec, anchors, scheme: PartScheme):
         self.spec = spec
         self.anchors = list(anchors)
         self.scheme = scheme
-        self._parts = None
-        self._inputs = None
-        self._part_ids = None
-        self._children = None
-        if isinstance(spec, Restriction):
-            self._parts = _stack_parts(self.anchors, scheme)
-        elif isinstance(spec, GaussianGlobal):
-            self._inputs = _stack_inputs(self.anchors)
-            self._part_ids = np.array([int(p) for _, p in self.anchors])
-        elif isinstance(spec, SumKernel):
-            self._children = (
-                PreparedAnchors(spec.universal, self.anchors, scheme),
-                PreparedAnchors(spec.local, self.anchors, scheme),
-            )
+        self._stack = _stack(spec, self.anchors, scheme)
 
     @property
     def features(self):
         """The explicit feature matrix ``F`` (len(anchors), d) with
         ``K = F F^T``, or None when the kernel has no such map or the anchor
         parts do not stack."""
-        return self._parts if has_feature_map(self.spec) else None
+        return self._stack if has_feature_map(self.spec) else None
 
     def query_features(self, queries) -> np.ndarray:
         """Queries in the anchors' feature space, shape (len(queries), d), so
         that ``cross(queries) == features @ query_features(queries).T``."""
-        B = _stack_parts(list(queries), self.scheme)
+        B = stack_parts(list(queries), self.scheme)
         if B is None or B.shape[1] != self.features.shape[1]:
             raise ShapeMismatchError("query parts do not match the shape of the anchor parts")
         return B
@@ -280,23 +279,8 @@ class PreparedAnchors:
     def cross(self, queries) -> np.ndarray:
         """k(anchor_j, query_i), shape (len(anchors), len(queries))."""
         queries = list(queries)
-        spec = self.spec
-        if self._children is not None:
-            return self._children[0].cross(queries) + self._children[1].cross(queries)
-        if isinstance(spec, Restriction) and self._parts is not None:
-            B = _stack_parts(queries, self.scheme)
-            if B is not None and B.shape[1] == self._parts.shape[1]:
-                if isinstance(spec.base, LinearParts):
-                    return self._parts @ B.T
-                if isinstance(spec.base, GaussianParts):
-                    return np.exp(-_sqdist_matrix(self._parts, B) / (2.0 * spec.base.sigma**2))
-        if isinstance(spec, GaussianGlobal) and self._inputs is not None:
-            Y = _stack_inputs(queries)
-            if Y is not None and Y.shape[1] == self._inputs.shape[1]:
-                K0 = np.exp(-_sqdist_matrix(self._inputs, Y) / (2.0 * spec.sigma**2))
-                qp = np.array([int(p) for _, p in queries])
-                return K0 * (self._part_ids[:, None] == qp[None, :])
-        return _pairwise(spec, self.anchors, queries, self.scheme)
+        return _matrix(self.spec, self._stack, _stack(self.spec, queries, self.scheme),
+                       self.anchors, queries, self.scheme)
 
 
 def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
@@ -314,8 +298,8 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
     anchors = list(anchors)
     if not anchors:
         raise ValueError("anchors must be non-empty")
-    K = _pairwise(spec, anchors, anchors, scheme)
-    return GramMatrix(entries=K, anchors=tuple(anchors))
+    S = _stack(spec, anchors, scheme)
+    return GramMatrix(entries=_matrix(spec, S, S, anchors, anchors, scheme), anchors=tuple(anchors))
 
 
 def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.ndarray:
@@ -324,4 +308,5 @@ def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.n
     queries = list(queries)
     if not anchors or not queries:
         raise ValueError("anchors and queries must be non-empty")
-    return _pairwise(spec, anchors, queries, scheme)
+    return _matrix(spec, _stack(spec, anchors, scheme), _stack(spec, queries, scheme),
+                   anchors, queries, scheme)

@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import GaussianParts, LinearParts, PartKernel
-from .parts import PartScheme, Uniform, Weighted, extract_part, part_distance
+from .kernels import LinearParts, PartKernel, part_kernel_matrix, stack_parts
+from .parts import PartScheme, Uniform, Weighted, part_distance
 
 
 class InsufficientDataError(ValueError):
@@ -68,16 +68,9 @@ class LocalityReport:
 
 def _similarity_matrix(sim: Similarity, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if isinstance(sim, RawInner):
-        return A @ B.T
+        return part_kernel_matrix(LinearParts(), A, B)
     if isinstance(sim, SquaredKernel):
-        if isinstance(sim.base, LinearParts):
-            return (A @ B.T) ** 2
-        if isinstance(sim.base, GaussianParts):
-            na = np.einsum("ij,ij->i", A, A)
-            nb = np.einsum("ij,ij->i", B, B)
-            d2 = np.clip(na[:, None] + nb[None, :] - 2.0 * (A @ B.T), 0.0, None)
-            return np.exp(-d2 / sim.base.sigma**2)  # squared Gaussian kernel
-        raise TypeError(f"unknown base kernel {sim.base!r}")
+        return part_kernel_matrix(sim.base, A, B) ** 2
     raise TypeError(f"unknown similarity {sim!r}")
 
 
@@ -135,7 +128,8 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     The pair loop is O(n^2) per cell; for data beyond desk scale pass
     ``pair_subsample`` to average the cross term over that many randomly
     drawn ordered pairs instead (one shared draw for all cells, so the map
-    stays symmetric), with ``rng`` owning the draw.
+    stays symmetric), with ``rng`` owning the draw. Parts must be fixed-shape
+    numeric arrays; others raise ``UnsupportedConfigurationError``.
     """
     samples = list(samples)
     n = len(samples)
@@ -153,10 +147,9 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
         cols_idx = cols_idx + (cols_idx >= rows_idx)  # skip the diagonal
         pairs = (rows_idx, cols_idx)
     P = scheme.num_parts
-    mats = []
-    for p in range(P):
-        mats.append(np.stack([np.asarray(extract_part(x, scheme, p), dtype=float).ravel()
-                              for x in samples]))
+    mats = [stack_parts([(x, p) for x in samples], scheme) for p in range(P)]
+    if any(M is None for M in mats):
+        raise UnsupportedConfigurationError("the covariance map needs fixed-shape numeric parts")
     cov = np.zeros((P, P))
     se = np.zeros((P, P))
     r_sq = 0.0

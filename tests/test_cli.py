@@ -86,6 +86,22 @@ class TestTrainPredict:
         flipped = {x: z for (x, _), (_, z) in zip(pairs, preds)}
         assert flipped["ab"] == "ba" and flipped["bb"] == "aa"
 
+    @pytest.mark.parametrize("kernel", [
+        {"kind": "gaussian_global", "sigma": 1.0},
+        {"kind": "sum", "universal": {"kind": "gaussian_global", "sigma": 1.0}, "local": KERNEL_JSON},
+    ], ids=["gaussian_global", "sum"])
+    def test_whole_input_kernels_train_on_strings(self, tmp_path, kernel):
+        ds = tmp_path / "train.jsonl"
+        write_dataset(ds, [("cabca", "abcab"), ("abcab", "bcabc"), ("bbcaa", "ccabb")])
+        cfg = _write_json(tmp_path / "train.json", {
+            "seed": 3, "dataset": str(ds),
+            "scheme": {"kind": "sequence_windows", "k": 5, "l": 2},
+            "kernel": kernel, "lambda": 1e-3, "m": 20,
+        })
+        out = tmp_path / "out"
+        assert run_command(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "model.json").exists()
+
     def test_angular_decoder_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         ds = tmp_path / "train.jsonl"

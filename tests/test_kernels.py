@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locstruct.kernels import (
     GaussianGlobal,
@@ -14,7 +16,7 @@ from locstruct.kernels import (
     kernel_sup,
     part_kernel_eval,
 )
-from locstruct.parts import SequenceWindows, ShapeMismatchError, VectorBlocks
+from locstruct.parts import GridPatches, SequenceWindows, ShapeMismatchError, VectorBlocks
 
 
 SCHEME = VectorBlocks(block_dim=2, num_blocks=3)
@@ -169,6 +171,48 @@ class TestPreparedAnchors:
             assert np.allclose(prepared.cross(queries),
                                cross_matrix(spec, anchors, queries, SCHEME),
                                rtol=0, atol=1e-13)
+
+
+ORACLE_KERNELS = {
+    "linear": Restriction(LinearParts()),
+    "gaussian": Restriction(GaussianParts(0.8)),
+    "global": GaussianGlobal(1.5),
+    "sum": SumKernel(GaussianGlobal(1.0), Restriction(GaussianParts(1.2))),
+}
+_COORD = st.floats(-2.0, 2.0, allow_nan=False)
+ORACLE_SCHEMES = {
+    "vector_blocks": (SCHEME, arrays(float, (6,), elements=_COORD)),
+    "grid_patches": (GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=2),
+                     arrays(float, (4, 4), elements=_COORD)),
+    "strings": (SequenceWindows(5, 2), st.text(alphabet="abc", min_size=5, max_size=5)),
+}
+
+
+@pytest.mark.parametrize("scheme_name", sorted(ORACLE_SCHEMES))
+@pytest.mark.parametrize("kernel_name", sorted(ORACLE_KERNELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
+    """Gram, cross and prepared cross matrices agree with the scalar
+    ``kernel_eval`` on every entry, and the Gram is exactly symmetric."""
+    spec = ORACLE_KERNELS[kernel_name]
+    scheme, inputs = ORACLE_SCHEMES[scheme_name]
+    pair = st.tuples(inputs, st.integers(0, scheme.num_parts - 1))
+    anchors = data.draw(st.lists(pair, min_size=1, max_size=7))
+    queries = data.draw(st.lists(pair, min_size=1, max_size=4))
+
+    def oracle(rows, cols):
+        return np.array([[kernel_eval(spec, a, b, scheme) for b in cols] for a in rows])
+
+    def assert_close(got, want):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    gram = gram_matrix(spec, anchors, scheme).entries
+    assert np.array_equal(gram, gram.T)
+    assert_close(gram, oracle(anchors, anchors))
+    want = oracle(anchors, queries)
+    assert_close(cross_matrix(spec, anchors, queries, scheme), want)
+    assert_close(PreparedAnchors(spec, anchors, scheme).cross(queries), want)
 
 
 def test_gram_diagonal_within_kernel_sup():

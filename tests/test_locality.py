@@ -11,7 +11,7 @@ from locstruct.locality import (
     locality_constants,
     sequence_bound_check,
 )
-from locstruct.parts import Uniform, VectorBlocks, Weighted, extract_part
+from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, Weighted, extract_part
 
 
 def brute_force_cell(samples, scheme, p, q, sim):
@@ -149,6 +149,11 @@ class TestEmpiricalCovMap:
             report = empirical_cov_map(samples, scheme, sim)
             slack = 3 * np.max(report.std_err)
             assert np.max(np.abs(report.cov_map)) <= report.r_sq + slack
+
+    def test_string_parts_rejected(self):
+        samples = ["abca", "bcab", "caab"]
+        with pytest.raises(UnsupportedConfigurationError, match="fixed-shape numeric parts"):
+            empirical_cov_map(samples, SequenceWindows(4, 2), SquaredKernel(LinearParts()))
 
     def test_pair_subsampling_needs_rng(self):
         rng = np.random.default_rng(13)
