@@ -12,6 +12,14 @@ Two task families:
   observed through a noisy two-channel encoding, predicted patch-wise with a
   Gaussian restriction kernel and the angular decoder.
 
+The regression study compares three estimators that differ only in how they
+lay out the same data: the whole output vector regressed on the whole input
+(``global_ls``), each block on its own block (``independent_parts_ls``, both
+one dual linear ridge, ``_ridge``, over a leading block axis), and every
+(input, part) pair pooled into one anchor set of the library estimator
+(``local_ls``). One hold-out selector, ``_select_lambda``, picks lambda for
+all of them and for the orientation-field estimator.
+
 Every cell of a sweep derives its generator from (master seed, cell
 coordinates) through ``numpy.random.SeedSequence``, so results are a pure
 function of the configuration and the seed.
@@ -41,6 +49,7 @@ GLOBAL_LS = "global_ls"
 INDEPENDENT_PARTS_LS = "independent_parts_ls"
 LOCAL_LS = "local_ls"
 LOCAL_DELTA = "local_delta"
+LS_ESTIMATORS = (GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS)
 
 # seed-splitting task codes (documented contract: streams come from
 # SeedSequence(master_seed, spawn_key=(task_code, n, repeat)))
@@ -69,7 +78,7 @@ class SyntheticConfig:
     noise_std: float = 0.5
     seed: int = 0
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    estimators: tuple = (GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS)
+    estimators: tuple = LS_ESTIMATORS
     # Readout of the local estimator's per-part solve. "mean" uses the
     # unnormalized weighted sum (the ridge conditional mean), "normalized"
     # divides by the weight total.
@@ -86,6 +95,9 @@ class SyntheticConfig:
             raise ValueError("lambda grid entries must be positive")
         if self.local_readout not in ("mean", "normalized"):
             raise ValueError(f"unknown local readout {self.local_readout!r}")
+        unknown = [e for e in self.estimators if e not in LS_ESTIMATORS]
+        if unknown:
+            raise ValueError(f"unknown estimators {unknown}")
 
 
 @dataclass(frozen=True)
@@ -230,76 +242,83 @@ def noiseless_targets(X: np.ndarray, w: np.ndarray, num_parts: int, block_dim: i
 # Estimators for the regression study
 # ---------------------------------------------------------------------------
 
-class _LinearKRR:
-    """Kernel ridge regression with the linear kernel, dual form."""
+def _ridge(A: np.ndarray, B: np.ndarray, lam: float):
+    """Dual linear ridge regression, one independent fit per leading block.
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, lam: float):
-        n = X.shape[0]
-        K = X @ X.T
-        self.X = X
-        self.coef = cho_solve(cho_factor(K + n * lam * np.eye(n), lower=True), Y)
-
-    def predict(self, Xt: np.ndarray) -> np.ndarray:
-        return (Xt @ self.X.T) @ self.coef
-
-
-def _mse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((pred - target) ** 2))
+    ``A`` is (blocks, n, d) inputs and ``B`` is (blocks, n, c) targets.
+    Returns ``predict(At)`` mapping (blocks, t, d) to (blocks, t, c).
+    """
+    n = A.shape[1]
+    coefs = [cho_solve(cho_factor(a @ a.T + n * lam * np.eye(n), lower=True), b)
+             for a, b in zip(A, B)]
+    return lambda At: np.stack([(at @ a.T) @ c for at, a, c in zip(At, A, coefs)])
 
 
-def _fit_global(Xtr, Ytr, lam):
-    model = _LinearKRR(Xtr, Ytr, lam)
-    return model.predict
+def _baseline_path(blocks: int):
+    """Hold-out path of a baseline: the input and output vectors cut into
+    ``blocks`` equal slices, each fitted by its own ridge. One block is the
+    global estimator, one block per part the independent-parts one."""
+    def layout(X):
+        return X.reshape(X.shape[0], blocks, -1).transpose(1, 0, 2)
+
+    def path(X, Y):
+        A, B = layout(X), layout(Y)
+
+        def fit(lam):
+            predict = _ridge(A, B, lam)
+            return lambda Xt: predict(layout(Xt)).transpose(1, 0, 2).reshape(Xt.shape[0], -1)
+        return fit
+    return path
 
 
-def _fit_independent(Xtr, Ytr, lam, P, k):
-    models = []
-    for p in range(P):
-        sl = slice(p * k, (p + 1) * k)
-        models.append(_LinearKRR(Xtr[:, sl], Ytr[:, sl], lam))
+def _local_path(scheme: VectorBlocks, normalize: bool):
+    """Hold-out path of the part-pooled estimator: every (input, part) pair of
+    the training set is an anchor of a linear restriction kernel, decoded with
+    the squared-loss closed form."""
+    kernel = Restriction(LinearParts())
+    pi = Uniform(scheme.num_parts)
 
-    def predict(Xt):
-        out = np.empty((Xt.shape[0], P * k))
-        for p, model in enumerate(models):
-            sl = slice(p * k, (p + 1) * k)
-            out[:, sl] = model.predict(Xt[:, sl])
-        return out
+    def path(X, Y):
+        aux = enumerate_auxiliary(list(zip(X, Y)), scheme)
+        inputs = list(X)
 
-    return predict
-
-
-class _LocalLS:
-    """Part-pooled estimator: fit on the full part expansion of the training
-    set with a linear restriction kernel, decode with the squared-loss
-    closed form."""
-
-    def __init__(self, Xtr, Ytr, lam, scheme: VectorBlocks, normalize: bool, aux=None):
-        train = list(zip(Xtr, Ytr))
-        self.aux = enumerate_auxiliary(train, scheme) if aux is None else aux
-        inputs = [x for x, _ in train]
-        self.model = fit_alpha(inputs, self.aux, Restriction(LinearParts()), lam, scheme)
-        pi = Uniform(scheme.num_parts)
-        self.decoder = LeastSquaresDecoder(self.model, pi, normalize=normalize)
-
-    def predict(self, Xt):
-        return self.decoder.decode_batch(Xt)
+        def fit(lam):
+            model = fit_alpha(inputs, aux, kernel, lam, scheme)
+            return LeastSquaresDecoder(model, pi, normalize=normalize).decode_batch
+        return fit
+    return path
 
 
-def _holdout_split(n: int) -> tuple[slice, slice]:
-    n_fit = max(1, int(round(0.8 * n)))
-    if n_fit >= n:
-        n_fit = n - 1
-    return slice(0, n_fit), slice(n_fit, n)
+def _ls_path(name: str, cfg: SyntheticConfig):
+    if name == GLOBAL_LS:
+        return _baseline_path(1)
+    if name == INDEPENDENT_PARTS_LS:
+        return _baseline_path(cfg.num_parts)
+    scheme = VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts)
+    return _local_path(scheme, normalize=cfg.local_readout == "normalized")
 
 
-def _select_lambda(fit_fn, Xtr, Ytr, grid) -> float:
-    """Hold-out selection: fit on the first 80% of the training set, score
-    mean squared error on the remaining 20%."""
-    tr, ho = _holdout_split(Xtr.shape[0])
+def _mse(predict, X, Y) -> float:
+    return float(np.mean((predict(X) - Y) ** 2))
+
+
+def _select_lambda(path, loss, X, Y, grid) -> float:
+    """Hold-out selection shared by every estimator.
+
+    ``path(X_fit, Y_fit)`` does the per-training-set work once and returns
+    ``lam -> predictor``; ``loss(predictor, X_ho, Y_ho)`` scores it. The fit
+    takes the first 80% of the training set and the hold-out the rest. With
+    fewer than two training inputs nothing can be held out, so the middle
+    grid value is returned.
+    """
+    n = X.shape[0]
+    if n < 2:
+        return grid[len(grid) // 2]
+    n_fit = min(int(round(0.8 * n)), n - 1)
+    fit = path(X[:n_fit], Y[:n_fit])
     best_lam, best = None, math.inf
     for lam in grid:
-        pred = fit_fn(Xtr[tr], Ytr[tr], lam)(Xtr[ho])
-        err = _mse(pred, Ytr[ho])
+        err = loss(fit(lam), X[n_fit:], Y[n_fit:])
         if err < best:
             best, best_lam = err, lam
     return best_lam
@@ -308,26 +327,12 @@ def _select_lambda(fit_fn, Xtr, Ytr, grid) -> float:
 def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) -> list[BenchRow]:
     (Xtr, Ytr), (Xte, _), w = gen_synthetic_dataset(cfg, rng)
     target = noiseless_targets(Xte, w, cfg.num_parts, cfg.block_dim)
-    scheme = VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts)
     rows = []
     for name in cfg.estimators:
+        path = _ls_path(name, cfg)
         try:
-            if name == GLOBAL_LS:
-                fit = lambda X, Y, lam: _fit_global(X, Y, lam)
-                lam = _select_lambda(fit, Xtr, Ytr, cfg.lambda_grid)
-                pred = fit(Xtr, Ytr, lam)(Xte)
-            elif name == INDEPENDENT_PARTS_LS:
-                fit = lambda X, Y, lam: _fit_independent(X, Y, lam, cfg.num_parts, cfg.block_dim)
-                lam = _select_lambda(fit, Xtr, Ytr, cfg.lambda_grid)
-                pred = fit(Xtr, Ytr, lam)(Xte)
-            elif name == LOCAL_LS:
-                normalize = cfg.local_readout == "normalized"
-                lam = _select_local_lambda(Xtr, Ytr, cfg, scheme, normalize)
-                est = _LocalLS(Xtr, Ytr, lam, scheme, normalize)
-                pred = est.predict(Xte)
-            else:
-                raise ValueError(f"unknown estimator {name!r}")
-            err = _mse(pred, target)
+            lam = _select_lambda(path, _mse, Xtr, Ytr, cfg.lambda_grid)
+            err = _mse(path(Xtr, Ytr)(lam), Xte, target)
         except Exception:  # keep the sweep alive, mark the cell failed
             log.exception("estimator %s failed on repeat %d", name, repeat)
             lam, err = math.nan, math.nan
@@ -337,19 +342,6 @@ def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) ->
             test_error=err,
         ))
     return rows
-
-
-def _select_local_lambda(Xtr, Ytr, cfg, scheme, normalize) -> float:
-    tr, ho = _holdout_split(Xtr.shape[0])
-    train = list(zip(Xtr[tr], Ytr[tr]))
-    aux = enumerate_auxiliary(train, scheme)
-    best_lam, best = None, math.inf
-    for lam in cfg.lambda_grid:
-        est = _LocalLS(Xtr[tr], Ytr[tr], lam, scheme, normalize, aux=aux)
-        err = _mse(est.predict(Xtr[ho]), Ytr[ho])
-        if err < best:
-            best, best_lam = err, lam
-    return best_lam
 
 
 def run_estimator_comparison(cfg: SyntheticConfig, repeats: int,
@@ -417,28 +409,36 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
     return X, Y
 
 
-def _angular_loss(decoder: AngularDecoder, X, Y, scheme, pi) -> float:
-    Z = decoder.decode_batch(X)
-    losses = [structured_loss(ANGULAR_SIN_SQ, z, y, x, scheme, pi)
-              for z, y, x in zip(Z, Y, X)]
-    return float(np.mean(losses))
-
-
-def _fit_local_delta(X, Y, lam, cfg: AngularConfig, rng) -> AngularDecoder:
+def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
+    """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
+    drawn once per training set from the cell's own stream, a Gaussian
+    restriction kernel, and the angular closed form."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
-    train = list(zip(X, Y))
-    m = min(cfg.m, len(train) * scheme.num_parts)
-    aux = generate_auxiliary(train, m, scheme, pi, rng)
-    model = fit_alpha([x for x, _ in train], aux,
-                      Restriction(GaussianParts(cfg.bandwidth)), lam, scheme)
-    return AngularDecoder(model, pi)
+    kernel = Restriction(GaussianParts(cfg.bandwidth))
+
+    def path(X, Y):
+        train = list(zip(X, Y))
+        m = min(cfg.m, len(train) * scheme.num_parts)
+        aux = generate_auxiliary(train, m, scheme, pi,
+                                 _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
+        inputs = list(X)
+
+        def fit(lam):
+            return AngularDecoder(fit_alpha(inputs, aux, kernel, lam, scheme), pi).decode_batch
+        return fit
+    return path
 
 
 def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> BenchResult:
     seed = cfg.seed if master_seed is None else master_seed
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
+
+    def loss(predict, X, Y):
+        return float(np.mean([structured_loss(ANGULAR_SIN_SQ, z, y, x, scheme, pi)
+                              for z, y, x in zip(predict(X), Y, X)]))
+
     rows = []
     for n in n_grid:
         for rep in range(repeats):
@@ -447,11 +447,10 @@ def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> Benc
                                               cfg.input_noise, rng)
             Xte, Yte = gen_orientation_fields(cfg.n_test, cfg.grid_size, cfg.freq_cutoff,
                                               cfg.input_noise, rng)
+            path = _angular_path(cfg, seed, n, rep)
             try:
-                lam = _select_angular_lambda(Xtr, Ytr, cfg, scheme, pi, seed, n, rep)
-                aux_rng = _cell_rng(seed, _TASK_ANGULAR_AUX, n, rep)
-                decoder = _fit_local_delta(Xtr, Ytr, lam, cfg, aux_rng)
-                err = _angular_loss(decoder, Xte, Yte, scheme, pi)
+                lam = _select_lambda(path, loss, Xtr, Ytr, cfg.lambda_grid)
+                err = loss(path(Xtr, Ytr)(lam), Xte, Yte)
             except Exception:
                 log.exception("angular cell failed at n=%d repeat %d", n, rep)
                 lam, err = math.nan, math.nan
@@ -460,17 +459,3 @@ def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> Benc
                 gamma=math.nan, repeat=rep, lambda_chosen=float(lam), test_error=err,
             ))
     return BenchResult(rows=tuple(rows))
-
-
-def _select_angular_lambda(Xtr, Ytr, cfg, scheme, pi, seed, n, rep) -> float:
-    if Xtr.shape[0] < 2:
-        return cfg.lambda_grid[len(cfg.lambda_grid) // 2]
-    tr, ho = _holdout_split(Xtr.shape[0])
-    best_lam, best = None, math.inf
-    for i, lam in enumerate(cfg.lambda_grid):
-        aux_rng = _cell_rng(seed, _TASK_ANGULAR_AUX, n, rep)  # same aux draw per lam
-        decoder = _fit_local_delta(Xtr[tr], Ytr[tr], lam, cfg, aux_rng)
-        err = _angular_loss(decoder, Xtr[ho], Ytr[ho], scheme, pi)
-        if err < best:
-            best, best_lam = err, lam
-    return best_lam

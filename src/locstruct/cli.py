@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,23 @@ def _out_dir(args) -> Path:
 
 def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
+
+
+def _finish_bench(out: Path, name: str, result, plot) -> int:
+    """Write ``<name>.csv``, then draw ``<name>.svg`` and return 0. When a
+    row is a failed (NaN) cell the plot is skipped, since its medians would
+    be NaN, and a JSON error of kind ``failed_cells`` gives exit status 3."""
+    _write_lines(out / f"{name}.csv", result.to_csv_lines())
+    print(str(out / f"{name}.csv"))
+    failed = sum(1 for r in result.rows
+                 if math.isnan(r.lambda_chosen) or math.isnan(r.test_error))
+    if failed:
+        print(json.dumps({"error": {"kind": "failed_cells", "count": failed,
+                                    "message": f"{failed} of {len(result.rows)} cells failed"}}),
+              file=sys.stderr)
+        return 3
+    plot(out / f"{name}.svg")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +188,8 @@ def _cmd_bench_synthetic(args) -> int:
         for est in cfg.estimators:
             meds = [result.median_error(est, n) for n in cfg.n_train]
             series[est] = (list(cfg.n_train), meds)
-        line_plot(out / "bench_synthetic.svg", series, title="learning curves",
-                  xlabel="n train", ylabel="median test error", logx=True, logy=True)
+        plot = partial(line_plot, series=series, title="learning curves",
+                       xlabel="n train", ylabel="median test error", logx=True, logy=True)
     else:
         results = []
         for P in cfg.num_parts:
@@ -186,11 +205,9 @@ def _cmd_bench_synthetic(args) -> int:
                         if r.estimator == est and r.gamma == g]
                 pts.append(float(np.median(errs)))
             series[est] = (list(cfg.gamma), pts)
-        line_plot(out / "bench_synthetic.svg", series, title="estimator comparison",
-                  xlabel="gamma", ylabel="median test error", logy=True)
-    _write_lines(out / "bench_synthetic.csv", result.to_csv_lines())
-    print(str(out / "bench_synthetic.csv"))
-    return 0
+        plot = partial(line_plot, series=series, title="estimator comparison",
+                       xlabel="gamma", ylabel="median test error", logy=True)
+    return _finish_bench(out, "bench_synthetic", result, plot)
 
 
 def _cmd_bench_angular(args) -> int:
@@ -201,12 +218,10 @@ def _cmd_bench_angular(args) -> int:
     out = _out_dir(args)
     result = bench.run_learning_curve("synthetic_angular", n_grid, cfg, repeats)
     meds = [result.median_error(bench.LOCAL_DELTA, n) for n in n_grid]
-    line_plot(out / "bench_angular.svg", {bench.LOCAL_DELTA: (list(n_grid), meds)},
-              title="orientation field learning curve", xlabel="n train",
-              ylabel="median structured loss", logx=True, logy=True)
-    _write_lines(out / "bench_angular.csv", result.to_csv_lines())
-    print(str(out / "bench_angular.csv"))
-    return 0
+    plot = partial(line_plot, series={bench.LOCAL_DELTA: (list(n_grid), meds)},
+                   title="orientation field learning curve", xlabel="n train",
+                   ylabel="median structured loss", logx=True, logy=True)
+    return _finish_bench(out, "bench_angular", result, plot)
 
 
 def _cmd_bound_check(args) -> int:

@@ -14,10 +14,7 @@ from typing import Optional
 
 from .bench import (
     DEFAULT_LAMBDA_GRID,
-    GLOBAL_LS,
-    INDEPENDENT_PARTS_LS,
-    LOCAL_DELTA,
-    LOCAL_LS,
+    LS_ESTIMATORS,
     AngularConfig,
     SyntheticConfig,
 )
@@ -209,9 +206,6 @@ def parse_diagnose(doc: dict) -> DiagnoseConfig:
     )
 
 
-_EST_NAMES = {GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS, LOCAL_DELTA}
-
-
 @dataclass(frozen=True)
 class BenchSyntheticConfig:
     seed: int
@@ -246,8 +240,8 @@ def _as_tuple(v, name, kind=float):
 def parse_bench_synthetic(doc: dict) -> BenchSyntheticConfig:
     _check(doc, {"seed", "block_dim", "num_parts", "gamma", "n_train", "n_test", "repeats"},
            {"noise_std", "lambda_grid", "estimators", "local_readout"}, "bench-synthetic")
-    estimators = tuple(doc.get("estimators", [GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS]))
-    bad = set(estimators) - _EST_NAMES
+    estimators = tuple(doc.get("estimators", LS_ESTIMATORS))
+    bad = set(estimators) - set(LS_ESTIMATORS)
     if bad:
         raise ConfigError(f"bench-synthetic.estimators: unknown estimators {sorted(bad)}")
     n_train = _as_tuple(doc["n_train"], "bench-synthetic.n_train", int)

@@ -17,7 +17,10 @@ from locstruct.bench import (
     noiseless_targets,
     run_estimator_comparison,
     run_learning_curve,
+    _local_path,
+    _ls_path,
     _psd_factor,
+    _ridge,
 )
 from locstruct.losses import ANGULAR_SIN_SQ, structured_loss
 from locstruct.parts import Uniform, VectorBlocks
@@ -76,12 +79,26 @@ class TestEstimatorComparison:
         assert res.median_error(GLOBAL_LS) <= 1e-6
 
     def test_noiseless_global_train_error_interpolates(self):
-        from locstruct.bench import _LinearKRR
-
         cfg = _cfg(num_parts=2, block_dim=3, noise_std=0.0, n_train=50, n_test=4)
         (X, Y), _, _ = gen_synthetic_dataset(cfg, np.random.default_rng(6))
-        model = _LinearKRR(X, Y, 1e-10)
-        assert np.mean((model.predict(X) - Y) ** 2) <= 1e-8
+        pred = _ridge(X[None], Y[None], 1e-10)(X[None])[0]
+        assert np.mean((pred - Y) ** 2) <= 1e-8
+
+    @pytest.mark.parametrize("estimator", [GLOBAL_LS, INDEPENDENT_PARTS_LS])
+    def test_baseline_ridge_matches_plain_solve(self, estimator):
+        # oracle: the estimator's layout of the data, one np.linalg.solve
+        # ridge per block in the dual
+        P, k, n, lam = 4, 3, 15, 1e-2
+        cfg = _cfg(num_parts=P, block_dim=k, n_train=n, n_test=7, estimators=(estimator,))
+        (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(9))
+        pred = _ls_path(estimator, cfg)(X, Y)(lam)(Xt)
+        width = P * k if estimator == GLOBAL_LS else k
+        oracle = np.empty_like(pred)
+        for start in range(0, P * k, width):
+            sl = slice(start, start + width)
+            coef = np.linalg.solve(X[:, sl] @ X[:, sl].T + n * lam * np.eye(n), Y[:, sl])
+            oracle[:, sl] = (Xt[:, sl] @ X[:, sl].T) @ coef
+        assert np.linalg.norm(pred - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     def test_single_part_local_equals_global(self):
         cfg = _cfg(num_parts=1, block_dim=6, n_train=30, n_test=40,
@@ -97,13 +114,11 @@ class TestEstimatorComparison:
         # at gamma=0 every input block is the same vector, so the part-pooled
         # fit at lambda is a global linear ridge fit at num_parts * lambda on
         # targets averaged over the parts; criterion 6 clause 2(a) rests on it
-        from locstruct.bench import _LocalLS
-
         P, k, n = 5, 3, 12
         cfg = _cfg(gamma=0.0, num_parts=P, block_dim=k, n_train=n, n_test=9)
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(8))
-        local = _LocalLS(X, Y, lam, VectorBlocks(block_dim=k, num_blocks=P),
-                         normalize=False).predict(Xt)
+        local = _local_path(VectorBlocks(block_dim=k, num_blocks=P),
+                            normalize=False)(X, Y)(lam)(Xt)
         Ybar = Y.reshape(n, P, k).mean(axis=1)
         coef = np.linalg.solve(X @ X.T + n * (P * lam) * np.eye(n), Ybar)
         pooled = np.tile((Xt @ X.T) @ coef, P)
@@ -115,6 +130,16 @@ class TestEstimatorComparison:
         local = res.median_error(LOCAL_LS)
         assert local < res.median_error(GLOBAL_LS)
         assert local < res.median_error(INDEPENDENT_PARTS_LS)
+
+    def test_single_training_input_takes_middle_of_grid(self):
+        # nothing can be held out, so every estimator falls back to the same
+        # grid value and still fits its one training input
+        cfg = _cfg(n_train=1, n_test=20)
+        res = run_estimator_comparison(cfg, repeats=2)
+        assert len(res.rows) == 2 * len(cfg.estimators)
+        for row in res.rows:
+            assert row.lambda_chosen == cfg.lambda_grid[len(cfg.lambda_grid) // 2]
+            assert math.isfinite(row.test_error)
 
     def test_deterministic_given_seed(self):
         cfg = _cfg(n_train=15, n_test=20)
@@ -148,6 +173,8 @@ class TestEstimatorComparison:
             _cfg(lambda_grid=(0.0, 1.0))
         with pytest.raises(ValueError):
             _cfg(local_readout="other")
+        with pytest.raises(ValueError, match="glob_ls"):
+            _cfg(estimators=("glob_ls",))
         with pytest.raises(ValueError):
             run_estimator_comparison(_cfg(), repeats=0)
 

@@ -253,6 +253,40 @@ class TestBenchCommands:
         assert len(lines) == 1 + 4
         assert all(line.startswith("local_delta") for line in lines[1:])
 
+    @pytest.mark.parametrize("command", ["bench-synthetic", "bench-angular"])
+    def test_failed_cells_exit_3_after_the_csv(self, tmp_path, capsys, monkeypatch, command):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr("locstruct.bench.fit_alpha", broken)
+        if command == "bench-synthetic":
+            doc = {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0,
+                   "n_train": 12, "n_test": 20, "repeats": 2, "lambda_grid": [1e-3]}
+            failed = 2  # local_ls on each repeat; the baselines do not use fit_alpha
+        else:
+            doc = {"seed": 4, "n_train": [2, 4], "repeats": 2, "grid_size": 8,
+                   "patch": 4, "stride": 2, "m": 64, "n_test": 3, "lambda_grid": [1e-3]}
+            failed = 4
+        out = tmp_path / "out"
+        rc = run_command([command, "--config", _write_json(tmp_path / "b.json", doc),
+                          "--out", str(out)])
+        assert rc == 3
+        csv = out / (command.replace("-", "_") + ".csv")
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert sum(r[5] == r[6] == "nan" for r in rows) == failed
+        assert not csv.with_suffix(".svg").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "failed_cells" and err["count"] == failed
+
+    def test_unknown_estimator_rejected(self, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "b.json", {
+            "seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": 12,
+            "n_test": 20, "repeats": 1, "estimators": ["local_delta"],
+        })
+        assert run_command(["bench-synthetic", "--config", cfg, "--out",
+                            str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
 
 class TestBoundCheck:
     def test_hand_value_table(self, tmp_path, capsys):
