@@ -125,7 +125,6 @@ class AngularConfig:
 
 
 BENCH_CSV_HEADER = "estimator,n,num_parts,gamma,repeat,lambda_chosen,test_error"
-BENCH_CSV_VERSION = "bench-csv-v1"
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ class BenchResult:
 
     def median_error(self, estimator: str, n: Optional[int] = None) -> float:
         return float(np.median(self.errors(estimator, n)))
-
-    def quartiles(self, estimator: str, n: Optional[int] = None) -> tuple[float, float, float]:
-        e = self.errors(estimator, n)
-        return tuple(float(v) for v in np.percentile(e, [25, 50, 75]))
 
     def to_csv_lines(self) -> list[str]:
         lines = [BENCH_CSV_HEADER]

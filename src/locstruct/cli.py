@@ -38,7 +38,7 @@ from .modelio import (
     read_dataset,
     save_model,
 )
-from .parts import Uniform
+from .parts import PartIndexError, ShapeMismatchError, Uniform
 from .svgplot import heatmap, line_plot
 from .training import NonFiniteError, fit_alpha, generate_auxiliary
 
@@ -64,6 +64,14 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _config(args, parse):
+    """Parse the command's config file; ``--seed`` overrides its seed."""
+    doc = cfgmod.load_config(args.config)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    return parse(doc)
+
+
 def _finish_bench(out: Path, name: str, result, plot) -> int:
     """Write ``<name>.csv``, then draw ``<name>.svg`` and return 0. When a
     row is a failed (NaN) cell the plot is skipped, since its medians would
@@ -86,10 +94,7 @@ def _finish_bench(out: Path, name: str, result, plot) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    doc = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = cfgmod.parse_train(doc)
+    cfg = _config(args, cfgmod.parse_train)
     train = read_dataset(cfg.dataset)
     pi = (pi_from_json(cfg.pi, cfg.scheme.num_parts) if cfg.pi is not None
           else Uniform(cfg.scheme.num_parts))
@@ -104,10 +109,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    doc = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = cfgmod.parse_predict(doc)
+    cfg = _config(args, cfgmod.parse_predict)
     model = load_model(cfg.model)
     records = read_dataset(cfg.dataset, require_y=False)
     xs = [x for x, _ in records]
@@ -142,10 +144,7 @@ def _fmt_cell(v) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    doc = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = cfgmod.parse_diagnose(doc)
+    cfg = _config(args, cfgmod.parse_diagnose)
     records = read_dataset(cfg.dataset, require_y=False)
     rng = (np.random.default_rng(np.random.SeedSequence(cfg.seed))
            if cfg.seed is not None else None)
@@ -176,10 +175,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_bench_synthetic(args) -> int:
-    doc = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = cfgmod.parse_bench_synthetic(doc)
+    cfg = _config(args, cfgmod.parse_bench_synthetic)
     out = _out_dir(args)
     if cfg.learning_curve:
         cell = cfg.cell(cfg.num_parts[0], cfg.gamma[0], cfg.n_train[0])
@@ -211,10 +207,7 @@ def _cmd_bench_synthetic(args) -> int:
 
 
 def _cmd_bench_angular(args) -> int:
-    doc = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg, n_grid, repeats = cfgmod.parse_bench_angular(doc)
+    cfg, n_grid, repeats = _config(args, cfgmod.parse_bench_angular)
     out = _out_dir(args)
     result = bench.run_learning_curve("synthetic_angular", n_grid, cfg, repeats)
     meds = [result.median_error(bench.LOCAL_DELTA, n) for n in n_grid]
@@ -282,6 +275,11 @@ _DISPATCH = {
 }
 
 
+# JSON error kinds of the errors a command reports with exit status 2
+_ERROR_KINDS = (((ConfigError, ParseError), "parse"), (OSError, "io"),
+                (NonFiniteError, "non_finite"), ((ShapeMismatchError, PartIndexError), "shape"))
+
+
 def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
     _setup_logging()
@@ -292,20 +290,13 @@ def run_command(argv) -> int:
         return int(e.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ParseError) as e:
-        print(json.dumps({"error": {"kind": "parse", "message": str(e)}}), file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(json.dumps({"error": {"kind": "io", "message": str(e)}}), file=sys.stderr)
-        return 2
-    except NonFiniteError as e:
-        print(json.dumps({"error": {"kind": "non_finite", "message": str(e)}}), file=sys.stderr)
-        return 2
-    except Exception as e:  # pragma: no cover - defensive
-        log.debug("command failed", exc_info=True)
-        print(json.dumps({"error": {"kind": type(e).__name__, "message": str(e)}}),
+    except Exception as e:
+        kind = next((k for types, k in _ERROR_KINDS if isinstance(e, types)), None)
+        if kind is None:  # defensive: an error no kind names
+            log.debug("command failed", exc_info=True)
+        print(json.dumps({"error": {"kind": kind or type(e).__name__, "message": str(e)}}),
               file=sys.stderr)
-        return 1
+        return 2 if kind else 1
 
 
 def main() -> None:

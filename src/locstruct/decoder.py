@@ -17,19 +17,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .kernels import kernel_sup
 from .losses import LossSpec, part_loss
-from .parts import (
-    GridPatches,
-    PartScheme,
-    SequenceWindows,
-    VectorBlocks,
-    part_weights,
-)
+from .parts import SequenceWindows, index_map, part_weights, scatter_parts
 from .training import AlphaModel, alpha_at_parts
 
 
@@ -115,73 +109,35 @@ def _project(z: np.ndarray, proj: Projection) -> np.ndarray:
 
 
 def _eta_matrix(model: AlphaModel) -> tuple[np.ndarray, tuple]:
-    """Anchor output parts stacked row-wise, plus their common shape."""
+    """Anchor output parts stacked row-wise, plus the shape of the output
+    canvas: the parts' leading channel axes and the scheme's object axes."""
     etas = [np.asarray(s.eta, dtype=float) for s in model.aux]
     shape = etas[0].shape
     if any(e.shape != shape for e in etas):
         raise ValueError("anchor output parts must share one shape for closed-form decoding")
-    return np.stack([e.ravel() for e in etas]), shape
-
-
-def _canvas_shape(scheme: PartScheme, part_shape: tuple) -> tuple:
-    """Shape of the assembled output for numeric schemes."""
-    if isinstance(scheme, VectorBlocks):
-        return (scheme.num_blocks * int(np.prod(part_shape, dtype=int)),)
-    if isinstance(scheme, GridPatches):
-        lead = part_shape[:-2]
-        if part_shape[-2:] != (scheme.patch_h, scheme.patch_w):
-            raise ValueError(
-                f"anchor parts of shape {part_shape} do not match patch "
-                f"({scheme.patch_h}, {scheme.patch_w})"
-            )
-        return lead + (scheme.height, scheme.width)
-    raise TypeError(f"scheme {scheme!r} has no numeric output canvas")
-
-
-def _scatter_add(canvas: np.ndarray, scheme: PartScheme, p: int, values: np.ndarray) -> None:
-    """Accumulate part values into an output canvas; leading batch axes pass
-    through untouched."""
-    if isinstance(scheme, VectorBlocks):
-        d = canvas.shape[-1] // scheme.num_blocks
-        canvas[..., p * d : (p + 1) * d] += values.reshape(canvas.shape[:-1] + (d,))
-        return
-    rows, cols = scheme.patch_rows_cols(p)
-    canvas[..., rows[:, None], cols[None, :]] += values
-
-
-def _gather(z: np.ndarray, scheme: PartScheme, p: int, part_shape: tuple) -> np.ndarray:
-    if isinstance(scheme, VectorBlocks):
-        d = int(np.prod(part_shape, dtype=int))
-        return z[p * d : (p + 1) * d].reshape(part_shape)
-    rows, cols = scheme.patch_rows_cols(p)
-    return z[..., rows[:, None], cols[None, :]]
+    lead = shape[: len(shape) - len(model.scheme.shape)]
+    if math.prod(shape) != math.prod(lead) * index_map(model.scheme).shape[1]:
+        raise ValueError(f"anchor parts of shape {shape} do not fit the parts of the scheme")
+    return np.stack([e.ravel() for e in etas]), lead + model.scheme.shape
 
 
 def _active_parts(weights: np.ndarray) -> np.ndarray:
     return np.flatnonzero(weights > 0)
 
 
-def _read_parts(model: AlphaModel, R: np.ndarray, xs: list, active: np.ndarray) -> np.ndarray:
-    """Alpha-weighted sums ``sum_j alpha_j(x, p) E[j]`` from the readout
-    weights ``R`` of ``E``, for every input and active part, shape
-    (channels, len(xs), len(active))."""
-    queries = [(x, int(p)) for x in xs for p in active]
-    return model.readout(R, queries).reshape(-1, len(xs), len(active))
+def _read_parts(model: AlphaModel, R: np.ndarray, xs, active: np.ndarray) -> np.ndarray:
+    """Alpha-weighted sums ``sum_j alpha_j(x, p) E[j]`` from the readout weights
+    ``R`` of ``E``, for every input and active part: (channels, n, len(active))."""
+    S = model.readout(R, xs, active)
+    return S.reshape(S.shape[0], -1, len(active))
 
 
-def _scatter_parts(scheme: PartScheme, weights: np.ndarray, active: np.ndarray,
-                   channels: Sequence[np.ndarray], part_shape: tuple) -> list:
-    """Sum the per-part values of each channel, weighted by pi, into one
-    output array per channel. A channel has shape (d, n, len(active)) with
-    ``d`` the flat part size; each output has shape (n,) + output canvas."""
-    n = channels[0].shape[1]
-    lead = (n,) + part_shape
-    outs = [np.zeros((n,) + _canvas_shape(scheme, part_shape)) for _ in channels]
-    for col, p in enumerate(active):
-        for out, channel in zip(outs, channels):
-            block = np.moveaxis(channel[:, :, col], 0, -1).reshape(lead)
-            _scatter_add(out, scheme, int(p), weights[p] * block)
-    return outs
+def _scatter(model: AlphaModel, weights: np.ndarray, active: np.ndarray,
+             channel: np.ndarray, canvas: tuple) -> np.ndarray:
+    """Sum one channel of flat part values, shape (d, n, len(active)),
+    weighted by pi, into outputs of shape (n,) + ``canvas``."""
+    V = np.multiply(np.moveaxis(channel, 0, -1), weights[active][:, None], order="C")
+    return scatter_parts(V, model.scheme, active).reshape((V.shape[0],) + canvas)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +217,16 @@ class LeastSquaresDecoder:
         self.model = model
         self.weights = part_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
-        H, self.part_shape = _eta_matrix(model)
+        H, self.canvas = _eta_matrix(model)
         ones = np.ones((model.m, 1))
         # the readout yields (sum_j alpha_j eta_j, sum_j alpha_j) per query
         self._readout = model.readout_weights(np.hstack([H, ones]))
-
-    def part_sums(self, x, parts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        queries = [(x, int(p)) for p in parts]
-        S = self.model.readout(self._readout, queries)
-        return S[:-1, :], S[-1, :]
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
 
     def decode_batch(self, xs) -> np.ndarray:
         """Decode several inputs with one batched kernel evaluation."""
-        xs = list(xs)
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
         wy, wsum = S[:-1], S[-1]
@@ -289,8 +239,8 @@ class LeastSquaresDecoder:
                     DegenerateDecodeWarning,
                 )
             wy = wy / np.where(ok, wsum, 1.0)
-        num, den = _scatter_parts(self.model.scheme, self.weights, active,
-                                  (wy, np.broadcast_to(1.0, wy.shape)), self.part_shape)
+        num = _scatter(self.model, self.weights, active, wy, self.canvas)
+        den = _scatter(self.model, self.weights, active, np.ones(wy[:, :1].shape), self.canvas)
         out = np.zeros_like(num)
         np.divide(num, den, out=out, where=den > 0)
         return out
@@ -317,19 +267,18 @@ class AngularDecoder:
     def __init__(self, model: AlphaModel, pi):
         self.model = model
         self.weights = part_weights(pi, model.scheme.num_parts)
-        H, self.part_shape = _eta_matrix(model)
+        H, self.canvas = _eta_matrix(model)
         self._readout = model.readout_weights(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
 
     def decode_batch(self, xs) -> np.ndarray:
-        xs = list(xs)
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
         d = S.shape[0] // 2
-        c, s = _scatter_parts(self.model.scheme, self.weights, active,
-                              (S[:d], S[d:]), self.part_shape)
+        c = _scatter(self.model, self.weights, active, S[:d], self.canvas)
+        s = _scatter(self.model, self.weights, active, S[d:], self.canvas)
         theta = 0.5 * np.arctan2(s, c)
         dead = (c == 0.0) & (s == 0.0)
         if np.any(dead):
@@ -395,9 +344,9 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
         sup = kernel_sup(model.kernel)
         c = 1.0 / sup if sup else 1.0
 
-    H, part_shape = _eta_matrix(model)
-    etas = H.reshape((model.m,) + part_shape)
-    z = np.zeros(_canvas_shape(scheme, part_shape))
+    etas, canvas = _eta_matrix(model)
+    J = index_map(scheme, math.prod(canvas) // math.prod(scheme.shape))
+    z = np.zeros(math.prod(canvas))  # flat, shaped as the canvas on return
 
     # alpha depends on (x, p) only, so cache per part
     active = _active_parts(probs)
@@ -413,33 +362,25 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
 
     tail_from = T - math.ceil(T / 2)
     tail_sum = np.zeros_like(z)
-    tail_n = 0
     stepped = False
     for t in range(1, T + 1):
         p = int(part_draws[t - 1])
         col = col_of[p]
         A_xp = totals[col]
-        if A_xp <= 0.0:
-            if t > tail_from:
-                tail_sum += z
-                tail_n += 1
-            continue
-        j = int(np.searchsorted(cums[:, col], anchor_u[t - 1] * A_xp))
-        j = min(j, model.m - 1)
-        g = _part_subgradient(req.loss, _gather(z, scheme, p, part_shape), etas[j])
-        u = math.copysign(1.0, alphas[j, col]) * A_xp * g
-        step = c / math.sqrt(t)
-        _scatter_add(z, scheme, p, -step * u)
-        z = _project(z, projection)
-        stepped = True
+        if A_xp > 0.0:
+            j = min(int(np.searchsorted(cums[:, col], anchor_u[t - 1] * A_xp)), model.m - 1)
+            g = _part_subgradient(req.loss, z[J[p]], etas[j])
+            u = math.copysign(1.0, alphas[j, col]) * A_xp * g
+            step = c / math.sqrt(t)
+            z[J[p]] += -step * u
+            z = _project(z, projection)
+            stepped = True
         if t > tail_from:
             tail_sum += z
-            tail_n += 1
 
     if not stepped:
         warnings.warn("every subgradient iteration skipped, returning the start point",
                       DegenerateDecodeWarning)
-        return z
-    if method.average_tail and tail_n > 0:
-        return _project(tail_sum / tail_n, projection)
-    return z
+    elif method.average_tail:
+        z = _project(tail_sum / (T - tail_from), projection)
+    return z.reshape(canvas)

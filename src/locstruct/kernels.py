@@ -11,8 +11,9 @@ Two layers:
 String parts are compared through their implicit one-hot encoding, so the
 linear kernel counts matching positions and the squared distance inside the
 Gaussian is twice the number of mismatches. Gram, cross and prepared-anchor
-matrices all come from ``_matrix``: vectorized over stacked numeric parts or
-inputs, and from the scalar ``kernel_eval`` where the pairs do not stack.
+matrices all come from ``_matrix``, vectorized over the stacked parts or
+inputs of ``parts.stack_objects``; strings stack as character codes and are
+compared by match counts. ``kernel_eval`` is the scalar form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from typing import Union
 
 import numpy as np
 
-from .parts import PartScheme, ShapeMismatchError, extract_part
+from .parts import (
+    PartScheme,
+    ShapeMismatchError,
+    check_parts,
+    extract_part,
+    gather_parts,
+    stack_objects,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,45 +56,28 @@ class GaussianParts:
 PartKernel = Union[LinearParts, GaussianParts]
 
 
-def _part_sqdist(a, b) -> float:
+def _part_terms(a, b) -> tuple[float, float]:
+    """Inner product and squared distance of two parts."""
     if isinstance(a, str) or isinstance(b, str):
         if len(a) != len(b):
             raise ShapeMismatchError(f"parts of lengths {len(a)} and {len(b)}")
-        return 2.0 * sum(ca != cb for ca, cb in zip(a, b))
+        same = sum(ca == cb for ca, cb in zip(a, b))
+        return float(same), 2.0 * (len(a) - same)
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ShapeMismatchError(f"parts of shapes {a.shape} and {b.shape}")
     d = a - b
-    return float(np.dot(d, d))
-
-
-def _part_inner(a, b) -> float:
-    if isinstance(a, str) or isinstance(b, str):
-        if len(a) != len(b):
-            raise ShapeMismatchError(f"parts of lengths {len(a)} and {len(b)}")
-        return float(sum(ca == cb for ca, cb in zip(a, b)))
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"parts of shapes {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
+    return float(np.dot(a, b)), float(np.dot(d, d))
 
 
 def part_kernel_eval(kernel: PartKernel, a, b) -> float:
     """Evaluate a part kernel on two part objects."""
     if isinstance(kernel, LinearParts):
-        return _part_inner(a, b)
+        return _part_terms(a, b)[0]
     if isinstance(kernel, GaussianParts):
-        return float(np.exp(-_part_sqdist(a, b) / (2.0 * kernel.sigma**2)))
+        return float(np.exp(-_part_terms(a, b)[1] / (2.0 * kernel.sigma**2)))
     raise TypeError(f"unknown part kernel {kernel!r}")
-
-
-def part_kernel_sup(kernel: PartKernel):
-    """sup over parts of k(a, a), or None when unbounded."""
-    if isinstance(kernel, GaussianParts):
-        return 1.0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def kernel_eval(spec: KernelSpec, a: tuple, b: tuple, scheme: PartScheme) -> flo
         (x, p), (y, q) = a, b
         if int(p) != int(q):
             return 0.0
-        return float(np.exp(-_part_sqdist(x, y) / (2.0 * spec.sigma**2)))
+        return float(np.exp(-_part_terms(x, y)[1] / (2.0 * spec.sigma**2)))
     if isinstance(spec, SumKernel):
         return kernel_eval(spec.universal, a, b, scheme) + kernel_eval(spec.local, a, b, scheme)
     raise TypeError(f"unknown kernel spec {spec!r}")
@@ -149,7 +140,7 @@ def has_feature_map(spec: KernelSpec) -> bool:
 def kernel_sup(spec: KernelSpec):
     """sup over pairs of k(a, a), or None when unbounded."""
     if isinstance(spec, Restriction):
-        return part_kernel_sup(spec.base)
+        return 1.0 if isinstance(spec.base, GaussianParts) else None
     if isinstance(spec, GaussianGlobal):
         return 1.0
     if isinstance(spec, SumKernel):
@@ -177,110 +168,109 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _stack_arrays(objs):
-    """Stack array-likes into an (n, d) float matrix, or None when they are
-    strings or their shapes differ."""
-    if isinstance(objs[0], str):
-        return None
-    arrs = [np.asarray(o, dtype=float) for o in objs]
-    shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        return None
-    return np.stack([a.ravel() for a in arrs])
-
-
-def stack_parts(pairs, scheme: PartScheme):
-    """Extracted parts of ``(input, part index)`` pairs stacked into an
-    (n, d) float matrix, or None if they are not fixed-shape numeric arrays."""
-    return _stack_arrays([extract_part(x, scheme, p) for x, p in pairs])
-
-
-def _stack(spec: KernelSpec, pairs, scheme: PartScheme):
-    """The numeric form of ``pairs`` that ``_matrix`` vectorizes over: the
-    stacked parts for a restriction kernel, the stacked inputs plus part ids
-    for the global Gaussian, one stack per child for a sum, and None when
-    the pairs do not stack."""
+def _stack(spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
+    """The form of the pairs ``(X[rows_i], parts_i)`` that ``_matrix``
+    works on: their gathered parts for a restriction kernel, their whole
+    inputs plus part ids for the global Gaussian, one per child for a sum."""
     if isinstance(spec, Restriction):
-        return stack_parts(pairs, scheme)
+        return gather_parts(X, scheme, rows, parts)
     if isinstance(spec, GaussianGlobal):
-        X = _stack_arrays([x for x, _ in pairs])
-        return None if X is None else (X, np.array([int(p) for _, p in pairs]))
+        return X[rows], parts
     if isinstance(spec, SumKernel):
-        return _stack(spec.universal, pairs, scheme), _stack(spec.local, pairs, scheme)
+        return (_stack(spec.universal, X, rows, parts, scheme),
+                _stack(spec.local, X, rows, parts, scheme))
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
+def _pair_stack(spec: KernelSpec, pairs, scheme: PartScheme):
+    """``_stack`` of ``(x, p)`` pairs. An input shared by several pairs, as
+    anchors share their training inputs, is stacked once."""
+    pairs = list(pairs)  # holds every input, so no id is reused while we index
+    by_id = {id(x): x for x, _ in pairs}
+    row_of = {key: row for row, key in enumerate(by_id)}
+    X = stack_objects(list(by_id.values()), scheme)
+    rows = [row_of[id(x)] for x, _ in pairs]
+    return _stack(spec, X, rows, check_parts(scheme, [p for _, p in pairs]), scheme)
+
+
+def _code_matches(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matching positions between the rows of two string-code stacks: the
+    inner products of their one-hot encodings, exact in float64."""
+    codes, inv = np.unique(np.concatenate([A, B]), return_inverse=True)
+    hot = (inv.reshape(len(A) + len(B), -1, 1) == np.arange(len(codes))).astype(float)
+    return hot[: len(A)].reshape(len(A), -1) @ hot[len(A):].reshape(len(B), -1).T
+
+
 def part_kernel_matrix(kernel: PartKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Part kernel between the rows of two stacked part matrices."""
+    """Part kernel between the rows of two stacked part matrices. Rows of
+    string codes compare through their one-hot encodings, as ``kernel_eval``
+    compares strings."""
+    if A.shape[1] != B.shape[1] or A.dtype != B.dtype:
+        raise ShapeMismatchError(f"parts {A.shape[1:]} {A.dtype} vs {B.shape[1:]} {B.dtype}")
+    codes = A.dtype.kind == "u"
     if isinstance(kernel, LinearParts):
-        return A @ B.T
+        return _code_matches(A, B) if codes else A @ B.T
     if isinstance(kernel, GaussianParts):
-        na = np.einsum("ij,ij->i", A, A)
-        nb = np.einsum("ij,ij->i", B, B)
-        K = na[:, None] + nb[None, :] - 2.0 * (A @ B.T)  # squared distances
-        np.clip(K, 0.0, None, out=K)
+        if codes:
+            K = 2.0 * (A.shape[1] - _code_matches(A, B))  # twice the mismatch count
+        else:
+            na = np.einsum("ij,ij->i", A, A)
+            nb = np.einsum("ij,ij->i", B, B)
+            K = na[:, None] + nb[None, :] - 2.0 * (A @ B.T)  # squared distances
+            np.clip(K, 0.0, None, out=K)
         np.negative(K, out=K)  # in place: a query batch's K can be the largest array
         K /= 2.0 * kernel.sigma**2
         return np.exp(K, out=K)
     raise TypeError(f"unknown part kernel {kernel!r}")
 
 
-def _matrix(spec: KernelSpec, A, B, rows, cols, scheme: PartScheme) -> np.ndarray:
-    """Kernel matrix k(rows_i, cols_j) from the stacks ``A`` of ``rows`` and
-    ``B`` of ``cols``. Where a stack is None or the widths differ, every
-    entry comes from ``kernel_eval``; ``cols is rows`` marks a Gram, for
-    which that loop fills one triangle and mirrors it."""
+def _matrix(spec: KernelSpec, A, B) -> np.ndarray:
+    """Kernel matrix between the pairs behind the stacks ``A`` (rows) and
+    ``B`` (columns) made by ``_stack``."""
     if isinstance(spec, SumKernel):
-        return (_matrix(spec.universal, A[0], B[0], rows, cols, scheme)
-                + _matrix(spec.local, A[1], B[1], rows, cols, scheme))
-    if A is not None and B is not None:
-        if isinstance(spec, Restriction) and A.shape[1] == B.shape[1]:
-            return part_kernel_matrix(spec.base, A, B)
-        if isinstance(spec, GaussianGlobal) and A[0].shape[1] == B[0].shape[1]:
-            K0 = part_kernel_matrix(GaussianParts(spec.sigma), A[0], B[0])
-            return K0 * (A[1][:, None] == B[1][None, :])
-    out = np.empty((len(rows), len(cols)))
-    if cols is rows:
-        for i, a in enumerate(rows):
-            for j in range(i, len(rows)):
-                out[i, j] = out[j, i] = kernel_eval(spec, a, rows[j], scheme)
-        return out
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            out[i, j] = kernel_eval(spec, a, b, scheme)
-    return out
+        return _matrix(spec.universal, A[0], B[0]) + _matrix(spec.local, A[1], B[1])
+    if isinstance(spec, Restriction):
+        return part_kernel_matrix(spec.base, A, B)
+    K = part_kernel_matrix(GaussianParts(spec.sigma), A[0], B[0])
+    return K * (A[1][:, None] == B[1][None, :])
 
 
 class PreparedAnchors:
     """A fixed anchor list with its stack cached, for repeated cross-kernel
-    evaluation against fresh queries."""
+    evaluation against fresh queries. Queries are the product of some
+    inputs and some parts: every input with every part, input-major."""
 
     def __init__(self, spec: KernelSpec, anchors, scheme: PartScheme):
         self.spec = spec
-        self.anchors = list(anchors)
         self.scheme = scheme
-        self._stack = _stack(spec, self.anchors, scheme)
+        self._stack = _pair_stack(spec, anchors, scheme)
 
     @property
     def features(self):
-        """The explicit feature matrix ``F`` (len(anchors), d) with
-        ``K = F F^T``, or None when the kernel has no such map or the anchor
-        parts do not stack."""
-        return self._stack if has_feature_map(self.spec) else None
+        """The explicit feature matrix ``F`` (len(anchors), d) with ``K = F
+        F^T``, or None when the kernel has no such map or the parts are strings."""
+        if has_feature_map(self.spec) and self._stack.dtype.kind == "f":
+            return self._stack
+        return None
 
-    def query_features(self, queries) -> np.ndarray:
-        """Queries in the anchors' feature space, shape (len(queries), d), so
-        that ``cross(queries) == features @ query_features(queries).T``."""
-        B = stack_parts(list(queries), self.scheme)
-        if B is None or B.shape[1] != self.features.shape[1]:
+    def _query_stack(self, xs, parts):
+        X = stack_objects(xs, self.scheme)
+        parts = check_parts(self.scheme, parts)
+        rows = np.repeat(np.arange(len(X)), len(parts))
+        return _stack(self.spec, X, rows, np.tile(parts, len(X)), self.scheme)
+
+    def query_features(self, xs, parts) -> np.ndarray:
+        """Queries in the anchors' feature space, shape (len(xs) * len(parts),
+        d), so that ``cross(xs, parts) == features @ query_features(xs, parts).T``."""
+        B = self._query_stack(xs, parts)
+        if B.shape[1] != self.features.shape[1]:
             raise ShapeMismatchError("query parts do not match the shape of the anchor parts")
         return B
 
-    def cross(self, queries) -> np.ndarray:
-        """k(anchor_j, query_i), shape (len(anchors), len(queries))."""
-        queries = list(queries)
-        return _matrix(self.spec, self._stack, _stack(self.spec, queries, self.scheme),
-                       self.anchors, queries, self.scheme)
+    def cross(self, xs, parts) -> np.ndarray:
+        """k(anchor_j, (xs[i], parts[k])), shape (len(anchors), len(xs) *
+        len(parts)); column ``i * len(parts) + k`` holds query (xs[i], parts[k])."""
+        return _matrix(self.spec, self._stack, self._query_stack(xs, parts))
 
 
 def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
@@ -298,8 +288,8 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
     anchors = list(anchors)
     if not anchors:
         raise ValueError("anchors must be non-empty")
-    S = _stack(spec, anchors, scheme)
-    return GramMatrix(entries=_matrix(spec, S, S, anchors, anchors, scheme), anchors=tuple(anchors))
+    S = _pair_stack(spec, anchors, scheme)
+    return GramMatrix(entries=_matrix(spec, S, S), anchors=tuple(anchors))
 
 
 def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.ndarray:
@@ -308,5 +298,4 @@ def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.n
     queries = list(queries)
     if not anchors or not queries:
         raise ValueError("anchors and queries must be non-empty")
-    return _matrix(spec, _stack(spec, anchors, scheme), _stack(spec, queries, scheme),
-                   anchors, queries, scheme)
+    return _matrix(spec, _pair_stack(spec, anchors, scheme), _pair_stack(spec, queries, scheme))

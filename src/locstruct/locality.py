@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernels import LinearParts, PartKernel, part_kernel_matrix, stack_parts
-from .parts import PartScheme, Uniform, Weighted, part_distance
+from .kernels import LinearParts, PartKernel, part_kernel_matrix
+from .parts import PartScheme, Uniform, Weighted, gather_parts, part_distance, stack_objects
 
 
 class InsufficientDataError(ValueError):
@@ -129,7 +129,7 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     ``pair_subsample`` to average the cross term over that many randomly
     drawn ordered pairs instead (one shared draw for all cells, so the map
     stays symmetric), with ``rng`` owning the draw. Parts must be fixed-shape
-    numeric arrays; others raise ``UnsupportedConfigurationError``.
+    numeric arrays; strings raise ``UnsupportedConfigurationError``.
     """
     samples = list(samples)
     n = len(samples)
@@ -147,9 +147,10 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
         cols_idx = cols_idx + (cols_idx >= rows_idx)  # skip the diagonal
         pairs = (rows_idx, cols_idx)
     P = scheme.num_parts
-    mats = [stack_parts([(x, p) for x in samples], scheme) for p in range(P)]
-    if any(M is None for M in mats):
+    X = stack_objects(samples, scheme)
+    if X.dtype.kind != "f":
         raise UnsupportedConfigurationError("the covariance map needs fixed-shape numeric parts")
+    mats = gather_parts(X, scheme, np.arange(n)[None, :], np.arange(P)[:, None])  # (P, n, d)
     cov = np.zeros((P, P))
     se = np.zeros((P, P))
     r_sq = 0.0
@@ -174,8 +175,9 @@ def locality_constants(report: LocalityReport, scheme: PartScheme, pi=None):
     part distribution. ``q_hat`` averages the map, ``s_hat = |P| * q_hat``,
     and ``gamma_hat`` is the decay rate of a least-squares line fitted to
     ``log(C / r^2)`` against the negated part distance over off-diagonal
-    cells that clear three standard errors; it is None when fewer than three
-    cells qualify.
+    cells that clear three standard errors; it is None unless at least
+    three cells at two or more distinct distances qualify, since a line
+    through a single distance has no slope.
     """
     if not isinstance(report.similarity, SquaredKernel):
         raise UnsupportedConfigurationError(
@@ -203,7 +205,7 @@ def locality_constants(report: LocalityReport, scheme: PartScheme, pi=None):
                 us.append(math.log(max(c, floor) / report.r_sq))
                 ds.append(-part_distance(scheme, p, q))
     gamma_hat = None
-    if len(us) >= 3:
+    if len(us) >= 3 and len(set(ds)) >= 2:
         slope, _ = np.polyfit(np.asarray(ds), np.asarray(us), 1)
         gamma_hat = float(slope)
     return s_hat, q_hat, gamma_hat

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parts import PartScheme, ShapeMismatchError, extract_part, part_weights
+from .parts import PartScheme, ShapeMismatchError, gather_parts, part_weights, stack_objects
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,22 @@ def structured_loss(spec: LossSpec, z, y, x, scheme: PartScheme, pi) -> float:
 
     ``pi`` is a part distribution or a raw nonnegative weight vector; raw
     weights need not sum to one, which is how cover-multiplicity constants
-    are folded in.
+    are folded in. Parts of zero weight are skipped; ``x`` is only checked
+    against the scheme, since no built-in loss reads it.
     """
     w = part_weights(pi, scheme.num_parts)
-    total = 0.0
-    for p in range(scheme.num_parts):
-        if w[p] == 0.0:
-            continue
-        x_p = None if x is None else extract_part(x, scheme, p)
-        total += w[p] * part_loss(spec, extract_part(z, scheme, p), extract_part(y, scheme, p), x_p)
-    return total
+    if x is not None:
+        stack_objects([x], scheme)
+    active = np.flatnonzero(w != 0.0)
+    Z, Y = gather_parts(stack_objects([z, y], scheme), scheme, [[0], [1]], active)
+    if spec.kind == "zero_one_window":
+        losses = np.any(Z != Y, axis=-1).astype(float)
+    elif spec.kind == "squared_vector":
+        d = Z - Y
+        losses = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # the dot of ``part_loss``
+    elif spec.kind == "angular_sin_sq":
+        losses = np.mean(np.sin(Z - Y) ** 2, axis=-1)
+    else:
+        raise ValueError(f"unknown loss kind {spec.kind!r}")
+    # a running sum adds the parts in order, as a loop over part_loss would
+    return float(np.cumsum(w[active] * losses)[-1]) if active.size else 0.0

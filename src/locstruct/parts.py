@@ -4,12 +4,17 @@ A part scheme fixes a finite index set {0, ..., num_parts - 1} together with
 a selection operator ``x -> x_p``, a distance between part indices, and the
 sampling distribution used to draw parts. Inputs and outputs of a prediction
 problem share the same scheme, so the same object describes both sides.
+
+Where each part sits is decided once per scheme (``index_map``), so a gather
+from objects stacked by ``stack_objects`` is one fancy index and a scatter
+back is one ``np.add.at``; ``extract_part`` is the scalar selection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -21,6 +26,10 @@ class ShapeMismatchError(ValueError):
 
 class PartIndexError(IndexError):
     """Raised for part identifiers outside 0..num_parts-1."""
+
+
+class NonFiniteError(ValueError):
+    """Raised when inputs, kernel values or anchor output parts are NaN or infinite."""
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +57,11 @@ class SequenceWindows:
     def num_parts(self) -> int:
         return self.seq_len - self.window_len + 1
 
+    @property
+    def shape(self) -> tuple:
+        return (self.seq_len,)
+
+
 
 @dataclass(frozen=True)
 class VectorBlocks:
@@ -71,6 +85,11 @@ class VectorBlocks:
     @property
     def total_dim(self) -> int:
         return self.block_dim * self.num_blocks
+
+    @property
+    def shape(self) -> tuple:
+        return (self.total_dim,)
+
 
 
 @dataclass(frozen=True)
@@ -99,10 +118,6 @@ class GridPatches:
             raise ValueError("patch cannot exceed grid dimensions")
         if self.circular and (self.width % self.stride or self.height % self.stride):
             raise ValueError("circular grids require the stride to divide width and height")
-        if not self.circular and (
-            self.width < self.patch_w or self.height < self.patch_h
-        ):
-            raise ValueError("grid too small for a single patch")
 
     @property
     def n_rows(self) -> int:
@@ -119,6 +134,11 @@ class GridPatches:
     @property
     def num_parts(self) -> int:
         return self.n_rows * self.n_cols
+
+    @property
+    def shape(self) -> tuple:
+        return (self.height, self.width)
+
 
     def top_left(self, p: int) -> tuple[int, int]:
         pr, pc = divmod(p, self.n_cols)
@@ -145,6 +165,77 @@ PartScheme = Union[SequenceWindows, VectorBlocks, GridPatches]
 def check_part(scheme: PartScheme, p: int) -> None:
     if not (0 <= int(p) < scheme.num_parts):
         raise PartIndexError(f"part {p} out of range for scheme with {scheme.num_parts} parts")
+
+
+def check_parts(scheme: PartScheme, parts) -> np.ndarray:
+    """``parts`` as an index array, range-checked like ``check_part``."""
+    parts = np.asarray(parts, dtype=np.intp)
+    for p in parts[(parts < 0) | (parts >= scheme.num_parts)][:1]:
+        check_part(scheme, p)
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# Index map, stacking, gather and scatter
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=128)
+def index_map(scheme: PartScheme, channels: int = 1) -> np.ndarray:
+    """Flat positions of every part in an object with ``channels`` leading
+    channels, shape (num_parts, channels * part size): row ``p`` is
+    ``extract_part`` applied to the positions themselves. Computed once per
+    (scheme, channels); read-only."""
+    lead = (channels,) if channels > 1 else ()
+    labels = np.arange(channels * math.prod(scheme.shape)).reshape(lead + scheme.shape)
+    flat = np.stack([np.ravel(extract_part(labels, scheme, p)) for p in range(scheme.num_parts)])
+    flat.setflags(write=False)
+    return flat
+
+
+def stack_objects(objs, scheme: PartScheme) -> np.ndarray:
+    """Objects on ``scheme`` flattened into one (n, channels * size) array:
+    character codes for strings, float64 otherwise. Shapes are checked as
+    ``extract_part`` checks them (numeric sequences must be 1-d, and all
+    grids must share their channel axes); a mismatch raises
+    ``ShapeMismatchError`` and a NaN or infinite value ``NonFiniteError``."""
+    if not isinstance(objs, np.ndarray):
+        objs = list(objs)
+    if len(objs) and isinstance(objs[0], str):
+        k = scheme.seq_len if isinstance(scheme, SequenceWindows) else None
+        for o in objs:
+            if not isinstance(o, str) or len(o) != k:
+                raise ShapeMismatchError(f"{o!r} is not a string of length {k} on {scheme}")
+        return np.array(objs, dtype=f"U{k}").view(np.uint32).reshape(len(objs), k)
+    try:
+        X = np.asarray(objs, dtype=float)
+    except ValueError as e:
+        raise ShapeMismatchError(f"objects do not stack into one array ({e})") from None
+    shape = X.shape[1:]
+    lead = len(shape) - len(scheme.shape) if isinstance(scheme, GridPatches) else 0
+    if lead < 0 or shape[lead:] != scheme.shape:
+        raise ShapeMismatchError(f"objects of shape {shape} do not fit shape {scheme.shape}")
+    if not np.isfinite(X).all():
+        raise NonFiniteError("non-finite values in the inputs; check them for NaN or inf")
+    return X.reshape(len(X), -1)
+
+
+def gather_parts(X: np.ndarray, scheme: PartScheme, rows, parts) -> np.ndarray:
+    """Part ``parts[i]`` of object ``rows[i]`` of a stack, flattened, for
+    ``rows`` and ``parts`` broadcast together: one fancy index."""
+    J = index_map(scheme, X.shape[1] // math.prod(scheme.shape))
+    return X[np.asarray(rows)[..., None], J[check_parts(scheme, parts)]]
+
+
+def scatter_parts(V: np.ndarray, scheme: PartScheme, parts) -> np.ndarray:
+    """Sum flat part values ``V`` of shape (n, len(parts), width) into
+    (n, channels * size) objects, the adjoint of ``gather_parts``. One
+    ``np.add.at`` through the index map, so every coordinate adds its parts
+    in the order of ``parts``, starting from zero."""
+    n, _, width = V.shape
+    channels = width // index_map(scheme).shape[1]
+    out = np.zeros((n, channels * math.prod(scheme.shape)))
+    np.add.at(out, (slice(None), index_map(scheme, channels)[parts]), V)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +294,8 @@ def part_distance(scheme: PartScheme, p: int, q: int) -> float:
 
 def cover_counts(scheme: PartScheme) -> np.ndarray:
     """How many parts cover each coordinate of an object under this scheme."""
-    if isinstance(scheme, SequenceWindows):
-        counts = np.zeros(scheme.seq_len, dtype=int)
-        for p in range(scheme.num_parts):
-            counts[p : p + scheme.window_len] += 1
-        return counts
-    if isinstance(scheme, VectorBlocks):
-        return np.ones(scheme.total_dim, dtype=int)
-    if isinstance(scheme, GridPatches):
-        counts = np.zeros((scheme.height, scheme.width), dtype=int)
-        for p in range(scheme.num_parts):
-            rows, cols = scheme.patch_rows_cols(p)
-            counts[rows[:, None], cols[None, :]] += 1
-        return counts
-    raise TypeError(f"unknown scheme {scheme!r}")
+    counts = np.bincount(index_map(scheme).ravel(), minlength=math.prod(scheme.shape))
+    return counts.reshape(scheme.shape)
 
 
 # ---------------------------------------------------------------------------

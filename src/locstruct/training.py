@@ -24,17 +24,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, PreparedAnchors, gram_matrix, GramMatrix, has_feature_map
-from .parts import PartDistribution, PartScheme, extract_part, sample_part
+from .parts import NonFiniteError, PartDistribution, PartScheme, extract_part, sample_part
 
 log = logging.getLogger(__name__)
 
 
 class FactorizationError(np.linalg.LinAlgError):
     """Raised when the regularized kernel system cannot be factorized."""
-
-
-class NonFiniteError(ValueError):
-    """Raised when kernel values or anchor output parts are NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -130,20 +126,21 @@ class AlphaModel:
         F = self.features
         return (v - F @ cho_solve(self.factor, F.T @ v)) / self.shift
 
-    def alphas(self, queries) -> np.ndarray:
-        """Weight vectors ``alpha(q)`` stacked as columns, shape (m, len(queries)).
+    def alphas(self, xs, parts) -> np.ndarray:
+        """Weight vectors ``alpha(x, p)`` for every ``x`` in ``xs`` and ``p``
+        in ``parts`` as columns, input-major: shape (m, len(xs) * len(parts)).
 
         With features this is ``F (F^T F + s I)^{-1} B^T`` for the query
         features ``B``, the push-through form of ``(K + s I)^{-1} F B^T``.
         """
         if self.features is None:
-            return self.apply_inverse(self.prepared_anchors.cross(queries))
-        B = self.prepared_anchors.query_features(queries)
+            return self.apply_inverse(self.prepared_anchors.cross(xs, parts))
+        B = self.prepared_anchors.query_features(xs, parts)
         return self.features @ cho_solve(self.factor, B.T)
 
     def readout_weights(self, E: np.ndarray) -> np.ndarray:
-        """Weights ``R`` such that ``readout(R, queries)`` gives
-        ``sum_j alpha_j(q) E[j]`` per query; ``E`` has one row per anchor.
+        """Weights ``R`` such that ``readout(R, xs, parts)`` gives
+        ``sum_j alpha_j(x, p) E[j]`` per query; ``E`` has one row per anchor.
 
         Dual form: ``R = (K + s I)^{-1} E``, shape (m, c). With features the
         push-through identity ``E^T (F F^T + s I)^{-1} F = E^T F (F^T F +
@@ -154,12 +151,12 @@ class AlphaModel:
             return self.apply_inverse(E)
         return cho_solve(self.factor, self.features.T @ E)
 
-    def readout(self, R: np.ndarray, queries) -> np.ndarray:
-        """Alpha-weighted sums for ``queries``, shape (c, len(queries)), from
-        weights made by ``readout_weights``."""
+    def readout(self, R: np.ndarray, xs, parts) -> np.ndarray:
+        """Alpha-weighted sums in the columns of ``alphas(xs, parts)``, shape
+        (c, len(xs) * len(parts)), from weights made by ``readout_weights``."""
         if self.features is None:
-            return R.T @ self.prepared_anchors.cross(queries)
-        return R.T @ self.prepared_anchors.query_features(queries).T
+            return R.T @ self.prepared_anchors.cross(xs, parts)
+        return R.T @ self.prepared_anchors.query_features(xs, parts).T
 
 
 def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None):
@@ -223,7 +220,8 @@ def fit_alpha(
     Raises
     ------
     NonFiniteError
-        If a kernel value or a numeric anchor output part is NaN or infinite.
+        If an input, a kernel value or a numeric anchor output part is NaN
+        or infinite.
     """
     if lam <= 0:
         raise ValueError("lambda must be strictly positive")
@@ -241,7 +239,6 @@ def fit_alpha(
         prepared = PreparedAnchors(kernel, anchors, scheme)
     F = prepared.features if prepared is not None else None
     if F is not None and F.shape[1] < m:
-        _check_finite(F, "anchor features")
         G = F.T @ F
         factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m)
     else:
@@ -249,7 +246,8 @@ def fit_alpha(
         if gram is None:
             gram = gram_matrix(kernel, anchors, scheme)
         K = np.asarray(gram.entries, dtype=float)
-        _check_finite(K, "kernel matrix")
+        if not np.isfinite(K).all():
+            raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
         factor, jitter = _factor_system(K, m * lam)
     if jitter:
         log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
@@ -257,11 +255,6 @@ def fit_alpha(
         inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
         factor=factor, jitter=jitter, features=F, _prepared=prepared,
     )
-
-
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise NonFiniteError(f"non-finite values in the {what}; check the inputs for NaN or inf")
 
 
 def _check_finite_outputs(aux: tuple) -> None:
@@ -280,9 +273,9 @@ def _check_finite_outputs(aux: tuple) -> None:
 
 def alpha_at(model: AlphaModel, x, p: int) -> np.ndarray:
     """Weight vector ``alpha(x, p)`` of length ``model.m`` for one query."""
-    return model.alphas([(x, int(p))])[:, 0]
+    return model.alphas([x], [p])[:, 0]
 
 
 def alpha_at_parts(model: AlphaModel, x, parts: Sequence[int]) -> np.ndarray:
     """Stacked weights for one input and several parts, shape (m, len(parts))."""
-    return model.alphas([(x, int(p)) for p in parts])
+    return model.alphas([x], list(parts))

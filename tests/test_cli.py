@@ -171,6 +171,30 @@ class TestTrainPredict:
         assert err["error"]["kind"] == "non_finite"
         assert not (tmp_path / "o" / "model.json").exists()
 
+    @pytest.mark.parametrize("query,kind", [
+        (np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6]), "non_finite"),
+        (np.zeros(4), "shape"),
+    ], ids=["nan", "short"])
+    def test_bad_query_fails_without_predictions(self, tmp_path, capsys, query, kind):
+        ds = tmp_path / "train.jsonl"
+        _vector_dataset(ds, n=6)
+        cfg = _write_json(tmp_path / "t.json", {
+            "seed": 1, "dataset": str(ds), "scheme": SCHEME_JSON,
+            "kernel": KERNEL_JSON, "lambda": 0.1, "m": 20,
+        })
+        out = tmp_path / "o"
+        assert run_command(["train", "--config", cfg, "--out", str(out)]) == 0
+        qs = tmp_path / "q.jsonl"
+        write_dataset(qs, [(np.ones(6), np.ones(6)), (query, np.ones(6))])
+        pcfg = _write_json(tmp_path / "p.json", {
+            "model": str(out / "model.json"), "dataset": str(qs),
+            "loss": "squared_vector", "decoder": {"method": "least_squares"},
+        })
+        capsys.readouterr()
+        assert run_command(["predict", "--config", pcfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == kind
+        assert not (out / "predictions.jsonl").exists()
+
     def test_missing_dataset_reports_io_error(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {
             "seed": 1, "dataset": str(tmp_path / "nope.jsonl"), "scheme": SCHEME_JSON,

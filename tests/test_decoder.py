@@ -25,10 +25,17 @@ from locstruct.decoder import (
 )
 from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
-from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, part_weights
+from locstruct.parts import (
+    SequenceWindows,
+    ShapeMismatchError,
+    Uniform,
+    VectorBlocks,
+    part_weights,
+)
 from locstruct.training import (
     AlphaModel,
     AuxiliarySample,
+    NonFiniteError,
     alpha_at,
     alpha_at_parts,
     fit_alpha,
@@ -50,6 +57,39 @@ def scalar_model(anchor_vals, etas, scale=1.0):
 
 QUERY = np.array([1.0])
 PI1 = Uniform(1)
+
+
+class TestQueryEntry:
+    """Query inputs are checked where they enter numpy, before any decode."""
+
+    @staticmethod
+    def _decode(kind, model, x):
+        if kind == "least_squares":
+            return LeastSquaresDecoder(model, PI1).decode_batch([QUERY, x])
+        if kind == "angular":
+            return AngularDecoder(model, PI1).decode_batch([x, QUERY])
+        method = SGM(iterations=10, rng=np.random.default_rng(0))
+        return decode_sgm(DecodeRequest(model, x, SQUARED_VECTOR, PI1, method))
+
+    @pytest.mark.parametrize("kind", ["least_squares", "angular", "sgm"])
+    def test_non_finite_query_rejected(self, kind):
+        model = scalar_model([0.5, 0.5], [0.0, 1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                self._decode(kind, model, np.array([bad]))
+
+    @pytest.mark.parametrize("kind", ["least_squares", "angular", "sgm"])
+    def test_wrong_shape_query_rejected(self, kind):
+        model = scalar_model([0.5, 0.5], [0.0, 1.0])
+        with pytest.raises(ShapeMismatchError):
+            self._decode(kind, model, np.zeros(2))
+
+    def test_wrong_length_string_rejected(self):
+        model, _ = seq_model([("ab", "ba")])
+        req = DecodeRequest(model, "abc", ZERO_ONE_WINDOW, Uniform(2),
+                            ExactEnumeration(budget=10, alphabet=("a", "b")))
+        with pytest.raises(ShapeMismatchError):
+            decode_exact(req)
 
 
 class TestDecodeLeastSquares:

@@ -164,13 +164,25 @@ class TestPreparedAnchors:
     def test_cross_matches_cross_matrix(self):
         rng = np.random.default_rng(6)
         anchors = [(rng.standard_normal(6), int(rng.integers(3))) for _ in range(7)]
-        queries = [(rng.standard_normal(6), int(rng.integers(3))) for _ in range(4)]
+        xs = [rng.standard_normal(6) for _ in range(2)]
+        parts = [2, 0]
+        queries = [(x, p) for x in xs for p in parts]
         for spec in (Restriction(GaussianParts(1.0)), GaussianGlobal(1.0),
                      SumKernel(GaussianGlobal(1.0), Restriction(LinearParts()))):
             prepared = PreparedAnchors(spec, anchors, SCHEME)
-            assert np.allclose(prepared.cross(queries),
+            assert np.allclose(prepared.cross(xs, parts),
                                cross_matrix(spec, anchors, queries, SCHEME),
                                rtol=0, atol=1e-13)
+
+
+    def test_anchor_iterator_accepted(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(6)
+        anchors = [(x, 0), (x, 2), (rng.standard_normal(6), 1)]
+        spec = Restriction(GaussianParts(1.0))
+        from_list = PreparedAnchors(spec, anchors, SCHEME).cross([x], [0, 1])
+        from_iter = PreparedAnchors(spec, iter(anchors), SCHEME).cross([x], [0, 1])
+        assert np.array_equal(from_iter, from_list)
 
 
 ORACLE_KERNELS = {
@@ -184,6 +196,10 @@ ORACLE_SCHEMES = {
     "vector_blocks": (SCHEME, arrays(float, (6,), elements=_COORD)),
     "grid_patches": (GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=2),
                      arrays(float, (4, 4), elements=_COORD)),
+    "circular_grid_channels": (
+        GridPatches(width=4, height=3, patch_w=2, patch_h=2, stride=1, circular=True),
+        arrays(float, (2, 3, 4), elements=_COORD)),
+    "numeric_windows": (SequenceWindows(5, 2), arrays(float, (5,), elements=_COORD)),
     "strings": (SequenceWindows(5, 2), st.text(alphabet="abc", min_size=5, max_size=5)),
 }
 
@@ -194,12 +210,15 @@ ORACLE_SCHEMES = {
 @given(data=st.data())
 def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     """Gram, cross and prepared cross matrices agree with the scalar
-    ``kernel_eval`` on every entry, and the Gram is exactly symmetric."""
+    ``kernel_eval`` on every entry, and the Gram is exactly symmetric. The
+    prepared cross takes the product of some inputs and some parts."""
     spec = ORACLE_KERNELS[kernel_name]
     scheme, inputs = ORACLE_SCHEMES[scheme_name]
-    pair = st.tuples(inputs, st.integers(0, scheme.num_parts - 1))
-    anchors = data.draw(st.lists(pair, min_size=1, max_size=7))
-    queries = data.draw(st.lists(pair, min_size=1, max_size=4))
+    part = st.integers(0, scheme.num_parts - 1)
+    anchors = data.draw(st.lists(st.tuples(inputs, part), min_size=1, max_size=7))
+    xs = data.draw(st.lists(inputs, min_size=1, max_size=2))
+    parts = data.draw(st.lists(part, min_size=1, max_size=2))
+    queries = [(x, p) for x in xs for p in parts]
 
     def oracle(rows, cols):
         return np.array([[kernel_eval(spec, a, b, scheme) for b in cols] for a in rows])
@@ -212,7 +231,7 @@ def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     assert_close(gram, oracle(anchors, anchors))
     want = oracle(anchors, queries)
     assert_close(cross_matrix(spec, anchors, queries, scheme), want)
-    assert_close(PreparedAnchors(spec, anchors, scheme).cross(queries), want)
+    assert_close(PreparedAnchors(spec, anchors, scheme).cross(xs, parts), want)
 
 
 def test_gram_diagonal_within_kernel_sup():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from locstruct.kernels import GaussianParts, LinearParts
 from locstruct.locality import (
     InsufficientDataError,
+    LocalityReport,
     RawInner,
     SquaredKernel,
     UnsupportedConfigurationError,
@@ -209,6 +212,19 @@ class TestLocalityConstants:
         _, _, gamma_hat = locality_constants(report, scheme)
         assert gamma_hat is not None
         assert 1.5 <= gamma_hat <= 2.5
+
+    def test_single_distance_gives_no_decay_rate(self):
+        # only the distance-1 cells clear three standard errors: a line
+        # through one distance has no slope, so no rate is reported
+        P = 5
+        d = np.abs(np.subtract.outer(np.arange(P), np.arange(P)))
+        cov = np.where(d == 0, 1.0, np.where(d == 1, 0.5, 0.0))
+        report = LocalityReport(cov_map=cov, std_err=np.full((P, P), 0.01), r_sq=1.0,
+                                n_samples=100, similarity=SquaredKernel(LinearParts()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, gamma_hat = locality_constants(report, VectorBlocks(block_dim=2, num_blocks=P))
+        assert gamma_hat is None
 
     def test_raw_inner_map_rejected(self):
         rng = np.random.default_rng(10)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss, structured_loss
 from locstruct.parts import (
     GridPatches,
+    NonFiniteError,
     PartIndexError,
     SequenceWindows,
     ShapeMismatchError,
@@ -11,8 +15,11 @@ from locstruct.parts import (
     Weighted,
     cover_counts,
     extract_part,
+    gather_parts,
     part_distance,
     sample_part,
+    scatter_parts,
+    stack_objects,
 )
 
 
@@ -169,3 +176,125 @@ class TestPartDistribution:
             Weighted((0.5, -0.1, 0.6))
         with pytest.raises(ValueError):
             Weighted((0.5, 0.6))
+
+
+# ---------------------------------------------------------------------------
+# The index map against the scalar selection
+# ---------------------------------------------------------------------------
+
+_VALUE = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 1))
+_SYMBOLS = "ab\u03b2\x00"  # a non-ASCII symbol and a NUL, which numpy pads with
+
+
+@st.composite
+def scheme_inputs(draw, kinds=("blocks", "clipped", "circular", "strings", "windows")):
+    """A scheme with a strategy for its objects and the objects' leading axes."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blocks":
+        scheme = VectorBlocks(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        return scheme, arrays(float, scheme.shape, elements=_VALUE), ()
+    if kind in ("strings", "windows"):
+        n = draw(st.integers(1, 6))
+        scheme = SequenceWindows(n, draw(st.integers(1, n)))
+        if kind == "strings":
+            return scheme, st.text(alphabet=_SYMBOLS, min_size=n, max_size=n), ()
+        return scheme, arrays(float, scheme.shape, elements=_VALUE), ()
+    stride = draw(st.integers(1, 3))
+    if kind == "clipped":
+        height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        lead = draw(st.sampled_from([(), (2,)]))
+    else:
+        height, width = stride * draw(st.integers(1, 3)), stride * draw(st.integers(1, 3))
+        lead = (2,)
+    scheme = GridPatches(width=width, height=height, patch_w=draw(st.integers(1, width)),
+                         patch_h=draw(st.integers(1, height)), stride=stride,
+                         circular=kind == "circular")
+    return scheme, arrays(float, lead + scheme.shape, elements=_VALUE), lead
+
+
+def _flat(part):
+    if isinstance(part, str):
+        return np.array([ord(c) for c in part], dtype=np.uint32)
+    return np.asarray(part, dtype=float).ravel()
+
+
+def _part_shape(scheme):
+    if isinstance(scheme, GridPatches):
+        return (scheme.patch_h, scheme.patch_w)
+    return (scheme.block_dim if isinstance(scheme, VectorBlocks) else scheme.window_len,)
+
+
+def _scatter_oracle(V, scheme, parts, lead):
+    """Per-part accumulation through each scheme's own slicing."""
+    out = np.zeros((V.shape[0],) + lead + scheme.shape)
+    for i, p in enumerate(parts):
+        block = V[:, i].reshape((V.shape[0],) + lead + _part_shape(scheme))
+        if isinstance(scheme, GridPatches):
+            rows, cols = scheme.patch_rows_cols(p)
+            out[..., rows[:, None], cols[None, :]] += block
+        else:
+            start = p * block.shape[-1] if isinstance(scheme, VectorBlocks) else p
+            out[..., start : start + block.shape[-1]] += block
+    return out.reshape(V.shape[0], -1)
+
+
+class TestIndexMap:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_gather_equals_extract_part(self, data):
+        scheme, objects, _ = data.draw(scheme_inputs())
+        xs = data.draw(st.lists(objects, min_size=1, max_size=3))
+        X = stack_objects(xs, scheme)
+        rows = np.repeat(np.arange(len(xs)), scheme.num_parts)
+        parts = np.tile(np.arange(scheme.num_parts), len(xs))
+        G = gather_parts(X, scheme, rows, parts)
+        for g, i, p in zip(G, rows, parts):
+            assert np.array_equal(g, _flat(extract_part(xs[i], scheme, p)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_scatter_equals_per_part_loop(self, data):
+        scheme, _, lead = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
+        parts = data.draw(st.lists(st.integers(0, scheme.num_parts - 1), min_size=1, max_size=6))
+        width = int(np.prod(lead + _part_shape(scheme)))
+        V = data.draw(arrays(float, (2, len(parts), width),
+                             elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        got = scatter_parts(V, scheme, parts)
+        assert np.array_equal(got, _scatter_oracle(V, scheme, parts, lead))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_structured_loss_equals_part_loss_sum(self, data):
+        scheme, objects, _ = data.draw(scheme_inputs())
+        z, y = data.draw(objects), data.draw(objects)
+        w = data.draw(arrays(float, (scheme.num_parts,), elements=st.sampled_from([0.0, 0.25, 1.5])))
+        specs = (ZERO_ONE_WINDOW,) if isinstance(z, str) else (
+            ZERO_ONE_WINDOW, SQUARED_VECTOR, ANGULAR_SIN_SQ)
+        for spec in specs:
+            want = sum(w[p] * part_loss(spec, extract_part(z, scheme, p), extract_part(y, scheme, p))
+                       for p in range(scheme.num_parts) if w[p] != 0.0)
+            got = structured_loss(spec, z, y, None, scheme, w)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cover_counts_equal_per_part_count(self, data):
+        scheme, _, _ = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
+        ones = np.ones((1, scheme.num_parts, int(np.prod(_part_shape(scheme)))))
+        want = _scatter_oracle(ones, scheme, range(scheme.num_parts), ())
+        assert np.array_equal(cover_counts(scheme), want.reshape(scheme.shape))
+
+    def test_stacker_keeps_the_scalar_checks(self):
+        with pytest.raises(ShapeMismatchError):
+            stack_objects(["abc", "ab"], SequenceWindows(3, 2))
+        with pytest.raises(ShapeMismatchError):
+            stack_objects([np.zeros(5)], VectorBlocks(2, 3))
+        with pytest.raises(ShapeMismatchError):
+            stack_objects([np.zeros((5, 4))], GridPatches(4, 4, 2, 2, 2))
+        with pytest.raises(ShapeMismatchError):  # grids with different channel axes
+            stack_objects([np.zeros((4, 4)), np.zeros((2, 4, 4))], GridPatches(4, 4, 2, 2, 2))
+        with pytest.raises(NonFiniteError):
+            stack_objects([np.array([0.0, np.inf, 0.0, 0.0, 0.0, 0.0])], VectorBlocks(2, 3))
+        X = stack_objects([np.arange(6.0)], VectorBlocks(2, 3))
+        with pytest.raises(PartIndexError):
+            gather_parts(X, VectorBlocks(2, 3), [0], [3])

@@ -216,7 +216,7 @@ class TestAlphaAt:
         for _ in range(5):
             q = rng.standard_normal(6)
             p = int(rng.integers(3))
-            v = model.prepared_anchors.cross([(q, p)])[:, 0]
+            v = model.prepared_anchors.cross([q], [p])[:, 0]
             a = alpha_at(model, q, p)
             assert np.max(np.abs(a)) <= np.max(np.abs(v)) / (m * lam) + 1e-9
 
