@@ -4,7 +4,7 @@
 Trains the part-based estimator on a toy uppercase task: inputs are strings
 over {a, b, c}, outputs are the same strings with a deterministic substitution
 cipher applied. Window parts let the model learn the per-symbol rule from a
-handful of sequences, and exact enumeration recovers the cipher on unseen
+handful of sequences, and exact decoding recovers the cipher on unseen
 strings.
 """
 
@@ -49,7 +49,7 @@ def main():
     pi = Uniform(scheme.num_parts)
     method = ExactEnumeration(budget=3**k, alphabet=alphabet)
     correct = 0
-    print("\ndecoding unseen strings by exact enumeration:")
+    print("\ndecoding unseen strings exactly:")
     for _ in range(6):
         x = "".join(rng.choice(alphabet, k))
         z = decode_exact(DecodeRequest(model, x, ZERO_ONE_WINDOW, pi, method))

@@ -139,7 +139,10 @@ def build_method(spec: dict, rng=None):
         return ClosedForm()
     if kind == "exact":
         _check(spec, {"method", "budget", "alphabet"}, set(), "decoder")
-        return ExactEnumeration(budget=int(spec["budget"]), alphabet=tuple(spec["alphabet"]))
+        try:
+            return ExactEnumeration(budget=int(spec["budget"]), alphabet=tuple(spec["alphabet"]))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"decoder: {e}") from None
     if kind == "sgm":
         _check(spec, {"method", "iterations"}, {"step_c", "projection", "average_tail"}, "decoder")
         proj = None

@@ -5,15 +5,14 @@ part-loss objective
 
     sum_p sum_j alpha_j(x, p) * pi(p) * L_p(z_p, eta_j | x_p)
 
-over the output space. Depending on the loss this is done by exact
-enumeration over a finite alphabet, by a closed form (weighted means for the
-squared loss, a resultant-angle formula for the angular loss), or by a
-projected stochastic subgradient loop.
+over the output space. Depending on the loss this is done exactly over a
+finite alphabet by dynamic programming over windows, by a closed form
+(weighted means for the squared loss, a resultant-angle formula for the
+angular loss), or by a projected stochastic subgradient loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,13 +21,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .kernels import kernel_sup
-from .losses import LossSpec, part_loss
-from .parts import SequenceWindows, index_map, part_weights, scatter_parts
+from .losses import LossSpec, part_losses
+from .parts import SequenceWindows, index_map, part_weights, scatter_parts, stack_objects
 from .training import AlphaModel, alpha_at_parts
 
 
 class CapacityError(RuntimeError):
-    """Enumeration would exceed the configured candidate budget."""
+    """An exact decode would exceed the configured table budget."""
 
 
 class DegenerateDecodeWarning(UserWarning):
@@ -41,10 +40,29 @@ class DegenerateDecodeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ExactEnumeration:
-    """Enumerate every candidate output over a finite per-coordinate alphabet."""
+    """Exact decoding over a finite per-coordinate alphabet.
+
+    ``alphabet`` holds distinct symbols, either single characters or numbers.
+    ``budget`` bounds the cost table of ``decode_exact``, ``num_parts *
+    len(alphabet) ** window_len`` entries. The output is the
+    lexicographically smallest one within ``EXACT_TIE_RTOL`` of the minimum.
+    """
 
     budget: int
     alphabet: tuple
+
+    def __post_init__(self):
+        alphabet = tuple(self.alphabet)
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget!r}")
+        if not alphabet:
+            raise ValueError("alphabet must not be empty")
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet {alphabet!r} repeats a symbol")
+        if any(isinstance(a, str) for a in alphabet) and not all(
+                isinstance(a, str) and len(a) == 1 for a in alphabet):
+            raise ValueError(f"string symbols must be single characters, got {alphabet!r}")
+        object.__setattr__(self, "alphabet", alphabet)
 
 
 @dataclass(frozen=True)
@@ -121,6 +139,14 @@ def _eta_matrix(model: AlphaModel) -> tuple[np.ndarray, tuple]:
     return np.stack([e.ravel() for e in etas]), lead + model.scheme.shape
 
 
+def _positive_weights(pi, num_parts: int) -> np.ndarray:
+    """``part_weights``, refused when their total is not positive."""
+    weights = part_weights(pi, num_parts)
+    if weights.sum() <= 0:
+        raise ValueError("part weights must have positive total")
+    return weights
+
+
 def _active_parts(weights: np.ndarray) -> np.ndarray:
     return np.flatnonzero(weights > 0)
 
@@ -141,59 +167,91 @@ def _scatter(model: AlphaModel, weights: np.ndarray, active: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration
+# Exact decoding over a finite alphabet
 # ---------------------------------------------------------------------------
 
 EXACT_TIE_RTOL = 1e-9
 
 
-def decode_exact(req: DecodeRequest):
-    """Minimize the decoding objective by enumerating every candidate output.
+def _first_within(totals: np.ndarray, bound: float) -> int:
+    """Index of the first entry of ``totals`` at most ``bound``, or of its
+    minimum when rounding leaves every entry a few ulps above."""
+    return int(np.argmax(totals <= max(bound, totals.min())))
 
-    Candidates are sequences over ``method.alphabet`` in lexicographic order
-    (sorted alphabet), and ties resolve to the lexicographically smallest
-    output. Tie detection allows a relative slack of ``EXACT_TIE_RTOL`` so
-    that mathematically equal objectives still tie when different summation
-    orders round them a few ulps apart (repeated part contents over a finite
-    alphabet make such exact ties routine). Raises ``CapacityError`` when
-    the candidate count exceeds the budget.
+
+def decode_exact(req: DecodeRequest):
+    """Minimize the decoding objective exactly over outputs on ``method.alphabet``.
+
+    With window length ``l`` the objective is ``sum_p w_p c_p(z[p:p+l])``,
+    where the cost table ``c_p(u) = sum_j alpha_j(x, p) L(u, eta_j)`` holds
+    every window value ``u`` (anchors summed in order, so each entry equals a
+    scalar loop's). A min-sum dynamic program over the last ``l - 1``
+    symbols (the Viterbi recursion) adds the parts in order, so its minimum
+    equals, bit for bit, the least running sum over all |alphabet|^k
+    outputs, in O(num_parts * |alphabet|^l) time.
+
+    Tie rule: the result is the lexicographically smallest output (over the
+    sorted alphabet) whose objective lies within ``EXACT_TIE_RTOL * (1 +
+    |min|)`` of the minimum. The slack lets mathematically equal objectives
+    tie when different summation orders round them a few ulps apart
+    (repeated part contents over a finite alphabet make such ties routine).
+    A backward cost-to-go pass lets a forward pick take, position by
+    position, the smallest symbol that can still finish within the slack.
+    Where ties are exact this is the first minimizer in lexicographic order.
+
+    Returns a string for string alphabets and a tuple otherwise. Raises
+    ``CapacityError`` when the cost table, ``num_parts * |alphabet|^l``
+    entries, exceeds ``method.budget``.
     """
     method = req.method
     if not isinstance(method, ExactEnumeration):
         raise TypeError("decode_exact requires an ExactEnumeration method")
     scheme = req.model.scheme
     if not isinstance(scheme, SequenceWindows):
-        raise TypeError("exact enumeration is defined for sequence schemes")
+        raise TypeError("exact decoding is defined for sequence schemes")
     alphabet = sorted(method.alphabet)
-    count = len(alphabet) ** scheme.seq_len
-    if count > method.budget:
-        raise CapacityError(f"{count} candidates exceed budget {method.budget}")
+    s, l, P = len(alphabet), scheme.window_len, scheme.num_parts
+    U, q = s**l, s ** (l - 1)
+    if P * U > method.budget:
+        raise CapacityError(f"a cost table of {P * U} entries exceeds budget {method.budget}")
+    text = isinstance(alphabet[0], str)
+    if text and req.loss.kind != "zero_one_window":
+        raise ValueError(f"loss {req.loss.kind!r} needs a numeric alphabet")
 
-    weights = part_weights(req.pi, scheme.num_parts)
-    parts = list(range(scheme.num_parts))
-    A = alpha_at_parts(req.model, req.x, parts)  # (m, |P|)
-    etas = [s.eta for s in req.model.aux]
-    x_parts = [req.x[p : p + scheme.window_len] for p in parts]
+    # cost table: window values in lexicographic order against every anchor
+    codes = stack_objects(["".join(alphabet) if text else alphabet], SequenceWindows(s, s))[0]
+    windows = codes[np.indices((s,) * l).reshape(l, U).T]  # (U, l)
+    etas = stack_objects([a.eta for a in req.model.aux], SequenceWindows(l, l))  # (m, l)
+    L = part_losses(req.loss, windows[None], etas[:, None])  # (m, U)
+    A = alpha_at_parts(req.model, req.x, range(P))  # (m, P)
+    terms = A[:, :, None] * L[:, None, :]
+    cost = part_weights(req.pi, P)[:, None] * np.cumsum(terms, axis=0, out=terms)[-1]
 
-    best = None
-    best_obj = math.inf
-    for symbols in itertools.product(alphabet, repeat=scheme.seq_len):
-        z = "".join(symbols) if isinstance(alphabet[0], str) else symbols
-        obj = 0.0
-        for p in parts:
-            if weights[p] == 0.0:
-                continue
-            z_p = z[p : p + scheme.window_len]
-            acc = 0.0
-            for j, eta in enumerate(etas):
-                a = A[j, p]
-                if a != 0.0:
-                    acc += a * part_loss(req.loss, z_p, eta, x_parts[p])
-            obj += weights[p] * acc
-        if best is None or obj < best_obj - EXACT_TIE_RTOL * (1.0 + abs(best_obj)):
-            best_obj = obj
-            best = z
-    return best
+    # window u = (prefix of l - 1 symbols) * s + last symbol; the next window
+    # keeps the last l - 1 symbols, so u's successors are (u % q) * s + b
+    # sums start from 0.0 like the loop's; a part of zero weight adds +-0.0,
+    # which leaves every sum as skipping the part would
+    head = 0.0 + cost[0]
+    ahead = head  # least running sum of parts 0..p that ends in window u
+    for p in range(1, P):
+        ahead = np.repeat(ahead.reshape(s, q).min(axis=0), s) + cost[p]
+    togo = np.zeros((P, U))  # least cost of parts p + 1, ... given window p
+    for p in range(P - 1, 0, -1):
+        togo[p - 1] = np.tile((togo[p] + cost[p]).reshape(q, s).min(axis=1), s)
+
+    low = ahead.min()
+    bound = low + EXACT_TIE_RTOL * (1.0 + abs(low))
+    u = _first_within(head + togo[0], bound)
+    run = head[u]
+    out = [int(d) for d in np.unravel_index(u, (s,) * l)]
+    for p in range(1, P):
+        succ = (u % q) * s + np.arange(s)
+        runs = run + cost[p, succ]
+        b = _first_within(runs + togo[p, succ], bound)
+        u, run = int(succ[b]), runs[b]
+        out.append(b)
+    symbols = [alphabet[i] for i in out]
+    return "".join(symbols) if text else tuple(symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +273,7 @@ class LeastSquaresDecoder:
 
     def __init__(self, model: AlphaModel, pi, normalize: bool = True):
         self.model = model
-        self.weights = part_weights(pi, model.scheme.num_parts)
+        self.weights = _positive_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
         H, self.canvas = _eta_matrix(model)
         ones = np.ones((model.m, 1))
@@ -266,7 +324,7 @@ class AngularDecoder:
 
     def __init__(self, model: AlphaModel, pi):
         self.model = model
-        self.weights = part_weights(pi, model.scheme.num_parts)
+        self.weights = _positive_weights(pi, model.scheme.num_parts)
         H, self.canvas = _eta_matrix(model)
         self._readout = model.readout_weights(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
 
@@ -329,11 +387,8 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
         raise ValueError(f"loss {req.loss.kind!r} is not subdifferentiable")
     model = req.model
     scheme = model.scheme
-    weights = part_weights(req.pi, scheme.num_parts)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("part weights must have positive total")
-    probs = weights / total
+    weights = _positive_weights(req.pi, scheme.num_parts)
+    probs = weights / weights.sum()
 
     projection = method.projection
     if projection is None and req.loss.kind == "angular_sin_sq":

@@ -95,14 +95,20 @@ def structured_loss(spec: LossSpec, z, y, x, scheme: PartScheme, pi) -> float:
         stack_objects([x], scheme)
     active = np.flatnonzero(w != 0.0)
     Z, Y = gather_parts(stack_objects([z, y], scheme), scheme, [[0], [1]], active)
-    if spec.kind == "zero_one_window":
-        losses = np.any(Z != Y, axis=-1).astype(float)
-    elif spec.kind == "squared_vector":
-        d = Z - Y
-        losses = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # the dot of ``part_loss``
-    elif spec.kind == "angular_sin_sq":
-        losses = np.mean(np.sin(Z - Y) ** 2, axis=-1)
-    else:
-        raise ValueError(f"unknown loss kind {spec.kind!r}")
+    losses = part_losses(spec, Z, Y)
     # a running sum adds the parts in order, as a loop over part_loss would
     return float(np.cumsum(w[active] * losses)[-1]) if active.size else 0.0
+
+
+def part_losses(spec: LossSpec, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``part_loss`` of flat parts ``Z`` against ``Y`` (character codes or
+    floats), broadcast over all leading axes: one array op per loss kind,
+    equal to the scalar loss entry by entry."""
+    if spec.kind == "zero_one_window":
+        return np.any(Z != Y, axis=-1).astype(float)
+    if spec.kind == "squared_vector":
+        d = Z - Y
+        return (d[..., None, :] @ d[..., :, None])[..., 0, 0]  # the dot of ``part_loss``
+    if spec.kind == "angular_sin_sq":
+        return np.mean(np.sin(Z - Y) ** 2, axis=-1)
+    raise ValueError(f"unknown loss kind {spec.kind!r}")

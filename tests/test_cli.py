@@ -86,6 +86,32 @@ class TestTrainPredict:
         flipped = {x: z for (x, _), (_, z) in zip(pairs, preds)}
         assert flipped["ab"] == "ba" and flipped["bb"] == "aa"
 
+    @pytest.mark.parametrize("decoder", [
+        {"alphabet": ["ab", "c"]},
+        {"alphabet": "aba"},
+        {"alphabet": []},
+        {"budget": 0},
+    ], ids=["multi_char", "duplicate", "empty", "zero_budget"])
+    def test_bad_exact_decoder_is_a_parse_error(self, tmp_path, capsys, decoder):
+        ds = tmp_path / "train.jsonl"
+        write_dataset(ds, [("ab", "ba"), ("ba", "ab")])
+        cfg = _write_json(tmp_path / "train.json", {
+            "seed": 2, "dataset": str(ds),
+            "scheme": {"kind": "sequence_windows", "k": 2, "l": 1},
+            "kernel": KERNEL_JSON, "lambda": 1e-3, "m": 4,
+        })
+        out = tmp_path / "out"
+        assert run_command(["train", "--config", cfg, "--out", str(out)]) == 0
+        pcfg = _write_json(tmp_path / "pred.json", {
+            "model": str(out / "model.json"), "dataset": str(ds),
+            "loss": "zero_one_window",
+            "decoder": {"method": "exact", "budget": 16, "alphabet": "abc", **decoder},
+        })
+        capsys.readouterr()
+        assert run_command(["predict", "--config", pcfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "parse"
+        assert not (out / "predictions.jsonl").exists()
+
     @pytest.mark.parametrize("kernel", [
         {"kind": "gaussian_global", "sigma": 1.0},
         {"kind": "sum", "universal": {"kind": "gaussian_global", "sigma": 1.0}, "local": KERNEL_JSON},

@@ -224,12 +224,11 @@ class TestDecodeAngular:
             assert -np.pi <= z < np.pi
 
 
-def seq_model(train, lam=1e-3, window=1):
+def seq_model(train, lam=1e-3, window=1, kernel=Restriction(GaussianParts(1.0))):
     scheme = SequenceWindows(len(train[0][0]), window)
     aux = [AuxiliarySample(i, p, y[p : p + window])
            for i, (_, y) in enumerate(train) for p in range(scheme.num_parts)]
-    model = fit_alpha([x for x, _ in train], aux, Restriction(GaussianParts(1.0)),
-                      lam, scheme)
+    model = fit_alpha([x for x, _ in train], aux, kernel, lam, scheme)
     return model, scheme
 
 
@@ -240,7 +239,7 @@ def brute_force_argmin(model, x, loss, pi, alphabet):
     weights = part_weights(pi, scheme.num_parts)
     best, best_obj = None, math.inf
     for cand in itertools.product(sorted(alphabet), repeat=scheme.seq_len):
-        z = "".join(cand)
+        z = "".join(cand) if isinstance(cand[0], str) else cand
         obj = 0.0
         for j, s in enumerate(model.aux):
             for p in range(scheme.num_parts):
@@ -249,6 +248,20 @@ def brute_force_argmin(model, x, loss, pi, alphabet):
         if best is None or obj < best_obj - 1e-9 * (1.0 + abs(best_obj)):
             best, best_obj = z, obj
     return best
+
+
+def position_vote(model, x, alphabet):
+    """With singleton windows the objective separates per position into a
+    weighted vote over anchor symbols: the heaviest symbol at each position,
+    ties to the smallest."""
+    votes = []
+    for p in range(model.scheme.num_parts):
+        a = alpha_at(model, x, p)
+        score = {sym: 0.0 for sym in alphabet}
+        for j, s in enumerate(model.aux):
+            score[s.eta] += a[j]
+        votes.append(max(sorted(score), key=lambda sym: score[sym]))
+    return "".join(votes)
 
 
 class TestDecodeExact:
@@ -269,11 +282,19 @@ class TestDecodeExact:
                             ExactEnumeration(budget=10, alphabet=("b", "a")))
         assert decode_exact(req) == "aaa"
 
+    def test_anchor_symbols_outside_alphabet_never_match(self):
+        train = [("abb", "acb"), ("bab", "bba")]
+        model, _ = seq_model(train, window=2)
+        req = DecodeRequest(model, "abb", ZERO_ONE_WINDOW, Uniform(2),
+                            ExactEnumeration(budget=8, alphabet=("b", "a")))
+        assert decode_exact(req) == brute_force_argmin(model, "abb", ZERO_ONE_WINDOW,
+                                                       Uniform(2), ("a", "b"))
+
     def test_budget_exceeded(self):
         model, scheme = seq_model([("abc", "abc")])
         req = DecodeRequest(model, "abc", ZERO_ONE_WINDOW, Uniform(3),
-                            ExactEnumeration(budget=7, alphabet=("a", "b")))
-        with pytest.raises(CapacityError):
+                            ExactEnumeration(budget=5, alphabet=("a", "b")))
+        with pytest.raises(CapacityError):  # a table of 3 parts x 2 symbols
             decode_exact(req)
 
     def test_matches_brute_force_and_position_majority(self):
@@ -291,16 +312,93 @@ class TestDecodeExact:
                             ExactEnumeration(budget=8, alphabet=alphabet))
         z = decode_exact(req)
         assert z == brute_force_argmin(model, x, ZERO_ONE_WINDOW, pi, alphabet)
-        # with singleton windows the objective separates per position into a
-        # weighted vote over anchor symbols
-        votes = []
-        for p in range(3):
-            a = alpha_at(model, x, p)
-            score = {sym: 0.0 for sym in alphabet}
-            for j, s in enumerate(model.aux):
-                score[s.eta] += a[j]
-            votes.append(max(sorted(score), key=lambda sym: score[sym]))
-        assert z == "".join(votes)
+        assert z == position_vote(model, x, alphabet)
+
+    def test_long_sequence_matches_position_majority(self):
+        # 2^200 outputs, far past any enumeration; the table has 200 x 2 entries
+        rng = np.random.default_rng(9)
+        alphabet = ("b", "a")
+        flip = str.maketrans("ab", "ba")
+        train = []
+        for _ in range(3):
+            x = "".join(rng.choice(alphabet, 200))
+            train.append((x, x.translate(flip)))
+        model, _ = seq_model(train)
+        x = "".join(rng.choice(alphabet, 200))
+        req = DecodeRequest(model, x, ZERO_ONE_WINDOW, Uniform(200),
+                            ExactEnumeration(budget=1000, alphabet=alphabet))
+        assert decode_exact(req) == position_vote(model, x, alphabet)
+
+
+@st.composite
+def exact_cases(draw):
+    """Window decoding instances small enough for the enumeration oracle,
+    which makes about n_sym^k * m * num_parts weight evaluations."""
+    n_sym = draw(st.integers(2, 4))
+    window = draw(st.integers(1, 3))
+    n_train = draw(st.integers(1, 2))
+    fits = [P for P in range(1, 6) if n_sym ** (P + window - 1) * P * P * n_train <= 4096]
+    return (n_sym, window, draw(st.sampled_from(fits)), n_train,
+            draw(st.booleans()), draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestExactAgainstEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(case=exact_cases())
+    def test_matches_brute_force(self, case):
+        n_sym, window, num_parts, n_train, numeric, linear, weighted, seed = case
+        rng = np.random.default_rng(seed)
+        k = num_parts + window - 1
+        if numeric:  # squared loss over numbers, given unsorted
+            alphabet, loss = tuple(rng.permutation([-1.0, 0.5, 2.0, 3.5][:n_sym])), SQUARED_VECTOR
+            draw = lambda: np.array(rng.choice(alphabet, k))
+        else:
+            alphabet, loss = tuple(rng.permutation(list("abcd"[:n_sym]))), ZERO_ONE_WINDOW
+            draw = lambda: "".join(rng.choice(alphabet, k))
+        train = [(draw(), draw()) for _ in range(n_train)]
+        kernel = Restriction(LinearParts() if linear else GaussianParts(1.0))
+        model, _ = seq_model(train, lam=float(10 ** rng.uniform(-3, 0)), window=window,
+                             kernel=kernel)
+        pi = Uniform(num_parts)
+        if weighted:  # raw weights with one part switched off
+            pi = rng.uniform(0.1, 1.0, num_parts)
+            pi[rng.integers(num_parts)] = 0.0
+        x = draw()
+        req = DecodeRequest(model, x, loss, pi,
+                            ExactEnumeration(budget=num_parts * n_sym**window, alphabet=alphabet))
+        assert decode_exact(req) == brute_force_argmin(model, x, loss, pi, alphabet)
+
+
+class TestExactMethod:
+    @pytest.mark.parametrize("budget,alphabet", [
+        (10, ("ab", "c")),
+        (10, ("a", "b", "a")),
+        (10, ()),
+        (10, ("a", 1.0)),
+        (0, ("a", "b")),
+    ], ids=["multi_char", "duplicate", "empty", "mixed", "zero_budget"])
+    def test_bad_method_rejected(self, budget, alphabet):
+        with pytest.raises(ValueError):
+            ExactEnumeration(budget=budget, alphabet=alphabet)
+
+    def test_numeric_alphabet_returns_tuple(self):
+        model, _ = seq_model([((0.0, 1.0), (1.0, 0.0))])
+        req = DecodeRequest(model, (0.0, 1.0), SQUARED_VECTOR, Uniform(2),
+                            ExactEnumeration(budget=10, alphabet=[1.0, 0.0]))
+        assert decode_exact(req) == (1.0, 0.0)
+
+
+class TestZeroPartWeights:
+    @pytest.mark.parametrize("decoder", [LeastSquaresDecoder, AngularDecoder])
+    def test_rejected_at_construction(self, decoder):
+        scheme = VectorBlocks(block_dim=1, num_blocks=3)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 3))
+        aux = [AuxiliarySample(i, p, X[i, p : p + 1]) for i in range(4) for p in range(3)]
+        model = fit_alpha(list(X), aux, Restriction(GaussianParts(1.0)), 0.1, scheme)
+        with pytest.raises(ValueError, match="positive total"):
+            decoder(model, np.zeros(3))
 
 
 class TestScaleInvariance:
