@@ -22,7 +22,14 @@ import numpy as np
 
 from .kernels import kernel_sup
 from .losses import LossSpec, part_losses
-from .parts import SequenceWindows, index_map, part_weights, scatter_parts, stack_objects
+from .parts import (
+    SequenceWindows,
+    ShapeMismatchError,
+    index_map,
+    part_weights,
+    scatter_parts,
+    stack_objects,
+)
 from .training import AlphaModel, alpha_at_parts
 
 
@@ -127,16 +134,17 @@ def _project(z: np.ndarray, proj: Projection) -> np.ndarray:
 
 
 def _eta_matrix(model: AlphaModel) -> tuple[np.ndarray, tuple]:
-    """Anchor output parts stacked row-wise, plus the shape of the output
-    canvas: the parts' leading channel axes and the scheme's object axes."""
-    etas = [np.asarray(s.eta, dtype=float) for s in model.aux]
-    shape = etas[0].shape
-    if any(e.shape != shape for e in etas):
-        raise ValueError("anchor output parts must share one shape for closed-form decoding")
+    """Anchor output parts stacked row-wise and flattened, plus the shape of
+    the output canvas: the parts' leading channel axes and the scheme's
+    object axes."""
+    E = model.etas
+    if E.dtype.kind != "f":
+        raise ValueError("closed-form decoding needs numeric anchor output parts")
+    shape = E.shape[1:]
     lead = shape[: len(shape) - len(model.scheme.shape)]
     if math.prod(shape) != math.prod(lead) * index_map(model.scheme).shape[1]:
         raise ValueError(f"anchor parts of shape {shape} do not fit the parts of the scheme")
-    return np.stack([e.ravel() for e in etas]), lead + model.scheme.shape
+    return E.reshape(len(E), -1), lead + model.scheme.shape
 
 
 def _positive_weights(pi, num_parts: int) -> np.ndarray:
@@ -221,7 +229,10 @@ def decode_exact(req: DecodeRequest):
     # cost table: window values in lexicographic order against every anchor
     codes = stack_objects(["".join(alphabet) if text else alphabet], SequenceWindows(s, s))[0]
     windows = codes[np.indices((s,) * l).reshape(l, U).T]  # (U, l)
-    etas = stack_objects([a.eta for a in req.model.aux], SequenceWindows(l, l))  # (m, l)
+    etas = req.model.etas  # (m, l)
+    if etas.shape[1:] != (l,):
+        raise ShapeMismatchError(f"anchor output parts of shape {etas.shape[1:]} are not "
+                                 f"windows of length {l}")
     L = part_losses(req.loss, windows[None], etas[:, None])  # (m, U)
     A = alpha_at_parts(req.model, req.x, range(P))  # (m, P)
     terms = A[:, :, None] * L[:, None, :]
@@ -406,7 +417,6 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
     # alpha depends on (x, p) only, so cache per part
     active = _active_parts(probs)
     alphas = alpha_at_parts(model, req.x, active)  # (m, n_active)
-    col_of = {int(p): i for i, p in enumerate(active)}
     totals = np.abs(alphas).sum(axis=0)
     cums = np.cumsum(np.abs(alphas), axis=0)
 
@@ -414,16 +424,21 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
     rng = method.rng
     part_draws = rng.choice(len(probs), size=T, p=probs)
     anchor_u = rng.random(T)
+    # every iteration's anchor, drawn per part from |alpha(x, p)|
+    cols = np.searchsorted(active, part_draws)
+    anchors = np.zeros(T, dtype=np.intp)
+    for col in range(len(active)):
+        drawn = cols == col
+        anchors[drawn] = np.searchsorted(cums[:, col], anchor_u[drawn] * totals[col])
+    np.minimum(anchors, model.m - 1, out=anchors)
 
     tail_from = T - math.ceil(T / 2)
     tail_sum = np.zeros_like(z)
     stepped = False
-    for t in range(1, T + 1):
-        p = int(part_draws[t - 1])
-        col = col_of[p]
+    for t, p, col, j in zip(range(1, T + 1), part_draws.tolist(), cols.tolist(),
+                            anchors.tolist()):
         A_xp = totals[col]
         if A_xp > 0.0:
-            j = min(int(np.searchsorted(cums[:, col], anchor_u[t - 1] * A_xp)), model.m - 1)
             g = _part_subgradient(req.loss, z[J[p]], etas[j])
             u = math.copysign(1.0, alphas[j, col]) * A_xp * g
             step = c / math.sqrt(t)

@@ -161,7 +161,6 @@ class GramMatrix:
     """Dense symmetric kernel matrix over a list of (input, part) anchors."""
 
     entries: np.ndarray
-    anchors: tuple
 
     @property
     def size(self) -> int:
@@ -183,14 +182,11 @@ def _stack(spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
 
 
 def _pair_stack(spec: KernelSpec, pairs, scheme: PartScheme):
-    """``_stack`` of ``(x, p)`` pairs. An input shared by several pairs, as
-    anchors share their training inputs, is stacked once."""
-    pairs = list(pairs)  # holds every input, so no id is reused while we index
-    by_id = {id(x): x for x, _ in pairs}
-    row_of = {key: row for row, key in enumerate(by_id)}
-    X = stack_objects(list(by_id.values()), scheme)
-    rows = [row_of[id(x)] for x, _ in pairs]
-    return _stack(spec, X, rows, check_parts(scheme, [p for _, p in pairs]), scheme)
+    """``_stack`` of ``(x, p)`` pairs, one stacked input per pair."""
+    pairs = list(pairs)
+    X = stack_objects([x for x, _ in pairs], scheme)
+    parts = check_parts(scheme, [p for _, p in pairs])
+    return _stack(spec, X, np.arange(len(pairs)), parts, scheme)
 
 
 def _code_matches(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -245,6 +241,17 @@ class PreparedAnchors:
         self.scheme = scheme
         self._stack = _pair_stack(spec, anchors, scheme)
 
+    @classmethod
+    def from_rows(cls, spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
+        """The anchors ``(objects[rows[j]], parts[j])`` of inputs stacked once
+        into ``X`` by ``stack_objects``: one gather, however often an input
+        recurs."""
+        self = cls.__new__(cls)
+        self.spec = spec
+        self.scheme = scheme
+        self._stack = _stack(spec, X, rows, check_parts(scheme, parts), scheme)
+        return self
+
     @property
     def features(self):
         """The explicit feature matrix ``F`` (len(anchors), d) with ``K = F
@@ -280,16 +287,19 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
     ----------
     spec : KernelSpec
         Pair kernel to evaluate.
-    anchors : sequence of (input, part index) pairs
-        Must be non-empty.
+    anchors : sequence of (input, part index) pairs, or PreparedAnchors
+        Must be non-empty. Prepared anchors, made for ``spec`` and
+        ``scheme``, are used as they are stacked.
     scheme : PartScheme
         Shared part scheme of the inputs.
     """
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("anchors must be non-empty")
-    S = _pair_stack(spec, anchors, scheme)
-    return GramMatrix(entries=_matrix(spec, S, S), anchors=tuple(anchors))
+    if not isinstance(anchors, PreparedAnchors):
+        anchors = list(anchors)
+        if not anchors:
+            raise ValueError("anchors must be non-empty")
+        anchors = PreparedAnchors(spec, anchors, scheme)
+    S = anchors._stack
+    return GramMatrix(entries=_matrix(spec, S, S))
 
 
 def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.ndarray:

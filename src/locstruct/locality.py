@@ -101,11 +101,10 @@ def _cell_estimate_subsampled(S: np.ndarray, pairs: tuple) -> tuple[float, float
     t2 = vals.sum()
     M = vals.size
     est = t1 / n - t2 / M
-    touch_sum = np.zeros(n)
-    touch_cnt = np.zeros(n)
-    for idx in (rows_idx, cols_idx):
-        np.add.at(touch_sum, idx, vals)
-        np.add.at(touch_cnt, idx, 1.0)
+    # per sample, the drawn pairs it is in: row ends first, then column ends
+    touch = np.concatenate([rows_idx, cols_idx])
+    touch_sum = np.bincount(touch, weights=np.concatenate([vals, vals]), minlength=n)
+    touch_cnt = np.bincount(touch, minlength=n).astype(float)
     cnt_left = M - touch_cnt
     if np.any(cnt_left <= 0):
         # a sample touches every drawn pair; fall back to a crude error bar

@@ -24,7 +24,9 @@ from .kernels import (
 )
 from .parts import (
     GridPatches,
+    NonFiniteError,
     SequenceWindows,
+    ShapeMismatchError,
     Uniform,
     VectorBlocks,
     Weighted,
@@ -168,30 +170,68 @@ def _check_keys(d, allowed, path, optional=frozenset()):
 
 def read_dataset(path, require_y: bool = True) -> list[tuple]:
     """Read a JSON-lines dataset into (x, y) pairs; y may be None when
-    ``require_y`` is False and absent."""
+    ``require_y`` is False and absent.
+
+    Fails at the offending ``path:line``: ``ParseError`` for malformed
+    records, ``NonFiniteError`` for NaN or infinite numbers, and
+    ``ShapeMismatchError`` for a ragged array or an ``x`` or ``y`` whose
+    shape differs from the first record's (a string's shape is its length)."""
     records = []
+    forms = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+                raise ParseError(f"{where}: invalid JSON ({e.msg})") from e
             if not isinstance(obj, dict) or "x" not in obj:
-                raise ParseError(f"{path}:{lineno}: expected an object with an 'x' key")
+                raise ParseError(f"{where}: expected an object with an 'x' key")
             extra = set(obj) - {"x", "y"}
             if extra:
-                raise ParseError(f"{path}:{lineno}: unknown keys {sorted(extra)}")
+                raise ParseError(f"{where}: unknown keys {sorted(extra)}")
             if require_y and "y" not in obj:
-                raise ParseError(f"{path}:{lineno}: missing 'y'")
-            x = decode_value(obj["x"])
-            y = decode_value(obj["y"]) if "y" in obj else None
-            records.append((x, y))
+                raise ParseError(f"{where}: missing 'y'")
+            for key in ("x", "y") if "y" in obj else ("x",):
+                obj[key] = _read_value(obj[key], f"{where}: '{key}'")
+                form = _form(obj[key])
+                first = forms.setdefault(key, form)
+                if form != first:
+                    raise ShapeMismatchError(f"{where}: '{key}' has shape {form}, "
+                                             f"the first record's has {first}")
+            records.append((obj["x"], obj.get("y")))
     if not records:
         raise ParseError(f"{path}: dataset is empty")
     return records
+
+
+def _read_value(v, where: str):
+    """``decode_value`` of one dataset field, refused with a typed error."""
+    if isinstance(v, str):
+        return v
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        if _numbers_only(v):
+            raise ShapeMismatchError(f"{where} is a ragged array") from None
+        raise ParseError(f"{where} must be a string or an array of numbers") from None
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{where} holds a NaN or infinite value")
+    return a
+
+
+def _numbers_only(v) -> bool:
+    if isinstance(v, list):
+        return all(_numbers_only(e) for e in v)
+    return isinstance(v, (int, float))
+
+
+def _form(v) -> tuple:
+    """The shape of a decoded value; a string's is ``(len,)``."""
+    return (len(v),) if isinstance(v, str) else v.shape
 
 
 def write_dataset(path, pairs) -> None:

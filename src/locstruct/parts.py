@@ -7,7 +7,8 @@ problem share the same scheme, so the same object describes both sides.
 
 Where each part sits is decided once per scheme (``index_map``), so a gather
 from objects stacked by ``stack_objects`` is one fancy index and a scatter
-back is one ``np.add.at``; ``extract_part`` is the scalar selection.
+back is one ``np.add.at``; ``extract_part`` is the scalar selection and
+``part_values`` its batched form.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class SequenceWindows:
     def shape(self) -> tuple:
         return (self.seq_len,)
 
+    @property
+    def part_shape(self) -> tuple:
+        return (self.window_len,)
+
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,10 @@ class VectorBlocks:
     @property
     def shape(self) -> tuple:
         return (self.total_dim,)
+
+    @property
+    def part_shape(self) -> tuple:
+        return (self.block_dim,)
 
 
 
@@ -138,6 +147,10 @@ class GridPatches:
     @property
     def shape(self) -> tuple:
         return (self.height, self.width)
+
+    @property
+    def part_shape(self) -> tuple:
+        return (self.patch_h, self.patch_w)
 
 
     def top_left(self, p: int) -> tuple[int, int]:
@@ -224,6 +237,26 @@ def gather_parts(X: np.ndarray, scheme: PartScheme, rows, parts) -> np.ndarray:
     ``rows`` and ``parts`` broadcast together: one fancy index."""
     J = index_map(scheme, X.shape[1] // math.prod(scheme.shape))
     return X[np.asarray(rows)[..., None], J[check_parts(scheme, parts)]]
+
+
+def part_values(objs, scheme: PartScheme, rows, parts) -> list:
+    """``[extract_part(objs[r], scheme, p) for r, p in zip(rows, parts)]``
+    from one ``stack_objects`` and one ``gather_parts``.
+
+    String objects give Python strings. Numeric objects give float64 arrays
+    of ``extract_part``'s shape, the first object's channel axes included,
+    as views of one array. Objects that do not stack raise the errors of
+    ``stack_objects``, including a NaN in an object no pair selects.
+    """
+    X = stack_objects(objs, scheme)
+    V = gather_parts(X, scheme, rows, parts)
+    if X.dtype.kind == "u":
+        l = V.shape[1]
+        strs = V.view(f"U{l}").ravel().tolist()
+        # numpy drops trailing NUL characters when it hands out a string
+        return strs if V.all() else [s.ljust(l, "\0") for s in strs]
+    lead = np.shape(objs[0])[: np.ndim(objs[0]) - len(scheme.shape)]
+    return list(V.reshape(V.shape[:1] + lead + scheme.part_shape))
 
 
 def scatter_parts(V: np.ndarray, scheme: PartScheme, parts) -> np.ndarray:
@@ -362,10 +395,24 @@ def part_weights(pi, num_parts: int) -> np.ndarray:
     return w
 
 
+def part_cdf(dist: PartDistribution) -> np.ndarray:
+    """Cumulative part probabilities scaled to end at exactly 1.
+
+    ``cdf.searchsorted(u, side="right")`` for one ``u = rng.random()`` is
+    the part that ``rng.choice(len(p), p=p)`` draws: it builds the same
+    array and takes one ``random()`` from the stream. Its per-call checks
+    of ``p`` are not needed, because ``Uniform`` and ``Weighted`` validate
+    at construction; parts of probability zero are never drawn.
+    """
+    cdf = dist.probabilities().cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_part(dist: PartDistribution, rng: np.random.Generator) -> int:
-    """Draw a part index ``p`` with probability ``dist(p)``.
+    """Draw a part index ``p`` with probability ``dist(p)``, using one
+    ``rng.random()``.
 
     Reproducible given the generator state; the caller owns the stream.
     """
-    probs = dist.probabilities()
-    return int(rng.choice(len(probs), p=probs))
+    return int(part_cdf(dist).searchsorted(rng.random(), side="right"))

@@ -24,7 +24,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, PreparedAnchors, gram_matrix, GramMatrix, has_feature_map
-from .parts import NonFiniteError, PartDistribution, PartScheme, extract_part, sample_part
+from .parts import (
+    NonFiniteError,
+    PartDistribution,
+    PartScheme,
+    SequenceWindows,
+    ShapeMismatchError,
+    part_cdf,
+    part_values,
+    stack_objects,
+)
 
 log = logging.getLogger(__name__)
 
@@ -52,30 +61,36 @@ def generate_auxiliary(
     """Draw ``m`` auxiliary samples from ``train = [(x_1, y_1), ...]``.
 
     Each sample picks a training index uniformly with replacement, a part
-    from ``pi``, and stores the selected output part. Reproducible for a
-    fixed generator state.
+    from ``pi``, and stores the selected output part. Per sample the stream
+    gives ``rng.integers(n)`` and then one ``rng.random()`` for the part, as
+    ``sample_part`` draws it, so a fixed generator state reproduces the
+    samples. The output parts come from one gather over all outputs
+    (``parts.part_values``), so every output must stack.
     """
     if not train:
         raise ValueError("training set must be non-empty")
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(train)
-    out = []
-    for _ in range(m):
-        i = int(rng.integers(n))
-        p = sample_part(pi, rng)
-        eta = extract_part(train[i][1], scheme, p)
-        out.append(AuxiliarySample(chi_ref=i, p=p, eta=eta))
-    return out
+    draws = [(rng.integers(n), rng.random()) for _ in range(m)]
+    rows = np.array([i for i, _ in draws], dtype=np.intp)
+    parts = part_cdf(pi).searchsorted([u for _, u in draws], side="right")
+    return _samples(train, scheme, rows, parts)
 
 
 def enumerate_auxiliary(train: Sequence[tuple], scheme: PartScheme) -> list[AuxiliarySample]:
     """The full part expansion of the training set, all (i, p) pairs in order."""
-    out = []
-    for i, (_, y) in enumerate(train):
-        for p in range(scheme.num_parts):
-            out.append(AuxiliarySample(chi_ref=i, p=p, eta=extract_part(y, scheme, p)))
-    return out
+    if not train:
+        return []
+    P = scheme.num_parts
+    return _samples(train, scheme, np.repeat(np.arange(len(train)), P),
+                    np.tile(np.arange(P), len(train)))
+
+
+def _samples(train, scheme: PartScheme, rows: np.ndarray, parts: np.ndarray) -> list[AuxiliarySample]:
+    """Samples ``(rows[j], parts[j])`` with their output parts."""
+    etas = part_values([y for _, y in train], scheme, rows, parts)
+    return list(map(AuxiliarySample, rows.tolist(), parts.tolist(), etas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +115,7 @@ class AlphaModel:
     jitter: float = 0.0
     features: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: Optional[PreparedAnchors] = field(default=None, repr=False)
+    _etas: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -114,10 +130,15 @@ class AlphaModel:
         return tuple((self.inputs[s.chi_ref], s.p) for s in self.aux)
 
     @cached_property
+    def etas(self) -> np.ndarray:
+        """Anchor output parts stacked row-wise (``_stack_etas``)."""
+        return self._etas if self._etas is not None else _stack_etas(self.aux)
+
+    @cached_property
     def prepared_anchors(self) -> PreparedAnchors:
         if self._prepared is not None:
             return self._prepared
-        return PreparedAnchors(self.kernel, self.anchors, self.scheme)
+        return _prepare(self.kernel, self.inputs, self.aux, self.scheme)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns."""
@@ -157,6 +178,31 @@ class AlphaModel:
         if self.features is None:
             return R.T @ self.prepared_anchors.cross(xs, parts)
         return R.T @ self.prepared_anchors.query_features(xs, parts).T
+
+
+def _prepare(kernel: KernelSpec, inputs: tuple, aux: tuple, scheme: PartScheme) -> PreparedAnchors:
+    """The anchors ``(inputs[s.chi_ref], s.p)`` of ``aux``, with the inputs
+    stacked once and indexed by ``chi_ref``."""
+    rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=len(aux))
+    parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=len(aux))
+    return PreparedAnchors.from_rows(kernel, stack_objects(inputs, scheme), rows, parts, scheme)
+
+
+def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
+    """Output parts of non-empty ``aux`` stacked row-wise: character codes
+    of shape (m, l) for strings, float64 of shape (m,) + part shape
+    otherwise. Raises ``ShapeMismatchError`` when the parts do not share
+    one shape and ``NonFiniteError`` when a numeric part is NaN or infinite."""
+    etas = [s.eta for s in aux]
+    if isinstance(etas[0], str):
+        return stack_objects(etas, SequenceWindows(len(etas[0]), len(etas[0])))
+    try:
+        E = np.asarray(etas, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatchError("anchor output parts do not share one numeric shape") from None
+    if not np.isfinite(E).all():
+        raise NonFiniteError("non-finite values in the anchor output parts")
+    return E
 
 
 def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None):
@@ -205,7 +251,8 @@ def fit_alpha(
     Parameters
     ----------
     inputs : sequence
-        Training inputs referenced by ``aux[j].chi_ref``.
+        Training inputs referenced by ``aux[j].chi_ref``; they are stacked
+        once (``parts.stack_objects``), so all must share one shape.
     aux : sequence of AuxiliarySample
         Non-empty auxiliary dataset.
     kernel : KernelSpec
@@ -222,6 +269,9 @@ def fit_alpha(
     NonFiniteError
         If an input, a kernel value or a numeric anchor output part is NaN
         or infinite.
+    ShapeMismatchError
+        If the inputs do not stack or the anchor output parts do not share
+        one shape.
     """
     if lam <= 0:
         raise ValueError("lambda must be strictly positive")
@@ -232,19 +282,16 @@ def fit_alpha(
     m = len(aux)
     if gram is not None and gram.entries.shape[0] != m:
         raise ValueError("precomputed Gram size does not match the auxiliary set")
-    _check_finite_outputs(aux)
-    anchors = [(inputs[s.chi_ref], s.p) for s in aux]
-    prepared = None
-    if gram is None and has_feature_map(kernel):
-        prepared = PreparedAnchors(kernel, anchors, scheme)
-    F = prepared.features if prepared is not None else None
+    etas = _stack_etas(aux)
+    prepared = _prepare(kernel, inputs, aux, scheme)
+    F = prepared.features if gram is None else None
     if F is not None and F.shape[1] < m:
         G = F.T @ F
         factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m)
     else:
         F = None
         if gram is None:
-            gram = gram_matrix(kernel, anchors, scheme)
+            gram = gram_matrix(kernel, prepared, scheme)
         K = np.asarray(gram.entries, dtype=float)
         if not np.isfinite(K).all():
             raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
@@ -253,22 +300,8 @@ def fit_alpha(
         log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
     return AlphaModel(
         inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-        factor=factor, jitter=jitter, features=F, _prepared=prepared,
+        factor=factor, jitter=jitter, features=F, _prepared=prepared, _etas=etas,
     )
-
-
-def _check_finite_outputs(aux: tuple) -> None:
-    """Reject NaN or infinite values in numeric anchor output parts."""
-    etas = [s.eta for s in aux if not isinstance(s.eta, str)]
-    if not etas:
-        return
-    try:
-        stacked = [np.asarray(etas)]  # one array when the parts share a shape
-    except ValueError:
-        stacked = [np.asarray(e) for e in etas]
-    for a in stacked:
-        if a.dtype.kind in "fc" and not np.isfinite(a).all():
-            raise NonFiniteError("non-finite values in the anchor output parts")
 
 
 def alpha_at(model: AlphaModel, x, p: int) -> np.ndarray:

@@ -221,6 +221,25 @@ class TestTrainPredict:
         assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == kind
         assert not (out / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("second,kind", [
+        ('{"x": [0, 0, 0, 0, 0, NaN], "y": [0, 0, 0, 0, 0, 0]}', "non_finite"),
+        ('{"x": [0, 0, 0, 0, 0, 0], "y": [0, 0, 0, 0, 0, -Infinity]}', "non_finite"),
+        ('{"x": [0, 0, 0, 0], "y": [0, 0, 0, 0, 0, 0]}', "shape"),
+        ('{"x": [[0, 0, 0], [0, 0]], "y": [0, 0, 0, 0, 0, 0]}', "shape"),
+    ], ids=["nan", "infinity", "short", "ragged"])
+    def test_bad_dataset_record_names_its_line(self, tmp_path, capsys, second, kind):
+        ds = tmp_path / "train.jsonl"
+        ds.write_text('{"x": [1, 2, 3, 4, 5, 6], "y": [1, 2, 3, 4, 5, 6]}\n' + second + "\n")
+        cfg = _write_json(tmp_path / "t.json", {
+            "seed": 1, "dataset": str(ds), "scheme": SCHEME_JSON,
+            "kernel": KERNEL_JSON, "lambda": 0.1, "m": 10,
+        })
+        assert run_command(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == kind
+        assert f"{ds}:2:" in err["error"]["message"]
+        assert not (tmp_path / "o" / "model.json").exists()
+
     def test_missing_dataset_reports_io_error(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {
             "seed": 1, "dataset": str(tmp_path / "nope.jsonl"), "scheme": SCHEME_JSON,

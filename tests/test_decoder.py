@@ -23,13 +23,16 @@ from locstruct.decoder import (
     decode_least_squares,
     decode_sgm,
 )
-from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix
+from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix, kernel_sup
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
 from locstruct.parts import (
+    GridPatches,
     SequenceWindows,
     ShapeMismatchError,
     Uniform,
     VectorBlocks,
+    Weighted,
+    extract_part,
     part_weights,
 )
 from locstruct.training import (
@@ -422,7 +425,60 @@ class TestScaleInvariance:
                 decode_angular(req_b)[0], rel=1e-12)
 
 
+def sgm_reference(req):
+    """The subgradient loop on a grid scheme one iteration at a time: draw
+    the part, look its column up, draw the anchor from |alpha(x, p)| and
+    step on that patch."""
+    model, method, scheme = req.model, req.method, req.model.scheme
+    weights = part_weights(req.pi, scheme.num_parts)
+    probs = weights / weights.sum()
+    active = np.flatnonzero(probs > 0)
+    alphas = alpha_at_parts(model, req.x, active)
+    col_of = {int(p): i for i, p in enumerate(active)}
+    totals = np.abs(alphas).sum(axis=0)
+    cums = np.cumsum(np.abs(alphas), axis=0)
+    c = method.step_c if method.step_c is not None else 1.0 / kernel_sup(model.kernel)
+    wrap = req.loss.kind == "angular_sin_sq"
+    T = method.iterations
+    draws = method.rng.choice(len(probs), size=T, p=probs)
+    us = method.rng.random(T)
+    z = np.zeros(np.shape(model.aux[0].eta)[:-2] + scheme.shape)  # a grid scheme
+    tail = np.zeros_like(z)
+    for t in range(1, T + 1):
+        p = int(draws[t - 1])
+        col = col_of[p]
+        if totals[col] > 0.0:
+            j = min(int(np.searchsorted(cums[:, col], us[t - 1] * totals[col])), model.m - 1)
+            zp = extract_part(z, scheme, p)
+            eta = np.asarray(model.aux[j].eta, dtype=float)
+            g = 2.0 * (zp - eta) if not wrap else np.sin(2.0 * (zp - eta)) / zp.size
+            u = math.copysign(1.0, alphas[j, col]) * totals[col] * g
+            rows, cols = scheme.patch_rows_cols(p)
+            z[..., rows[:, None], cols[None, :]] += -(c / math.sqrt(t)) * u
+            if wrap:
+                z = (z + np.pi) % (2.0 * np.pi) - np.pi
+        if t > T - math.ceil(T / 2):
+            tail += z
+    z = tail / math.ceil(T / 2)
+    return (z + np.pi) % (2.0 * np.pi) - np.pi if wrap else z
+
+
 class TestDecodeSGM:
+    @pytest.mark.parametrize("loss", [SQUARED_VECTOR, ANGULAR_SIN_SQ], ids=["squared", "angular"])
+    def test_equals_per_iteration_loop(self, loss):
+        rng = np.random.default_rng(21)
+        scheme = GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=2, circular=True)
+        train = [(rng.standard_normal((2, 4, 4)), rng.uniform(-1.0, 1.0, (4, 4)))
+                 for _ in range(5)]
+        pi = Weighted((0.5, 0.0, 0.25, 0.25))
+        aux = generate_auxiliary(train, 30, scheme, pi, rng)
+        model = fit_alpha([x for x, _ in train], aux, Restriction(GaussianParts(2.0)), 0.1, scheme)
+        for i in range(3):
+            x = rng.standard_normal((2, 4, 4))
+            fast, slow = (DecodeRequest(model, x, loss, pi, SGM(
+                iterations=400, rng=np.random.default_rng(i))) for _ in range(2))
+            assert np.array_equal(decode_sgm(fast), sgm_reference(slow))
+
     def test_scalar_squared_matches_closed_form(self):
         rng = np.random.default_rng(5)
         for trial in range(3):

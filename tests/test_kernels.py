@@ -16,7 +16,13 @@ from locstruct.kernels import (
     kernel_sup,
     part_kernel_eval,
 )
-from locstruct.parts import GridPatches, SequenceWindows, ShapeMismatchError, VectorBlocks
+from locstruct.parts import (
+    GridPatches,
+    SequenceWindows,
+    ShapeMismatchError,
+    VectorBlocks,
+    stack_objects,
+)
 
 
 SCHEME = VectorBlocks(block_dim=2, num_blocks=3)
@@ -183,6 +189,19 @@ class TestPreparedAnchors:
         from_list = PreparedAnchors(spec, anchors, SCHEME).cross([x], [0, 1])
         from_iter = PreparedAnchors(spec, iter(anchors), SCHEME).cross([x], [0, 1])
         assert np.array_equal(from_iter, from_list)
+
+    def test_rows_of_one_stack_equal_pairs(self):
+        rng = np.random.default_rng(8)
+        inputs = [rng.standard_normal(6) for _ in range(3)]
+        rows, parts = np.array([2, 0, 2, 1]), np.array([1, 1, 0, 2])
+        anchors = [(inputs[r], p) for r, p in zip(rows, parts)]
+        for spec in ORACLE_KERNELS.values():
+            prepared = PreparedAnchors.from_rows(spec, stack_objects(inputs, SCHEME), rows,
+                                                 parts, SCHEME)
+            assert np.array_equal(prepared.cross(inputs, [0, 2]),
+                                  PreparedAnchors(spec, anchors, SCHEME).cross(inputs, [0, 2]))
+            assert np.array_equal(gram_matrix(spec, prepared, SCHEME).entries,
+                                  gram_matrix(spec, anchors, SCHEME).entries)
 
 
 ORACLE_KERNELS = {

@@ -1,7 +1,10 @@
 import warnings
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locstruct.kernels import GaussianParts, LinearParts
 from locstruct.locality import (
@@ -10,6 +13,7 @@ from locstruct.locality import (
     RawInner,
     SquaredKernel,
     UnsupportedConfigurationError,
+    _cell_estimate_subsampled,
     empirical_cov_map,
     locality_constants,
     sequence_bound_check,
@@ -157,6 +161,30 @@ class TestEmpiricalCovMap:
         samples = ["abca", "bcab", "caab"]
         with pytest.raises(UnsupportedConfigurationError, match="fixed-shape numeric parts"):
             empirical_cov_map(samples, SequenceWindows(4, 2), SquaredKernel(LinearParts()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), frac=st.floats(0.1, 1.0))
+    def test_subsampled_cell_equals_add_at_form(self, seed, n, frac):
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((n, n))
+        M = max(n, int(frac * n * (n - 1)))
+        flat = rng.choice(n * (n - 1), size=M, replace=False)
+        rows_idx, cols_idx = flat // (n - 1), flat % (n - 1)
+        cols_idx = cols_idx + (cols_idx >= rows_idx)
+        # the accumulation as one np.add.at per index array, in index order
+        diag, vals = np.diag(S), S[rows_idx, cols_idx]
+        t1, t2 = diag.sum(), vals.sum()
+        touch_sum, touch_cnt = np.zeros(n), np.zeros(n)
+        for idx in (rows_idx, cols_idx):
+            np.add.at(touch_sum, idx, vals)
+            np.add.at(touch_cnt, idx, 1.0)
+        est = float(t1 / n - t2 / M)
+        if np.any(M - touch_cnt <= 0):
+            want = (est, abs(est))
+        else:
+            loo = (t1 - diag) / (n - 1) - (t2 - touch_sum) / (M - touch_cnt)
+            want = (est, math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+        assert _cell_estimate_subsampled(S, (rows_idx, cols_idx)) == want
 
     def test_pair_subsampling_needs_rng(self):
         rng = np.random.default_rng(13)

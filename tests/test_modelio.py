@@ -18,7 +18,15 @@ from locstruct.modelio import (
     scheme_to_json,
     write_dataset,
 )
-from locstruct.parts import GridPatches, SequenceWindows, Uniform, VectorBlocks, Weighted
+from locstruct.parts import (
+    GridPatches,
+    NonFiniteError,
+    SequenceWindows,
+    ShapeMismatchError,
+    Uniform,
+    VectorBlocks,
+    Weighted,
+)
 from locstruct.training import alpha_at, fit_alpha, generate_auxiliary, AuxiliarySample
 
 SCHEME = VectorBlocks(block_dim=2, num_blocks=3)
@@ -93,6 +101,41 @@ class TestDataset:
         with pytest.raises(ParseError, match="missing 'y'"):
             read_dataset(path)
         assert read_dataset(path, require_y=False)[0][1] is None
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token, key):
+        path = tmp_path / "bad.jsonl"
+        fields = {"x": "[1, 2]", "y": "[3, 4]"}
+        fields[key] = f"[1, {token}]"
+        path.write_text('{"x": [1, 2], "y": [3, 4]}\n'
+                        f'{{"x": {fields["x"]}, "y": {fields["y"]}}}\n')
+        with pytest.raises(NonFiniteError, match=f"bad.jsonl:2: '{key}'"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("first,second", [
+        ('{"x": [1, 2], "y": [3, 4]}', '{"x": [1, 2, 3], "y": [3, 4]}'),
+        ('{"x": [1, 2], "y": [3, 4]}', '{"x": [1, 2], "y": [[3, 4]]}'),
+        ('{"x": "ab", "y": "ab"}', '{"x": "ab", "y": "abc"}'),
+    ], ids=["x_length", "y_rank", "string_length"])
+    def test_shape_differing_from_the_first_record_names_its_line(self, tmp_path, first, second):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{first}\n\n{second}\n")
+        with pytest.raises(ShapeMismatchError, match="bad.jsonl:3:"):
+            read_dataset(path)
+
+    def test_ragged_array_is_a_shape_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"x": [[1, 2], [3]], "y": [1]}\n')
+        with pytest.raises(ShapeMismatchError, match="bad.jsonl:1: 'x' is a ragged array"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("value", ['["a", 1]', '{"a": 1}', '[[1], ["b"]]'])
+    def test_non_numeric_array_is_a_parse_error(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"x": {value}, "y": [1]}}\n')
+        with pytest.raises(ParseError, match="bad.jsonl:1: 'x'"):
+            read_dataset(path)
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

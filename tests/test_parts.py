@@ -16,7 +16,9 @@ from locstruct.parts import (
     cover_counts,
     extract_part,
     gather_parts,
+    part_cdf,
     part_distance,
+    part_values,
     sample_part,
     scatter_parts,
     stack_objects,
@@ -171,6 +173,24 @@ class TestPartDistribution:
         for p, f in zip(probs, freqs):
             assert abs(f - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           weights=st.lists(st.sampled_from([0, 0, 1, 2, 7]), min_size=1, max_size=6)
+           .filter(any),
+           uniform=st.booleans())
+    def test_equals_generator_choice(self, seed, weights, uniform):
+        w = np.asarray(weights, dtype=float)
+        dist = Uniform(len(w)) if uniform else Weighted(tuple(w / w.sum()))
+        probs = dist.probabilities()
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [sample_part(dist, fast) for _ in range(20)]
+        assert draws == [int(slow.choice(len(probs), p=probs)) for _ in range(20)]
+        assert fast.random() == slow.random()  # the same share of the stream
+
+    def test_cdf_ends_at_one(self):
+        cdf = part_cdf(Weighted((0.1, 0.0, 0.2, 0.7)))
+        assert cdf[-1] == 1.0 and cdf[1] == cdf[0]
+
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             Weighted((0.5, -0.1, 0.6))
@@ -218,17 +238,11 @@ def _flat(part):
     return np.asarray(part, dtype=float).ravel()
 
 
-def _part_shape(scheme):
-    if isinstance(scheme, GridPatches):
-        return (scheme.patch_h, scheme.patch_w)
-    return (scheme.block_dim if isinstance(scheme, VectorBlocks) else scheme.window_len,)
-
-
 def _scatter_oracle(V, scheme, parts, lead):
     """Per-part accumulation through each scheme's own slicing."""
     out = np.zeros((V.shape[0],) + lead + scheme.shape)
     for i, p in enumerate(parts):
-        block = V[:, i].reshape((V.shape[0],) + lead + _part_shape(scheme))
+        block = V[:, i].reshape((V.shape[0],) + lead + scheme.part_shape)
         if isinstance(scheme, GridPatches):
             rows, cols = scheme.patch_rows_cols(p)
             out[..., rows[:, None], cols[None, :]] += block
@@ -251,12 +265,40 @@ class TestIndexMap:
         for g, i, p in zip(G, rows, parts):
             assert np.array_equal(g, _flat(extract_part(xs[i], scheme, p)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_part_values_equal_extract_part(self, data):
+        scheme, objects, _ = data.draw(scheme_inputs())
+        xs = data.draw(st.lists(objects, min_size=1, max_size=3))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, len(xs) - 1),
+                                             st.integers(0, scheme.num_parts - 1)), max_size=8))
+        rows = np.array([i for i, _ in pairs], dtype=np.intp)
+        parts = np.array([p for _, p in pairs], dtype=np.intp)
+        values = part_values(xs, scheme, rows, parts)
+        assert len(values) == len(pairs)
+        for v, (i, p) in zip(values, pairs):
+            want = extract_part(xs[i], scheme, p)
+            assert type(v) is type(want)
+            if isinstance(want, str):
+                assert v == want
+            else:
+                assert v.dtype == want.dtype and v.shape == want.shape
+                assert np.array_equal(v, want)
+
+    def test_part_values_stack_every_object(self):
+        scheme = VectorBlocks(2, 2)
+        xs = [np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0])]
+        with pytest.raises(NonFiniteError):
+            part_values(xs, scheme, np.array([0]), np.array([0]))
+        with pytest.raises(ShapeMismatchError):
+            part_values([np.zeros(4), np.zeros(3)], scheme, np.array([0]), np.array([0]))
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_scatter_equals_per_part_loop(self, data):
         scheme, _, lead = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
         parts = data.draw(st.lists(st.integers(0, scheme.num_parts - 1), min_size=1, max_size=6))
-        width = int(np.prod(lead + _part_shape(scheme)))
+        width = int(np.prod(lead + scheme.part_shape))
         V = data.draw(arrays(float, (2, len(parts), width),
                              elements=st.floats(-1e3, 1e3, allow_nan=False)))
         got = scatter_parts(V, scheme, parts)
@@ -280,7 +322,7 @@ class TestIndexMap:
     @given(data=st.data())
     def test_cover_counts_equal_per_part_count(self, data):
         scheme, _, _ = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
-        ones = np.ones((1, scheme.num_parts, int(np.prod(_part_shape(scheme)))))
+        ones = np.ones((1, scheme.num_parts, int(np.prod(scheme.part_shape))))
         want = _scatter_oracle(ones, scheme, range(scheme.num_parts), ())
         assert np.array_equal(cover_counts(scheme), want.reshape(scheme.shape))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locstruct.kernels import (
     GaussianGlobal,
@@ -9,7 +11,15 @@ from locstruct.kernels import (
     SumKernel,
     gram_matrix,
 )
-from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, extract_part
+from locstruct.parts import (
+    GridPatches,
+    SequenceWindows,
+    ShapeMismatchError,
+    Uniform,
+    VectorBlocks,
+    Weighted,
+    extract_part,
+)
 from locstruct.training import (
     AuxiliarySample,
     FactorizationError,
@@ -33,6 +43,96 @@ def _train_set(rng, n):
         x = rng.standard_normal(6)
         out.append((x, 2.0 * x))
     return out
+
+
+_VALUE = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 1))
+
+
+@st.composite
+def training_sets(draw):
+    """A scheme, a training set on it and a part distribution: vector
+    blocks, numeric and string windows (with a non-ASCII symbol and a NUL),
+    and 2-channel circular grid patches; uniform or weighted with zeros."""
+    kind = draw(st.sampled_from(["blocks", "windows", "strings", "grid"]))
+    if kind == "blocks":
+        scheme = VectorBlocks(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    elif kind == "grid":
+        stride = draw(st.integers(1, 2))
+        height, width = stride * draw(st.integers(1, 3)), stride * draw(st.integers(1, 3))
+        scheme = GridPatches(width=width, height=height, patch_w=draw(st.integers(1, width)),
+                             patch_h=draw(st.integers(1, height)), stride=stride, circular=True)
+    else:
+        k = draw(st.integers(1, 6))
+        scheme = SequenceWindows(k, draw(st.integers(1, k)))
+    if kind == "strings":
+        outputs = st.text(alphabet="ab\u03b2\x00", min_size=scheme.seq_len, max_size=scheme.seq_len)
+    else:
+        lead = (2,) if kind == "grid" else ()
+        outputs = arrays(float, lead + scheme.shape, elements=_VALUE)
+    ys = draw(st.lists(outputs, min_size=1, max_size=5))
+    P = scheme.num_parts
+    if draw(st.booleans()):
+        pi = Uniform(P)
+    else:
+        w = np.asarray(draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=P, max_size=P)
+                            .filter(any)), dtype=float)
+        pi = Weighted(tuple(w / w.sum()))
+    return scheme, [(None, y) for y in ys], pi
+
+
+def _assert_same_samples(aux, want):
+    """``aux`` against (chi_ref, p, eta) triples by value, type and shape."""
+    assert len(aux) == len(want)
+    for s, (i, p, eta) in zip(aux, want):
+        assert (s.chi_ref, s.p) == (i, p)
+        assert type(s.chi_ref) is int and type(s.p) is int
+        assert type(s.eta) is type(eta)
+        if isinstance(eta, str):
+            assert s.eta == eta
+        else:
+            assert s.eta.dtype == eta.dtype and s.eta.shape == eta.shape
+            assert np.array_equal(s.eta, eta)
+
+
+class TestAgainstLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_sets(), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_generate_equals_per_draw_loop(self, case, m, seed):
+        scheme, train, pi = case
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        probs = pi.probabilities()
+        want = []
+        for _ in range(m):
+            i = int(slow.integers(len(train)))
+            p = int(slow.choice(len(probs), p=probs))
+            want.append((i, p, extract_part(train[i][1], scheme, p)))
+        _assert_same_samples(generate_auxiliary(train, m, scheme, pi, fast), want)
+        assert fast.random() == slow.random()  # the same share of the stream
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=training_sets())
+    def test_enumerate_equals_nested_loop(self, case):
+        scheme, train, _ = case
+        want = [(i, p, extract_part(y, scheme, p))
+                for i, (_, y) in enumerate(train) for p in range(scheme.num_parts)]
+        _assert_same_samples(enumerate_auxiliary(train, scheme), want)
+
+    def test_nan_in_an_output_no_anchor_draws_is_rejected(self):
+        scheme = VectorBlocks(1, 2)
+        train = [(None, np.zeros(2)), (None, np.array([np.nan, 0.0]))]
+        # every draw takes part 1 of some output, never the NaN
+        with pytest.raises(NonFiniteError):
+            generate_auxiliary(train, 5, scheme, Weighted((0.0, 1.0)), np.random.default_rng(0))
+        with pytest.raises(NonFiniteError):
+            enumerate_auxiliary(train, scheme)
+
+    def test_outputs_that_do_not_stack_are_rejected(self):
+        train = [(None, np.zeros(4)), (None, np.zeros(3))]
+        with pytest.raises(ShapeMismatchError):
+            generate_auxiliary(train, 3, VectorBlocks(2, 2), Uniform(2), np.random.default_rng(0))
+        with pytest.raises(ShapeMismatchError):
+            generate_auxiliary([(None, "abc"), (None, "ab")], 3, SequenceWindows(3, 2),
+                               Uniform(2), np.random.default_rng(0))
 
 
 class TestGenerateAuxiliary:
@@ -168,6 +268,23 @@ class TestFitAlpha:
         inputs[2][3] = np.nan
         with pytest.raises(NonFiniteError):
             fit_alpha(inputs, aux, kernel, 0.1, SCHEME)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, GAUSS], ids=["feature_space", "dual"])
+    def test_non_finite_input_no_anchor_references_rejected(self, kernel):
+        # the inputs are stacked once, all of them
+        rng = np.random.default_rng(15)
+        train = _train_set(rng, 4)
+        aux = [s for s in enumerate_auxiliary(train, SCHEME) if s.chi_ref != 2]
+        inputs = [x.copy() for x, _ in train]
+        inputs[2][0] = np.inf
+        with pytest.raises(NonFiniteError):
+            fit_alpha(inputs, aux, kernel, 0.1, SCHEME)
+
+    def test_output_parts_of_two_shapes_rejected(self):
+        train = _train_set(np.random.default_rng(16), 2)
+        aux = [AuxiliarySample(0, 0, np.zeros(2)), AuxiliarySample(1, 1, np.zeros(3))]
+        with pytest.raises(ShapeMismatchError):
+            fit_alpha([x for x, _ in train], aux, GAUSS, 0.1, SCHEME)
 
     @pytest.mark.parametrize("kernel", [LINEAR, GAUSS], ids=["feature_space", "dual"])
     def test_non_finite_output_part_rejected(self, kernel):
