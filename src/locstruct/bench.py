@@ -79,22 +79,16 @@ class SyntheticConfig:
     seed: int = 0
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     estimators: tuple = LS_ESTIMATORS
-    # Readout of the local estimator's per-part solve. "mean" uses the
-    # unnormalized weighted sum (the ridge conditional mean), "normalized"
-    # divides by the weight total.
-    local_readout: str = "mean"
 
     def __post_init__(self):
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
+        if min(self.num_parts, self.block_dim, self.n_train, self.n_test) < 1:
+            raise ValueError("num_parts, block_dim, n_train and n_test must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if any(l <= 0 for l in self.lambda_grid):
             raise ValueError("lambda grid entries must be positive")
-        if self.local_readout not in ("mean", "normalized"):
-            raise ValueError(f"unknown local readout {self.local_readout!r}")
         unknown = [e for e in self.estimators if e not in LS_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}")
@@ -115,6 +109,10 @@ class AngularConfig:
     freq_cutoff: int = 2
     seed: int = 0
     lambda_grid: tuple = tuple(float(v) for v in np.logspace(-6, 1, 5))
+
+    def __post_init__(self):
+        self.scheme()  # the patches must fit the grid
+        GaussianParts(self.bandwidth)  # and the bandwidth be positive
 
     def scheme(self) -> GridPatches:
         return GridPatches(
@@ -266,10 +264,11 @@ def _baseline_path(blocks: int):
     return path
 
 
-def _local_path(scheme: VectorBlocks, normalize: bool):
+def _local_path(scheme: VectorBlocks):
     """Hold-out path of the part-pooled estimator: every (input, part) pair of
     the training set is an anchor of a linear restriction kernel, decoded with
-    the squared-loss closed form."""
+    the squared-loss closed form. The readout is the unnormalized weighted
+    sum, the ridge conditional mean of a linear kernel on centered data."""
     kernel = Restriction(LinearParts())
     pi = Uniform(scheme.num_parts)
 
@@ -279,7 +278,7 @@ def _local_path(scheme: VectorBlocks, normalize: bool):
 
         def fit(lam):
             model = fit_alpha(inputs, aux, kernel, lam, scheme)
-            return LeastSquaresDecoder(model, pi, normalize=normalize).decode_batch
+            return LeastSquaresDecoder(model, pi, normalize=False).decode_batch
         return fit
     return path
 
@@ -289,8 +288,7 @@ def _ls_path(name: str, cfg: SyntheticConfig):
         return _baseline_path(1)
     if name == INDEPENDENT_PARTS_LS:
         return _baseline_path(cfg.num_parts)
-    scheme = VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts)
-    return _local_path(scheme, normalize=cfg.local_readout == "normalized")
+    return _local_path(VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts))
 
 
 def _mse(predict, X, Y) -> float:

@@ -15,30 +15,26 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bench, config as cfgmod
-from .config import ConfigError, build_method
 from .decoder import (
     AngularDecoder,
+    ClosedForm,
     DecodeRequest,
+    ExactEnumeration,
     LeastSquaresDecoder,
     decode_exact,
     decode_sgm,
 )
 from .locality import SquaredKernel, empirical_cov_map, locality_constants, sequence_bound_check
-from .modelio import (
-    ParseError,
-    encode_value,
-    load_model,
-    pi_from_json,
-    read_dataset,
-    save_model,
-)
-from .parts import PartIndexError, ShapeMismatchError, Uniform
+from .losses import SQUARED_VECTOR
+from .modelio import ParseError, encode_value, load_model, read_dataset, read_json, save_model
+from .parts import PartIndexError, SequenceWindows, ShapeMismatchError, Uniform
 from .svgplot import heatmap, line_plot
 from .training import NonFiniteError, fit_alpha, generate_auxiliary
 
@@ -66,7 +62,7 @@ def _write_lines(path: Path, lines) -> None:
 
 def _config(args, parse):
     """Parse the command's config file; ``--seed`` overrides its seed."""
-    doc = cfgmod.load_config(args.config)
+    doc = read_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     return parse(doc)
@@ -96,10 +92,8 @@ def _finish_bench(out: Path, name: str, result, plot) -> int:
 def _cmd_train(args) -> int:
     cfg = _config(args, cfgmod.parse_train)
     train = read_dataset(cfg.dataset)
-    pi = (pi_from_json(cfg.pi, cfg.scheme.num_parts) if cfg.pi is not None
-          else Uniform(cfg.scheme.num_parts))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    aux = generate_auxiliary(train, cfg.m, cfg.scheme, pi, rng)
+    aux = generate_auxiliary(train, cfg.m, cfg.scheme, cfg.pi, rng)
     model = fit_alpha([x for x, _ in train], aux, cfg.kernel, cfg.lam, cfg.scheme)
     out = _out_dir(args)
     save_model(model, out / "model.json")
@@ -111,25 +105,23 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _config(args, cfgmod.parse_predict)
     model = load_model(cfg.model)
-    records = read_dataset(cfg.dataset, require_y=False)
-    xs = [x for x, _ in records]
-    pi = (pi_from_json(cfg.pi, model.scheme.num_parts) if cfg.pi is not None
-          else Uniform(model.scheme.num_parts))
-    kind = cfg.method_spec["method"]
-    if kind == "least_squares":
-        method = build_method(cfg.method_spec)
-        preds = LeastSquaresDecoder(model, pi, normalize=method.normalize).decode_batch(xs)
-    elif kind == "angular":
-        preds = AngularDecoder(model, pi).decode_batch(xs)
-    elif kind == "exact":
-        method = build_method(cfg.method_spec)
+    method = cfg.method
+    if isinstance(method, ExactEnumeration) and not isinstance(model.scheme, SequenceWindows):
+        raise ParseError(f"{cfg.model}: the exact decoder needs a sequence_windows model")
+    xs = [x for x, _ in read_dataset(cfg.dataset, require_y=False)]
+    pi = cfg.pi if cfg.pi is not None else Uniform(model.scheme.num_parts)
+    if isinstance(method, ClosedForm):
+        decoder = (LeastSquaresDecoder(model, pi, normalize=method.normalize)
+                   if cfg.loss == SQUARED_VECTOR else AngularDecoder(model, pi))
+        preds = decoder.decode_batch(xs)
+    elif isinstance(method, ExactEnumeration):
         preds = [decode_exact(DecodeRequest(model, x, cfg.loss, pi, method)) for x in xs]
-    else:  # sgm
+    else:  # SGM: query i draws from its own stream (seed, i)
         preds = []
         for i, x in enumerate(xs):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-            method = build_method(cfg.method_spec, rng=rng)
-            preds.append(decode_sgm(DecodeRequest(model, x, cfg.loss, pi, method)))
+            request = DecodeRequest(model, x, cfg.loss, pi, replace(method, rng=rng))
+            preds.append(decode_sgm(request))
     out = _out_dir(args)
     path = out / "predictions.jsonl"
     with open(path, "w") as fh:
@@ -154,12 +146,10 @@ def _cmd_diagnose(args) -> int:
 
     P = report.cov_map.shape[0]
     header = "p\\q," + ",".join(str(q) for q in range(P))
-    _write_lines(out / "cov_map.csv",
-                 [header] + [f"{p}," + ",".join(_fmt_cell(v) for v in report.cov_map[p])
-                             for p in range(P)])
-    _write_lines(out / "cov_std_err.csv",
-                 [header] + [f"{p}," + ",".join(_fmt_cell(v) for v in report.std_err[p])
-                             for p in range(P)])
+    for name, table in (("cov_map", report.cov_map), ("cov_std_err", report.std_err)):
+        _write_lines(out / f"{name}.csv",
+                     [header] + [f"{p}," + ",".join(_fmt_cell(v) for v in table[p])
+                                 for p in range(P)])
     heatmap(out / "cov_map.svg", report.cov_map,
             title="within-locality covariance", annotate=cfg.annotate)
 
@@ -175,32 +165,26 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_bench_synthetic(args) -> int:
-    cfg = _config(args, cfgmod.parse_bench_synthetic)
+    cfg, (parts, gammas, n_grid), repeats = _config(args, cfgmod.parse_bench_synthetic)
     out = _out_dir(args)
-    if cfg.learning_curve:
-        cell = cfg.cell(cfg.num_parts[0], cfg.gamma[0], cfg.n_train[0])
-        result = bench.run_learning_curve("synthetic_ls", cfg.n_train, cell, cfg.repeats)
-        series = {}
-        for est in cfg.estimators:
-            meds = [result.median_error(est, n) for n in cfg.n_train]
-            series[est] = (list(cfg.n_train), meds)
+    if n_grid is not None:
+        result = bench.run_learning_curve("synthetic_ls", n_grid, cfg, repeats)
+        series = {est: (list(n_grid), [result.median_error(est, n) for n in n_grid])
+                  for est in cfg.estimators}
         plot = partial(line_plot, series=series, title="learning curves",
                        xlabel="n train", ylabel="median test error", logx=True, logy=True)
     else:
-        results = []
-        for P in cfg.num_parts:
-            for g in cfg.gamma:
-                results.append(bench.run_estimator_comparison(
-                    cfg.cell(P, g, cfg.n_train[0]), cfg.repeats))
-        result = bench.merge_results(results)
+        result = bench.merge_results([
+            bench.run_estimator_comparison(replace(cfg, num_parts=P, gamma=g), repeats)
+            for P in parts for g in gammas])
         series = {}
         for est in cfg.estimators:
             pts = []
-            for g in cfg.gamma:
+            for g in gammas:
                 errs = [r.test_error for r in result.rows
                         if r.estimator == est and r.gamma == g]
                 pts.append(float(np.median(errs)))
-            series[est] = (list(cfg.gamma), pts)
+            series[est] = (list(gammas), pts)
         plot = partial(line_plot, series=series, title="estimator comparison",
                        xlabel="gamma", ylabel="median test error", logy=True)
     return _finish_bench(out, "bench_synthetic", result, plot)
@@ -218,8 +202,7 @@ def _cmd_bench_angular(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    gammas = [float(v) for v in str(args.gamma).split(",")]
-    parts = [int(v) for v in str(args.parts).split(",")]
+    gammas, parts = cfgmod.parse_bound_check(args.gamma, args.parts)
     lines = ["gamma,num_parts,r_sq,s_exact,s_bound,holds"]
     for g in gammas:
         for P in parts:
@@ -246,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
@@ -276,7 +259,7 @@ _DISPATCH = {
 
 
 # JSON error kinds of the errors a command reports with exit status 2
-_ERROR_KINDS = (((ConfigError, ParseError), "parse"), (OSError, "io"),
+_ERROR_KINDS = ((ParseError, "parse"), (OSError, "io"),
                 (NonFiniteError, "non_finite"), ((ShapeMismatchError, PartIndexError), "shape"))
 
 

@@ -1,69 +1,86 @@
-"""Strict parsing of command configuration files.
+"""Strict parsing of command configurations.
 
-One JSON document per command. Unknown keys are rejected with the offending
-key path, required keys are checked up front, and every stochastic command
-must carry a master seed.
+Each command's JSON document becomes finished library objects when it is
+parsed: the scheme, kernel, part distribution, loss and decoder method, or a
+study's configuration, so a command only runs them. Unknown keys are rejected
+with the offending key path, required keys are checked up front, the decoder
+is checked against the loss, and every stochastic command must carry a
+master seed. Every bad value is a ``ParseError`` naming its key path, raised
+before the command reads a dataset or writes a file.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import Optional
 
-from .bench import (
-    DEFAULT_LAMBDA_GRID,
-    LS_ESTIMATORS,
-    AngularConfig,
-    SyntheticConfig,
-)
-from .decoder import AngleWrap, BoxProjection, ClosedForm, ExactEnumeration, SGM
-from .kernels import GaussianParts, LinearParts
+from .bench import AngularConfig, SyntheticConfig
+from .decoder import SGM, AngleWrap, BoxProjection, ClosedForm, ExactEnumeration
+from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
+from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import kernel_from_json, scheme_from_json
+from .modelio import ParseError, _check_keys, _get, kernel_from_json, pi_from_json, scheme_from_json
+from .parts import PartDistribution, PartScheme, Uniform, Weighted
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the key path."""
-
-
-def load_config(path) -> dict:
+@contextmanager
+def _at(path: str):
+    """Re-raise a ``ValueError`` or ``TypeError`` from building a value of the
+    config as a ``ParseError`` naming the key ``path``. Every conversion and
+    constructor call on config values runs inside one."""
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read config ({e.strerror})") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
+        yield
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
-def _check(doc, required, optional, name):
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
+def _decode(codec, doc, key, name, *args):
+    """``codec(doc[key], *args, path)``: a stanza read by a ``modelio`` codec."""
+    path = f"{name}.{key}"
+    with _at(path):
+        return codec(doc[key], *args, path)
 
 
-def _positive_int(doc, key, name):
+def _int(doc, key, name, low=1):
     v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{name}.{key}: expected a positive integer")
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        raise ParseError(f"{name}.{key}: expected an integer >= {low}")
     return v
 
 
-def _seed(doc, name):
-    v = doc["seed"]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ConfigError(f"{name}.seed: expected a nonnegative integer")
-    return v
+def _values(v, kind) -> tuple:
+    """A grid: a list, or one scalar, of ``kind`` values."""
+    vals = tuple(kind(x) for x in (v if isinstance(v, list) else [v]))
+    if not vals:
+        raise ValueError("must not be empty")
+    return vals
+
+
+def _floats(v) -> tuple:
+    return tuple(float(x) for x in v)
+
+
+def _fields(doc, convs, name) -> dict:
+    """The optional keys of ``convs`` present in ``doc``, each converted."""
+    out = {}
+    for key, conv in convs.items():
+        if key in doc:
+            with _at(f"{name}.{key}"):
+                out[key] = conv(doc[key])
+    return out
+
+
+def _n_grid(doc, name) -> tuple:
+    with _at(f"{name}.n_train"):
+        grid = _values(doc["n_train"], int)
+    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParseError(f"{name}.n_train: expected ascending sizes >= 1")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +91,33 @@ def _seed(doc, name):
 class TrainConfig:
     seed: int
     dataset: str
-    scheme: object
-    kernel: object
+    scheme: PartScheme
+    kernel: KernelSpec
     lam: float
     m: int
-    pi: Optional[dict]
+    pi: PartDistribution
 
 
 def parse_train(doc: dict) -> TrainConfig:
-    _check(doc, {"seed", "dataset", "scheme", "kernel", "lambda", "m"}, {"pi"}, "train")
-    lam = float(doc["lambda"])
-    if lam <= 0:
-        raise ConfigError("train.lambda: must be positive")
+    _check_keys(doc, {"seed", "dataset", "scheme", "kernel", "lambda", "m", "pi"}, "train",
+                optional={"pi"})
+    scheme = _decode(scheme_from_json, doc, "scheme", "train")
+    kernel = _decode(kernel_from_json, doc, "kernel", "train")
+    if not isinstance(kernel, KernelSpec):
+        raise ParseError("train.kernel: expected a restriction, gaussian_global or sum kernel")
+    with _at("train.lambda"):
+        lam = float(doc["lambda"])
+    if not lam > 0:
+        raise ParseError("train.lambda: must be positive")
     return TrainConfig(
-        seed=_seed(doc, "train"),
+        seed=_int(doc, "seed", "train", 0),
         dataset=str(doc["dataset"]),
-        scheme=scheme_from_json(doc["scheme"]),
-        kernel=kernel_from_json(doc["kernel"]),
+        scheme=scheme,
+        kernel=kernel,
         lam=lam,
-        m=_positive_int(doc, "m", "train"),
-        pi=doc.get("pi"),
+        m=_int(doc, "m", "train"),
+        pi=(_decode(pi_from_json, doc, "pi", "train", scheme.num_parts) if "pi" in doc
+            else Uniform(scheme.num_parts)),
     )
 
 
@@ -101,76 +125,84 @@ def parse_train(doc: dict) -> TrainConfig:
 class PredictConfig:
     model: str
     dataset: str
-    loss: object
-    method_spec: dict
+    loss: LossSpec
+    method: object  # ClosedForm, ExactEnumeration, or SGM without its rng
     seed: Optional[int]
-    pi: Optional[dict]
+    pi: Optional[Weighted]  # None: uniform over the model's parts
 
 
 def parse_predict(doc: dict) -> PredictConfig:
-    _check(doc, {"model", "dataset", "loss", "decoder"}, {"seed", "pi"}, "predict")
-    loss_name = doc["loss"]
-    if loss_name not in LOSSES_BY_NAME:
-        raise ConfigError(f"predict.loss: unknown loss {loss_name!r}")
-    method = doc["decoder"]
-    if not isinstance(method, dict) or "method" not in method:
-        raise ConfigError("predict.decoder: expected an object with a 'method' key")
-    seed = _seed(doc, "predict") if "seed" in doc else None
-    if method["method"] == "sgm" and seed is None:
-        raise ConfigError("predict.seed: required for the sgm decoder")
+    _check_keys(doc, {"model", "dataset", "loss", "decoder", "seed", "pi"}, "predict",
+                optional={"seed", "pi"})
+    loss = LOSSES_BY_NAME.get(doc["loss"]) if isinstance(doc["loss"], str) else None
+    if loss is None:
+        raise ParseError(f"predict.loss: unknown loss {doc['loss']!r}")
+    method = _method(doc["decoder"], loss, "predict.decoder")
+    seed = _int(doc, "seed", "predict", 0) if "seed" in doc else None
+    if isinstance(method, SGM) and seed is None:
+        raise ParseError("predict.seed: required for the sgm decoder")
     return PredictConfig(
         model=str(doc["model"]),
         dataset=str(doc["dataset"]),
-        loss=LOSSES_BY_NAME[loss_name],
-        method_spec=method,
+        loss=loss,
+        method=method,
         seed=seed,
-        pi=doc.get("pi"),
+        pi=_decode(pi_from_json, doc, "pi", "predict", None) if "pi" in doc else None,
     )
 
 
-def build_method(spec: dict, rng=None):
-    """Decoder method object from its config stanza."""
-    kind = spec["method"]
-    if kind == "least_squares":
-        _check(spec, {"method"}, {"normalize"}, "decoder")
+def _method(spec, loss: LossSpec, path: str):
+    """Decoder method of a ``decoder`` stanza, checked against ``loss``."""
+    kind = _get(spec, "method", path)
+    if kind in ("least_squares", "angular"):
+        _check_keys(spec, {"method", "normalize"} if kind == "least_squares" else {"method"},
+                    path, optional={"normalize"})
+        need = SQUARED_VECTOR if kind == "least_squares" else ANGULAR_SIN_SQ
+        if loss != need:
+            raise ParseError(f"predict.loss: the {kind} decoder needs the {need.kind} loss")
         return ClosedForm(normalize=bool(spec.get("normalize", True)))
-    if kind == "angular":
-        _check(spec, {"method"}, set(), "decoder")
-        return ClosedForm()
     if kind == "exact":
-        _check(spec, {"method", "budget", "alphabet"}, set(), "decoder")
-        try:
-            return ExactEnumeration(budget=int(spec["budget"]), alphabet=tuple(spec["alphabet"]))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"decoder: {e}") from None
+        _check_keys(spec, {"method", "budget", "alphabet"}, path)
+        with _at(path):
+            method = ExactEnumeration(budget=int(spec["budget"]), alphabet=tuple(spec["alphabet"]))
+        if isinstance(method.alphabet[0], str) and loss != ZERO_ONE_WINDOW:
+            raise ParseError("predict.loss: a string alphabet needs the zero_one_window loss")
+        return method
     if kind == "sgm":
-        _check(spec, {"method", "iterations"}, {"step_c", "projection", "average_tail"}, "decoder")
-        proj = None
+        _check_keys(spec, {"method", "iterations", "step_c", "projection", "average_tail"}, path,
+                    optional={"step_c", "projection", "average_tail"})
+        if not loss.is_subdifferentiable:
+            raise ParseError(f"predict.loss: the sgm decoder needs a subdifferentiable loss, "
+                             f"not {loss.kind}")
         pspec = spec.get("projection")
-        if pspec is not None:
-            pkind = pspec.get("kind")
-            if pkind == "box":
-                _check(pspec, {"kind", "lo", "hi"}, set(), "decoder.projection")
-                proj = BoxProjection(lo=float(pspec["lo"]), hi=float(pspec["hi"]))
-            elif pkind == "angle_wrap":
-                _check(pspec, {"kind"}, set(), "decoder.projection")
-                proj = AngleWrap()
-            else:
-                raise ConfigError(f"decoder.projection.kind: unknown kind {pkind!r}")
-        return SGM(
-            iterations=int(spec["iterations"]),
-            rng=rng,
-            step_c=float(spec["step_c"]) if "step_c" in spec else None,
-            projection=proj,
-            average_tail=bool(spec.get("average_tail", True)),
-        )
-    raise ConfigError(f"decoder.method: unknown method {kind!r}")
+        projection = None if pspec is None else _projection(pspec, f"{path}.projection")
+        with _at(path):
+            return SGM(
+                iterations=int(spec["iterations"]),
+                rng=None,
+                step_c=float(spec["step_c"]) if "step_c" in spec else None,
+                projection=projection,
+                average_tail=bool(spec.get("average_tail", True)),
+            )
+    raise ParseError(f"{path}.method: unknown method {kind!r}")
+
+
+def _projection(spec, path: str):
+    kind = _get(spec, "kind", path)
+    if kind == "box":
+        _check_keys(spec, {"kind", "lo", "hi"}, path)
+        with _at(path):
+            return BoxProjection(lo=float(spec["lo"]), hi=float(spec["hi"]))
+    if kind == "angle_wrap":
+        _check_keys(spec, {"kind"}, path)
+        return AngleWrap()
+    raise ParseError(f"{path}.kind: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class DiagnoseConfig:
     dataset: str
-    scheme: object
+    scheme: PartScheme
     similarity: object
     annotate: bool
     subsample_pairs: Optional[int] = None
@@ -178,109 +210,84 @@ class DiagnoseConfig:
 
 
 def parse_diagnose(doc: dict) -> DiagnoseConfig:
-    _check(doc, {"dataset", "scheme", "similarity"},
-           {"annotate", "subsample_pairs", "seed"}, "diagnose")
+    _check_keys(doc, {"dataset", "scheme", "similarity", "annotate", "subsample_pairs", "seed"},
+                "diagnose", optional={"annotate", "subsample_pairs", "seed"})
     subsample = doc.get("subsample_pairs")
     if subsample is not None:
-        subsample = _positive_int(doc, "subsample_pairs", "diagnose")
+        subsample = _int(doc, "subsample_pairs", "diagnose")
         if "seed" not in doc:
-            raise ConfigError("diagnose.seed: required when subsample_pairs is set")
-    sim_spec = doc["similarity"]
-    if not isinstance(sim_spec, dict) or "kind" not in sim_spec:
-        raise ConfigError("diagnose.similarity: expected an object with a 'kind' key")
-    if sim_spec["kind"] == "raw_inner":
-        _check(sim_spec, {"kind"}, set(), "diagnose.similarity")
-        sim = RawInner()
-    elif sim_spec["kind"] == "squared_kernel":
-        _check(sim_spec, {"kind", "base"}, set(), "diagnose.similarity")
-        base = kernel_from_json(sim_spec["base"], "diagnose.similarity.base")
-        if not isinstance(base, (LinearParts, GaussianParts)):
-            raise ConfigError("diagnose.similarity.base: must be a part kernel")
-        sim = SquaredKernel(base)
+            raise ParseError("diagnose.seed: required when subsample_pairs is set")
+    path = "diagnose.similarity"
+    sim = doc["similarity"]
+    kind = _get(sim, "kind", path)
+    if kind == "raw_inner":
+        _check_keys(sim, {"kind"}, path)
+        similarity = RawInner()
+    elif kind == "squared_kernel":
+        _check_keys(sim, {"kind", "base"}, path)
+        base = _decode(kernel_from_json, sim, "base", path)
+        if not isinstance(base, PartKernel):
+            raise ParseError(f"{path}.base: must be a part kernel")
+        similarity = SquaredKernel(base)
     else:
-        raise ConfigError(f"diagnose.similarity.kind: unknown kind {sim_spec['kind']!r}")
+        raise ParseError(f"{path}.kind: unknown kind {kind!r}")
     return DiagnoseConfig(
         dataset=str(doc["dataset"]),
-        scheme=scheme_from_json(doc["scheme"]),
-        similarity=sim,
+        scheme=_decode(scheme_from_json, doc, "scheme", "diagnose"),
+        similarity=similarity,
         annotate=bool(doc.get("annotate", False)),
         subsample_pairs=subsample,
-        seed=_seed(doc, "diagnose") if "seed" in doc else None,
+        seed=_int(doc, "seed", "diagnose", 0) if "seed" in doc else None,
     )
 
 
-@dataclass(frozen=True)
-class BenchSyntheticConfig:
-    seed: int
-    block_dim: int
-    num_parts: tuple
-    gamma: tuple
-    n_train: tuple
-    learning_curve: bool
-    n_test: int
-    noise_std: float
-    repeats: int
-    lambda_grid: tuple
-    estimators: tuple
-    local_readout: str
-
-    def cell(self, num_parts: int, gamma: float, n_train: int) -> SyntheticConfig:
-        return SyntheticConfig(
-            num_parts=num_parts, block_dim=self.block_dim, gamma=gamma,
-            n_train=n_train, n_test=self.n_test, noise_std=self.noise_std,
-            seed=self.seed, lambda_grid=self.lambda_grid,
-            estimators=self.estimators, local_readout=self.local_readout,
-        )
+_SYNTHETIC_FIELDS = {"noise_std": float, "lambda_grid": _floats, "estimators": tuple}
 
 
-def _as_tuple(v, name, kind=float):
-    vals = v if isinstance(v, list) else [v]
-    if not vals:
-        raise ConfigError(f"{name}: must not be empty")
-    return tuple(kind(x) for x in vals)
+def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
+    """The study's first cell, its ``(num_parts, gamma, n_grid)`` grids and the
+    repeat count. ``n_grid`` is None unless ``n_train`` is a list, which asks
+    for a learning curve."""
+    name = "bench-synthetic"
+    _check_keys(doc, {"seed", "block_dim", "num_parts", "gamma", "n_train", "n_test", "repeats",
+                      *_SYNTHETIC_FIELDS}, name, optional=_SYNTHETIC_FIELDS.keys())
+    n_grid = _n_grid(doc, name)
+    curve = isinstance(doc["n_train"], list)
+    with _at(name):
+        parts, gammas = _values(doc["num_parts"], int), _values(doc["gamma"], float)
+        if curve and (len(parts) > 1 or len(gammas) > 1):
+            raise ParseError(f"{name}: an n_train grid needs scalar num_parts and gamma")
+        cfg = SyntheticConfig(num_parts=parts[0], block_dim=_int(doc, "block_dim", name),
+                              gamma=gammas[0], n_train=n_grid[0], n_test=_int(doc, "n_test", name),
+                              seed=_int(doc, "seed", name, 0),
+                              **_fields(doc, _SYNTHETIC_FIELDS, name))
+        for P, g in product(parts, gammas):  # every cell of the grid must be valid
+            replace(cfg, num_parts=P, gamma=g)
+    return cfg, (parts, gammas, n_grid if curve else None), _int(doc, "repeats", name)
 
 
-def parse_bench_synthetic(doc: dict) -> BenchSyntheticConfig:
-    _check(doc, {"seed", "block_dim", "num_parts", "gamma", "n_train", "n_test", "repeats"},
-           {"noise_std", "lambda_grid", "estimators", "local_readout"}, "bench-synthetic")
-    estimators = tuple(doc.get("estimators", LS_ESTIMATORS))
-    bad = set(estimators) - set(LS_ESTIMATORS)
-    if bad:
-        raise ConfigError(f"bench-synthetic.estimators: unknown estimators {sorted(bad)}")
-    n_train = _as_tuple(doc["n_train"], "bench-synthetic.n_train", int)
-    learning_curve = isinstance(doc["n_train"], list)
-    num_parts = _as_tuple(doc["num_parts"], "bench-synthetic.num_parts", int)
-    gamma = _as_tuple(doc["gamma"], "bench-synthetic.gamma", float)
-    if learning_curve and (len(num_parts) > 1 or len(gamma) > 1):
-        raise ConfigError("bench-synthetic: an n_train grid needs scalar num_parts and gamma")
-    return BenchSyntheticConfig(
-        seed=_seed(doc, "bench-synthetic"),
-        block_dim=_positive_int(doc, "block_dim", "bench-synthetic"),
-        num_parts=num_parts,
-        gamma=gamma,
-        n_train=n_train,
-        learning_curve=learning_curve,
-        n_test=_positive_int(doc, "n_test", "bench-synthetic"),
-        noise_std=float(doc.get("noise_std", 0.5)),
-        repeats=_positive_int(doc, "repeats", "bench-synthetic"),
-        lambda_grid=tuple(float(v) for v in doc.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-        estimators=estimators,
-        local_readout=str(doc.get("local_readout", "mean")),
-    )
+_ANGULAR_FIELDS = {"grid_size": int, "patch": int, "stride": int, "bandwidth": float, "m": int,
+                   "n_test": int, "input_noise": float, "freq_cutoff": int, "lambda_grid": _floats}
 
 
 def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:
-    _check(doc, {"seed", "n_train", "repeats"},
-           {"grid_size", "patch", "stride", "bandwidth", "m", "n_test",
-            "input_noise", "freq_cutoff", "lambda_grid"}, "bench-angular")
-    n_grid = _as_tuple(doc["n_train"], "bench-angular.n_train", int)
-    kwargs = {}
-    for key, conv in (("grid_size", int), ("patch", int), ("stride", int),
-                      ("bandwidth", float), ("m", int), ("n_test", int),
-                      ("input_noise", float), ("freq_cutoff", int)):
-        if key in doc:
-            kwargs[key] = conv(doc[key])
-    if "lambda_grid" in doc:
-        kwargs["lambda_grid"] = tuple(float(v) for v in doc["lambda_grid"])
-    cfg = AngularConfig(seed=_seed(doc, "bench-angular"), **kwargs)
-    return cfg, n_grid, _positive_int(doc, "repeats", "bench-angular")
+    name = "bench-angular"
+    _check_keys(doc, {"seed", "n_train", "repeats", *_ANGULAR_FIELDS}, name,
+                optional=_ANGULAR_FIELDS.keys())
+    n_grid = _n_grid(doc, name)
+    with _at(name):
+        cfg = AngularConfig(seed=_int(doc, "seed", name, 0), **_fields(doc, _ANGULAR_FIELDS, name))
+    return cfg, n_grid, _int(doc, "repeats", name)
+
+
+def parse_bound_check(gamma: str, parts: str) -> tuple[tuple, tuple]:
+    """The decay rates and part counts of ``bound-check``'s comma-separated flags."""
+    with _at("--gamma"):
+        gammas = _values(gamma.split(","), float)
+    with _at("--parts"):
+        counts = _values(parts.split(","), int)
+    if not all(g > 0 for g in gammas):
+        raise ParseError(f"--gamma: decay rates must be positive, got {gamma}")
+    if min(counts) < 1:
+        raise ParseError(f"--parts: part counts must be >= 1, got {parts}")
+    return gammas, counts

@@ -109,6 +109,10 @@ class SGM:
     projection: Projection = None
     average_tail: bool = True
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class DecodeRequest:

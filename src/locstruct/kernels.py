@@ -91,6 +91,10 @@ class Restriction:
 
     base: PartKernel
 
+    def __post_init__(self):
+        if not isinstance(self.base, PartKernel):
+            raise TypeError(f"a restriction needs a part kernel base, got {self.base!r}")
+
 
 @dataclass(frozen=True)
 class GaussianGlobal:
@@ -110,6 +114,10 @@ class SumKernel:
 
     universal: "KernelSpec"
     local: "KernelSpec"
+
+    def __post_init__(self):
+        if not (isinstance(self.universal, KernelSpec) and isinstance(self.local, KernelSpec)):
+            raise TypeError(f"a sum kernel adds two pair kernels, got {self!r}")
 
 
 KernelSpec = Union[Restriction, GaussianGlobal, SumKernel]

@@ -17,34 +17,15 @@ from .parts import PartScheme, ShapeMismatchError, gather_parts, part_weights, s
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A named part loss plus the capability flags decoders dispatch on."""
+    """A named part loss plus the capability flag decoders dispatch on."""
 
     kind: str
-    has_closed_form: bool
     is_subdifferentiable: bool
-    parts_enumerable: bool
 
 
-ZERO_ONE_WINDOW = LossSpec(
-    kind="zero_one_window",
-    has_closed_form=False,
-    is_subdifferentiable=False,
-    parts_enumerable=True,
-)
-
-SQUARED_VECTOR = LossSpec(
-    kind="squared_vector",
-    has_closed_form=True,
-    is_subdifferentiable=True,
-    parts_enumerable=False,
-)
-
-ANGULAR_SIN_SQ = LossSpec(
-    kind="angular_sin_sq",
-    has_closed_form=True,
-    is_subdifferentiable=True,
-    parts_enumerable=False,
-)
+ZERO_ONE_WINDOW = LossSpec(kind="zero_one_window", is_subdifferentiable=False)
+SQUARED_VECTOR = LossSpec(kind="squared_vector", is_subdifferentiable=True)
+ANGULAR_SIN_SQ = LossSpec(kind="angular_sin_sq", is_subdifferentiable=True)
 
 BY_NAME = {spec.kind: spec for spec in (ZERO_ONE_WINDOW, SQUARED_VECTOR, ANGULAR_SIN_SQ)}
 

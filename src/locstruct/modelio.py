@@ -1,5 +1,6 @@
-"""Persistence: JSON-lines datasets, model documents, and the JSON codecs
-for schemes, kernels, and part distributions.
+"""Persistence: JSON-lines datasets, model documents, the JSON codecs for
+schemes, kernels, and part distributions, and the strict-JSON layer (one
+reader, one key checker, ``ParseError``) that command configs share.
 
 Structured values travel as JSON strings (sequences) or nested float lists
 (arrays); floats serialize through ``repr`` so round-trips are exact. Model
@@ -136,15 +137,32 @@ def pi_to_json(pi) -> dict:
     raise TypeError(f"unknown part distribution {pi!r}")
 
 
-def pi_from_json(d: dict, num_parts: int, path="pi"):
+def pi_from_json(d: dict, num_parts, path="pi"):
+    """Part distribution over ``num_parts`` parts. With ``num_parts`` None,
+    when the part count is not known yet, a uniform one reads as None."""
     kind = _get(d, "kind", path)
     if kind == "uniform":
         _check_keys(d, {"kind"}, path)
-        return Uniform(num_parts)
+        return None if num_parts is None else Uniform(num_parts)
     if kind == "weighted":
         _check_keys(d, {"kind", "probs"}, path)
-        return Weighted(probs=tuple(float(v) for v in d["probs"]))
+        pi = Weighted(probs=tuple(float(v) for v in d["probs"]))
+        if num_parts is not None and pi.num_parts != num_parts:
+            raise ParseError(f"{path}.probs: {pi.num_parts} probabilities for {num_parts} parts")
+        return pi
     raise ParseError(f"{path}.kind: unknown part distribution kind {kind!r}")
+
+
+def read_json(path) -> dict:
+    """The JSON object in file ``path``, the one reader of configs and
+    model documents; invalid JSON or another JSON value is a ``ParseError``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _get(d, key, path):
@@ -266,11 +284,8 @@ def load_model(path) -> AlphaModel:
     anchors, so a loaded model reproduces the original's weights up to
     factorization determinism.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from e
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    doc = read_json(path)
+    if doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise UnsupportedVersionError(

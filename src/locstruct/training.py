@@ -32,6 +32,7 @@ from .parts import (
     ShapeMismatchError,
     part_cdf,
     part_values,
+    part_weights,
     stack_objects,
 )
 
@@ -71,6 +72,7 @@ def generate_auxiliary(
         raise ValueError("training set must be non-empty")
     if m < 1:
         raise ValueError("m must be >= 1")
+    part_weights(pi, scheme.num_parts)  # raises for a distribution over another part count
     n = len(train)
     draws = [(rng.integers(n), rng.random()) for _ in range(m)]
     rows = np.array([i for i, _ in draws], dtype=np.intp)

@@ -117,8 +117,7 @@ class TestEstimatorComparison:
         P, k, n = 5, 3, 12
         cfg = _cfg(gamma=0.0, num_parts=P, block_dim=k, n_train=n, n_test=9)
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(8))
-        local = _local_path(VectorBlocks(block_dim=k, num_blocks=P),
-                            normalize=False)(X, Y)(lam)(Xt)
+        local = _local_path(VectorBlocks(block_dim=k, num_blocks=P))(X, Y)(lam)(Xt)
         Ybar = Y.reshape(n, P, k).mean(axis=1)
         coef = np.linalg.solve(X @ X.T + n * (P * lam) * np.eye(n), Ybar)
         pooled = np.tile((Xt @ X.T) @ coef, P)
@@ -171,8 +170,6 @@ class TestEstimatorComparison:
             _cfg(noise_std=-1.0)
         with pytest.raises(ValueError):
             _cfg(lambda_grid=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            _cfg(local_readout="other")
         with pytest.raises(ValueError, match="glob_ls"):
             _cfg(estimators=("glob_ls",))
         with pytest.raises(ValueError):

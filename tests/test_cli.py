@@ -251,6 +251,74 @@ class TestTrainPredict:
         assert err["error"]["kind"] == "io"
 
 
+TRAIN_JSON = {"seed": 1, "scheme": SCHEME_JSON, "kernel": KERNEL_JSON, "lambda": 0.1, "m": 10}
+BENCH_JSON = {
+    "bench-synthetic": {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": 12,
+                        "n_test": 20, "repeats": 1, "lambda_grid": [1e-3]},
+    "bench-angular": {"seed": 4, "n_train": [2], "repeats": 1, "grid_size": 8, "stride": 2,
+                      "m": 16, "n_test": 2, "lambda_grid": [1e-3]},
+}
+
+# command and the change that makes its valid input bad
+BAD_INPUTS = {
+    "angular_unknown_key": ("predict", {"loss": "angular_sin_sq",
+                                        "decoder": {"method": "angular", "bogus": 1}}),
+    "least_squares_angular_loss": ("predict", {"loss": "angular_sin_sq"}),
+    "least_squares_zero_one_loss": ("predict", {"loss": "zero_one_window"}),
+    "exact_on_vector_blocks": ("predict", {"loss": "zero_one_window", "decoder": {
+        "method": "exact", "budget": 100, "alphabet": [0, 1]}}),
+    "sgm_iterations_not_a_number": ("predict", {"seed": 1, "decoder": {
+        "method": "sgm", "iterations": "x"}}),
+    "weighted_pi_of_wrong_length": ("train", {"pi": {"kind": "weighted", "probs": [0.5, 0.5]}}),
+    "window_longer_than_sequence": ("train", {"scheme": {"kind": "sequence_windows",
+                                                         "k": 2, "l": 3}}),
+    "block_dim_not_a_number": ("train", {"scheme": {**SCHEME_JSON, "block_dim": "x"}}),
+    "negative_sigma": ("train", {"kernel": {"kind": "restriction",
+                                            "base": {"kind": "gaussian", "sigma": -1}}}),
+    "lambda_not_a_number": ("train", {"lambda": "abc"}),
+    "restriction_of_gaussian_global": ("train", {"kernel": {
+        "kind": "restriction", "base": {"kind": "gaussian_global", "sigma": 1.0}}}),
+    "part_kernel_as_pair_kernel": ("train", {"kernel": {"kind": "linear"}}),
+    "sum_of_a_part_kernel": ("train", {"kernel": {"kind": "sum", "universal": {"kind": "linear"},
+                                                  "local": KERNEL_JSON}}),
+    "bench_synthetic_local_readout": ("bench-synthetic", {"local_readout": "bogus"}),
+    "bench_angular_patch_too_big": ("bench-angular", {"patch": 40}),
+    "bound_check_zero_gamma": ("bound-check", ["--gamma", "0", "--parts", "2"]),
+    "bound_check_gamma_not_a_number": ("bound-check", ["--gamma", "abc", "--parts", "2"]),
+    "bound_check_zero_parts": ("bound-check", ["--gamma", "1", "--parts", "0"]),
+}
+
+
+@pytest.fixture(scope="module")
+def vector_model(tmp_path_factory):
+    """A vector dataset and a model trained on it."""
+    d = tmp_path_factory.mktemp("vector_model")
+    ds = d / "train.jsonl"
+    _vector_dataset(ds, n=6)
+    cfg = _write_json(d / "train.json", {**TRAIN_JSON, "dataset": str(ds)})
+    assert run_command(["train", "--config", cfg, "--out", str(d)]) == 0
+    return ds, d / "model.json"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command,change", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_parse_error_without_artefacts(self, tmp_path, capsys, vector_model, command, change):
+        ds, model = vector_model
+        out = tmp_path / "out"
+        if command == "bound-check":
+            argv = [command, *change]
+        else:
+            base = {"train": {**TRAIN_JSON, "dataset": str(ds)},
+                    "predict": {"model": str(model), "dataset": str(ds), "loss": "squared_vector",
+                                "decoder": {"method": "least_squares"}},
+                    **BENCH_JSON}[command]
+            argv = [command, "--config", _write_json(tmp_path / "c.json", {**base, **change})]
+        capsys.readouterr()
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "parse"
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestDiagnose:
     def test_artifacts_written(self, tmp_path):
         ds = tmp_path / "d.jsonl"

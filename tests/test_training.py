@@ -174,6 +174,11 @@ class TestGenerateAuxiliary:
         a2 = generate_auxiliary(train, 50, SCHEME, Uniform(3), np.random.default_rng(9))
         assert [(s.chi_ref, s.p) for s in a1] == [(s.chi_ref, s.p) for s in a2]
 
+    def test_distribution_over_another_part_count_rejected(self):
+        train = _train_set(np.random.default_rng(5), 3)
+        with pytest.raises(ShapeMismatchError):
+            generate_auxiliary(train, 10, SCHEME, Weighted((0.5, 0.5)), np.random.default_rng(0))
+
 
 class TestFitAlpha:
     def test_unit_system(self):
