@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .decoder import AngularDecoder, LeastSquaresDecoder
-from .kernels import GaussianParts, LinearParts, Restriction
+from .kernels import GaussianParts, LinearParts, Restriction, gram_matrix
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
 from .training import enumerate_auxiliary, fit_alpha, generate_auxiliary
@@ -405,7 +405,8 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
 def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
     drawn once per training set from the cell's own stream, a Gaussian
-    restriction kernel, and the angular closed form."""
+    restriction kernel, and the angular closed form. The Gram over the
+    anchors is built once per training set and shared by every lambda."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -416,9 +417,11 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
         aux = generate_auxiliary(train, m, scheme, pi,
                                  _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
         inputs = list(X)
+        gram = gram_matrix(kernel, [(inputs[s.chi_ref], s.p) for s in aux], scheme)
 
         def fit(lam):
-            return AngularDecoder(fit_alpha(inputs, aux, kernel, lam, scheme), pi).decode_batch
+            model = fit_alpha(inputs, aux, kernel, lam, scheme, gram=gram)
+            return AngularDecoder(model, pi).decode_batch
         return fit
     return path
 

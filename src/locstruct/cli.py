@@ -33,7 +33,8 @@ from .decoder import (
 )
 from .locality import SquaredKernel, empirical_cov_map, locality_constants, sequence_bound_check
 from .losses import SQUARED_VECTOR
-from .modelio import ParseError, encode_value, load_model, read_dataset, read_json, save_model
+from .modelio import (ParseError, UnsupportedVersionError, encode_value, load_model, read_dataset,
+                      read_json, save_model)
 from .parts import PartIndexError, SequenceWindows, ShapeMismatchError, Uniform
 from .svgplot import heatmap, line_plot
 from .training import NonFiniteError, fit_alpha, generate_auxiliary
@@ -106,8 +107,14 @@ def _cmd_predict(args) -> int:
     cfg = _config(args, cfgmod.parse_predict)
     model = load_model(cfg.model)
     method = cfg.method
-    if isinstance(method, ExactEnumeration) and not isinstance(model.scheme, SequenceWindows):
-        raise ParseError(f"{cfg.model}: the exact decoder needs a sequence_windows model")
+    if isinstance(method, ExactEnumeration):
+        scheme = model.scheme
+        if not isinstance(scheme, SequenceWindows):
+            raise ParseError(f"{cfg.model}: the exact decoder needs a sequence_windows model")
+        table = scheme.num_parts * len(method.alphabet) ** scheme.window_len
+        if table > method.budget:
+            raise ParseError(f"predict.decoder.budget: the model's cost table has {table} "
+                             f"entries, more than the budget of {method.budget}")
     xs = [x for x, _ in read_dataset(cfg.dataset, require_y=False)]
     pi = cfg.pi if cfg.pi is not None else Uniform(model.scheme.num_parts)
     if isinstance(method, ClosedForm):
@@ -259,8 +266,9 @@ _DISPATCH = {
 
 
 # JSON error kinds of the errors a command reports with exit status 2
-_ERROR_KINDS = ((ParseError, "parse"), (OSError, "io"),
-                (NonFiniteError, "non_finite"), ((ShapeMismatchError, PartIndexError), "shape"))
+_ERROR_KINDS = ((ParseError, "parse"), (UnsupportedVersionError, "unsupported_version"),
+                (OSError, "io"), (NonFiniteError, "non_finite"),
+                ((ShapeMismatchError, PartIndexError), "shape"))
 
 
 def run_command(argv) -> int:

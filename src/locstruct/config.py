@@ -11,7 +11,6 @@ before the command reads a dataset or writes a file.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
@@ -22,21 +21,9 @@ from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import ParseError, _check_keys, _get, kernel_from_json, pi_from_json, scheme_from_json
+from .modelio import (ParseError, _at, _check_keys, _get, kernel_from_json, pi_from_json,
+                      scheme_from_json)
 from .parts import PartDistribution, PartScheme, Uniform, Weighted
-
-
-@contextmanager
-def _at(path: str):
-    """Re-raise a ``ValueError`` or ``TypeError`` from building a value of the
-    config as a ``ParseError`` naming the key ``path``. Every conversion and
-    constructor call on config values runs inside one."""
-    try:
-        yield
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{path}: {e}") from None
 
 
 def _decode(codec, doc, key, name, *args):

@@ -13,7 +13,10 @@ linear kernel counts matching positions and the squared distance inside the
 Gaussian is twice the number of mismatches. Gram, cross and prepared-anchor
 matrices all come from ``_matrix``, vectorized over the stacked parts or
 inputs of ``parts.stack_objects``; strings stack as character codes and are
-compared by match counts. ``kernel_eval`` is the scalar form.
+compared by match counts. The Gaussian is worked in place in the matrix of
+inner products (``part_kernel_matrix``): one array of the matrix's size
+plus one temporary, the sum of the two norm vectors. ``kernel_eval`` is the
+scalar form.
 """
 
 from __future__ import annotations
@@ -215,14 +218,19 @@ def part_kernel_matrix(kernel: PartKernel, A: np.ndarray, B: np.ndarray) -> np.n
     if isinstance(kernel, LinearParts):
         return _code_matches(A, B) if codes else A @ B.T
     if isinstance(kernel, GaussianParts):
+        # K becomes minus the squared distances in place: a query block's K is
+        # the largest array of a decode
         if codes:
-            K = 2.0 * (A.shape[1] - _code_matches(A, B))  # twice the mismatch count
+            K = _code_matches(A, B)
+            K -= A.shape[1]
+            K *= 2.0  # minus twice the mismatch count
         else:
             na = np.einsum("ij,ij->i", A, A)
             nb = np.einsum("ij,ij->i", B, B)
-            K = na[:, None] + nb[None, :] - 2.0 * (A @ B.T)  # squared distances
-            np.clip(K, 0.0, None, out=K)
-        np.negative(K, out=K)  # in place: a query batch's K can be the largest array
+            K = A @ B.T
+            K *= 2.0
+            np.subtract(K, na[:, None] + nb[None, :], out=K)
+            np.minimum(K, 0.0, out=K)
         K /= 2.0 * kernel.sigma**2
         return np.exp(K, out=K)
     raise TypeError(f"unknown part kernel {kernel!r}")

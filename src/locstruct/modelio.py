@@ -11,6 +11,7 @@ factorization, which is recomputed deterministically on load.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,19 @@ def read_json(path) -> dict:
     return doc
 
 
+@contextmanager
+def _at(path: str):
+    """Re-raise a ``ValueError`` or ``TypeError`` from building a value of a
+    config or model document as a ``ParseError`` naming the key ``path``.
+    Every conversion and constructor call on such values runs inside one."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _get(d, key, path):
     if not isinstance(d, dict):
         raise ParseError(f"{path}: expected an object")
@@ -282,7 +296,9 @@ def load_model(path) -> AlphaModel:
 
     The factorization is not persisted; it is recomputed from the stored
     anchors, so a loaded model reproduces the original's weights up to
-    factorization determinism.
+    factorization determinism. A bad kernel, scheme, input, sample or
+    ``lambda`` value is a ``ParseError`` naming its key, raised before the
+    refit; a version this build cannot read is an ``UnsupportedVersionError``.
     """
     doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:
@@ -293,12 +309,29 @@ def load_model(path) -> AlphaModel:
         )
     _check_keys(doc, {"format", "version", "kernel", "lambda", "scheme", "inputs", "samples"},
                 path=str(path))
-    kernel = kernel_from_json(doc["kernel"])
-    scheme = scheme_from_json(doc["scheme"])
-    inputs = [decode_value(v) for v in doc["inputs"]]
-    aux = []
-    for i, s in enumerate(doc["samples"]):
-        _check_keys(s, {"chi", "p", "eta"}, path=f"samples[{i}]")
-        aux.append(AuxiliarySample(chi_ref=int(s["chi"]), p=int(s["p"]),
-                                   eta=decode_value(s["eta"])))
-    return fit_alpha(inputs, aux, kernel, float(doc["lambda"]), scheme)
+    where = f"{path}: "
+    with _at(f"{where}kernel"):
+        kernel = kernel_from_json(doc["kernel"], f"{where}kernel")
+    if not isinstance(kernel, KernelSpec):
+        raise ParseError(f"{where}kernel: expected a restriction, gaussian_global or sum kernel")
+    with _at(f"{where}scheme"):
+        scheme = scheme_from_json(doc["scheme"], f"{where}scheme")
+    with _at(f"{where}lambda"):
+        lam = float(doc["lambda"])
+    if not lam > 0:
+        raise ParseError(f"{where}lambda: must be positive")
+    with _at(f"{where}inputs"):
+        inputs = [decode_value(v) for v in doc["inputs"]]
+    samples = doc["samples"]
+    if not (isinstance(samples, list) and samples and all(isinstance(s, dict) for s in samples)):
+        raise ParseError(f"{where}samples: expected a non-empty list of objects")
+    for i, s in enumerate(samples):
+        key = f"{where}samples[{i}]"
+        _check_keys(s, {"chi", "p", "eta"}, path=key)
+        for name, bound in (("chi", len(inputs)), ("p", scheme.num_parts)):
+            v = s[name]
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+                raise ParseError(f"{key}.{name}: expected an integer in [0, {bound})")
+    with _at(f"{where}samples"):
+        aux = [AuxiliarySample(s["chi"], s["p"], decode_value(s["eta"])) for s in samples]
+    return fit_alpha(inputs, aux, kernel, lam, scheme)

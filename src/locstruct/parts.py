@@ -7,8 +7,8 @@ problem share the same scheme, so the same object describes both sides.
 
 Where each part sits is decided once per scheme (``index_map``), so a gather
 from objects stacked by ``stack_objects`` is one fancy index and a scatter
-back is one ``np.add.at``; ``extract_part`` is the scalar selection and
-``part_values`` its batched form.
+back is one fancy-index add per part; ``extract_part`` is the scalar
+selection and ``part_values`` its batched form.
 """
 
 from __future__ import annotations
@@ -262,12 +262,15 @@ def part_values(objs, scheme: PartScheme, rows, parts) -> list:
 def scatter_parts(V: np.ndarray, scheme: PartScheme, parts) -> np.ndarray:
     """Sum flat part values ``V`` of shape (n, len(parts), width) into
     (n, channels * size) objects, the adjoint of ``gather_parts``. One
-    ``np.add.at`` through the index map, so every coordinate adds its parts
-    in the order of ``parts``, starting from zero."""
+    fancy-index add per part through the index map, whose row for a part
+    never repeats a position, so every coordinate adds its parts in the
+    order of ``parts``, starting from zero."""
     n, _, width = V.shape
     channels = width // index_map(scheme).shape[1]
+    J = index_map(scheme, channels)
     out = np.zeros((n, channels * math.prod(scheme.shape)))
-    np.add.at(out, (slice(None), index_map(scheme, channels)[parts]), V)
+    for k, p in enumerate(check_parts(scheme, parts).tolist()):
+        out[:, J[p]] += V[:, k]
     return out
 
 

@@ -10,7 +10,11 @@ The solve follows the kernel's structure. When the pair kernel has an
 explicit feature map ``K = F F^T`` with ``F`` of shape (m, d) and ``d < m``
 (a linear restriction kernel on fixed-shape numeric parts), only the d x d
 system ``F^T F + m lambda I`` is factored and the m x m Gram is never
-built; otherwise the dense m x m system is factored.
+built; otherwise the dense m x m system is factored. A system matrix the
+fit builds itself is factored in its own memory; a Gram passed in is copied.
+The dense readout of a decode streams its queries in blocks of at most
+``READOUT_BLOCK_BYTES`` of cross matrix, so its memory does not grow with
+the number of queries.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from .parts import (
 )
 
 log = logging.getLogger(__name__)
+
+
+# bytes of one block of the dense readout's cross matrix: about one core's L2
+READOUT_BLOCK_BYTES = 2 << 20
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -176,10 +184,23 @@ class AlphaModel:
 
     def readout(self, R: np.ndarray, xs, parts) -> np.ndarray:
         """Alpha-weighted sums in the columns of ``alphas(xs, parts)``, shape
-        (c, len(xs) * len(parts)), from weights made by ``readout_weights``."""
-        if self.features is None:
-            return R.T @ self.prepared_anchors.cross(xs, parts)
-        return R.T @ self.prepared_anchors.query_features(xs, parts).T
+        (c, len(xs) * len(parts)), from weights made by ``readout_weights``.
+
+        Without features the queries are read out in blocks of inputs whose
+        cross matrix, m x (block * len(parts)), fits ``READOUT_BLOCK_BYTES``
+        (one input per block when a single one does not), each block's
+        ``R.T @ cross`` written straight into the output: the memory of a
+        decode does not grow with the number of queries."""
+        if self.features is not None:
+            return R.T @ self.prepared_anchors.query_features(xs, parts).T
+        xs = list(xs)
+        P = len(parts)
+        block = max(1, READOUT_BLOCK_BYTES // (8 * self.m * P))
+        S = np.empty((R.shape[1], len(xs) * P))
+        for i in range(0, len(xs), block):
+            C = self.prepared_anchors.cross(xs[i:i + block], parts)
+            np.matmul(R.T, C, out=S[:, i * P:i * P + C.shape[1]])
+        return S
 
 
 def _prepare(kernel: KernelSpec, inputs: tuple, aux: tuple, scheme: PartScheme) -> PreparedAnchors:
@@ -207,25 +228,38 @@ def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
     return E
 
 
-def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None):
+def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None,
+                   overwrite: bool = False):
     """Cholesky of K + shift*I with diagonal jitter escalation on failure.
 
     Jitter starts at ``1e-12 * scale`` and grows tenfold up to ``1e-6 *
     scale``. ``scale`` defaults to the mean diagonal of ``K``; the
     feature-space solve passes ``trace(K) / m`` of the full kernel matrix so
     that a jitter means the same on both paths.
+
+    The factor is computed in a column-major copy of ``K``, or with
+    ``overwrite`` in the memory of ``K`` itself, which must then be exactly
+    symmetric: ``K.T`` is factored, so LAPACK writes the factor over the
+    upper triangle of a row-major ``K`` and leaves its lower one intact.
+    A failed attempt is undone from that intact triangle and a saved
+    diagonal, so every attempt, and the factor, equals the copying path's.
     """
     m = K.shape[0]
     if scale is None:
         scale = np.trace(K) / m
     base = 1e-12 * scale
+    A = K.T if overwrite else K.copy(order="F")
+    diag = K.diagonal().copy()
+    on_diag = np.diag_indices(m)
     jitter = 0.0
     while True:
-        A = K.copy()
-        A.flat[:: m + 1] += shift + jitter
+        A[on_diag] = diag + (shift + jitter)
         try:
             return cho_factor(A, lower=True, overwrite_a=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
+            below = np.tril_indices(m, -1)
+            A[below] = K[below]  # never written by the factor
+            A[on_diag] = diag
             if jitter == 0.0:
                 jitter = base if base > 0 else 1e-12
             else:
@@ -263,7 +297,8 @@ def fit_alpha(
         Regularization, strictly positive; the system matrix is
         ``K + len(aux) * lam * I``.
     gram : GramMatrix, optional
-        Precomputed Gram over the anchors. Passing one forces the dense
+        Precomputed Gram over the anchors, factored in a copy, so one Gram
+        can serve fits at several lambdas. Passing one forces the dense
         m x m solve.
 
     Raises
@@ -289,15 +324,16 @@ def fit_alpha(
     F = prepared.features if gram is None else None
     if F is not None and F.shape[1] < m:
         G = F.T @ F
-        factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m)
+        factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m, overwrite=True)
     else:
         F = None
-        if gram is None:
+        own = gram is None
+        if own:
             gram = gram_matrix(kernel, prepared, scheme)
         K = np.asarray(gram.entries, dtype=float)
         if not np.isfinite(K).all():
             raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
-        factor, jitter = _factor_system(K, m * lam)
+        factor, jitter = _factor_system(K, m * lam, overwrite=own)
     if jitter:
         log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
     return AlphaModel(

@@ -17,13 +17,19 @@ from locstruct.bench import (
     noiseless_targets,
     run_estimator_comparison,
     run_learning_curve,
+    _TASK_ANGULAR_AUX,
+    _angular_path,
+    _cell_rng,
     _local_path,
     _ls_path,
     _psd_factor,
     _ridge,
 )
+from locstruct.decoder import AngularDecoder
+from locstruct.kernels import GaussianParts, Restriction
 from locstruct.losses import ANGULAR_SIN_SQ, structured_loss
 from locstruct.parts import Uniform, VectorBlocks
+from locstruct.training import fit_alpha, generate_auxiliary
 
 
 def _cfg(**kw):
@@ -210,6 +216,21 @@ class TestAngularTask:
         pi = Uniform(scheme.num_parts)
         for y in Y:
             assert structured_loss(ANGULAR_SIN_SQ, y, y, None, scheme, pi) == 0.0
+
+    def test_shared_gram_path_equals_a_fit_per_lambda(self):
+        """The path builds the anchors' Gram once and passes it to every
+        lambda's fit; each predictor decodes exactly as a fit that builds
+        its own Gram."""
+        X, Y = gen_orientation_fields(3, ANG.grid_size, ANG.freq_cutoff, ANG.input_noise,
+                                      np.random.default_rng(2))
+        scheme = ANG.scheme()
+        pi = Uniform(scheme.num_parts)
+        aux = generate_auxiliary(list(zip(X, Y)), min(ANG.m, 3 * scheme.num_parts), scheme, pi,
+                                 _cell_rng(5, _TASK_ANGULAR_AUX, 3, 1))
+        fit = _angular_path(ANG, 5, 3, 1)(X, Y)
+        for lam in ANG.lambda_grid:
+            model = fit_alpha(list(X), aux, Restriction(GaussianParts(ANG.bandwidth)), lam, scheme)
+            assert np.array_equal(fit(lam)(X), AngularDecoder(model, pi).decode_batch(X))
 
     def test_curve_monotone_in_n(self):
         res = run_learning_curve("synthetic_angular", [2, 10], ANG, repeats=20)

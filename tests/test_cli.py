@@ -300,7 +300,65 @@ def vector_model(tmp_path_factory):
     return ds, d / "model.json"
 
 
+def _set(*keys, value):
+    """A model-document edit that sets the value at ``keys``."""
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+# an edit that makes a trained model document bad, and the error kind it gives
+BAD_MODELS = {
+    "negative_sigma": (_set("kernel", "base", "sigma", value=-1), "parse"),
+    "part_kernel": (_set("kernel", value={"kind": "linear"}), "parse"),
+    "zero_block_dim": (_set("scheme", "block_dim", value=0), "parse"),
+    "negative_lambda": (_set("lambda", value=-1), "parse"),
+    "lambda_not_a_number": (_set("lambda", value="abc"), "parse"),
+    "sample_input_out_of_range": (_set("samples", 0, "chi", value=6), "parse"),
+    "negative_sample_input": (_set("samples", 0, "chi", value=-1), "parse"),
+    "sample_part_out_of_range": (_set("samples", 0, "p", value=3), "parse"),
+    "no_samples": (_set("samples", value=[]), "parse"),
+    "version_99": (_set("version", value=99), "unsupported_version"),
+}
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("edit,kind", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+    def test_bad_model_file_fails_before_decoding(self, tmp_path, capsys, vector_model,
+                                                  edit, kind):
+        ds, model = vector_model
+        doc = json.loads(model.read_text())
+        edit(doc)
+        out = tmp_path / "out"
+        cfg = _write_json(tmp_path / "p.json", {
+            "model": _write_json(tmp_path / "model.json", doc), "dataset": str(ds),
+            "loss": "squared_vector", "decoder": {"method": "least_squares"}})
+        capsys.readouterr()
+        assert run_command(["predict", "--config", cfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == kind
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_exact_budget_below_the_models_table(self, tmp_path, capsys):
+        ds = tmp_path / "train.jsonl"
+        write_dataset(ds, [("abcab", "bcabc"), ("cabca", "abcab"), ("bbaac", "ccbba")])
+        cfg = _write_json(tmp_path / "train.json", {
+            "seed": 2, "dataset": str(ds), "scheme": {"kind": "sequence_windows", "k": 5, "l": 2},
+            "kernel": KERNEL_JSON, "lambda": 1e-3, "m": 12})
+        model = tmp_path / "model"
+        assert run_command(["train", "--config", cfg, "--out", str(model)]) == 0
+        out = tmp_path / "out"
+        pcfg = _write_json(tmp_path / "pred.json", {
+            "model": str(model / "model.json"), "dataset": str(ds), "loss": "zero_one_window",
+            "decoder": {"method": "exact", "budget": 10, "alphabet": "abc"}})
+        capsys.readouterr()
+        assert run_command(["predict", "--config", pcfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "parse"
+        assert "36" in err["message"] and "10" in err["message"]  # 4 windows x 3^2 values
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,change", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_parse_error_without_artefacts(self, tmp_path, capsys, vector_model, command, change):
         ds, model = vector_model

@@ -237,10 +237,11 @@ def seq_model(train, lam=1e-3, window=1, kernel=Restriction(GaussianParts(1.0)))
 
 def brute_force_argmin(model, x, loss, pi, alphabet):
     """Independent recomputation of the decoding objective: anchor-major loop
-    order and its own window slicing, with the decoder's tie slack."""
+    order and its own window slicing, with the decoder's tie rule: the first
+    output, in lexicographic order, within the tie slack of the minimum."""
     scheme = model.scheme
     weights = part_weights(pi, scheme.num_parts)
-    best, best_obj = None, math.inf
+    objs = {}
     for cand in itertools.product(sorted(alphabet), repeat=scheme.seq_len):
         z = "".join(cand) if isinstance(cand[0], str) else cand
         obj = 0.0
@@ -248,9 +249,9 @@ def brute_force_argmin(model, x, loss, pi, alphabet):
             for p in range(scheme.num_parts):
                 a = alpha_at(model, x, p)[j]
                 obj += a * weights[p] * part_loss(loss, z[p : p + scheme.window_len], s.eta)
-        if best is None or obj < best_obj - 1e-9 * (1.0 + abs(best_obj)):
-            best, best_obj = z, obj
-    return best
+        objs[z] = obj
+    low = min(objs.values())
+    return next(z for z, obj in objs.items() if obj <= low + 1e-9 * (1.0 + abs(low)))
 
 
 def position_vote(model, x, alphabet):

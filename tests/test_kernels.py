@@ -15,6 +15,7 @@ from locstruct.kernels import (
     kernel_eval,
     kernel_sup,
     part_kernel_eval,
+    part_kernel_matrix,
 )
 from locstruct.parts import (
     GridPatches,
@@ -251,6 +252,43 @@ def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     want = oracle(anchors, queries)
     assert_close(cross_matrix(spec, anchors, queries, scheme), want)
     assert_close(PreparedAnchors(spec, anchors, scheme).cross(xs, parts), want)
+
+
+def _gaussian_formula(A, B, sigma):
+    """The Gaussian written out: exp(-clip(na + nb - 2 A B^T, 0) / (2 sigma^2))."""
+    na = np.einsum("ij,ij->i", A, A)
+    nb = np.einsum("ij,ij->i", B, B)
+    return np.exp(-np.clip(na[:, None] + nb[None, :] - 2.0 * (A @ B.T), 0.0, None)
+                  / (2.0 * sigma**2))
+
+
+class TestGaussianMatrix:
+    """The in-place Gaussian equals the written-out formula bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), sigma=st.floats(0.1, 10.0), gram=st.booleans())
+    def test_floats(self, data, sigma, gram):
+        d = data.draw(st.integers(1, 5))
+        rows = lambda: data.draw(arrays(float, (data.draw(st.integers(1, 6)), d),
+                                        elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        A = rows()
+        B = A if gram else rows()
+        got = part_kernel_matrix(GaussianParts(sigma), A, B)
+        assert np.array_equal(got, _gaussian_formula(A, B, sigma))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), sigma=st.floats(0.1, 10.0))
+    def test_string_codes_compare_as_one_hot(self, data, sigma):
+        l = data.draw(st.integers(1, 5))
+        text = st.text(alphabet="ab\u03b2\x00", min_size=l, max_size=l)
+        a = data.draw(st.lists(text, min_size=1, max_size=5))
+        b = data.draw(st.lists(text, min_size=1, max_size=5))
+        scheme = SequenceWindows(l, l)
+        symbols = sorted(set("".join(a + b)))
+        hot = lambda ss: np.array([[float(c == s) for c in x for s in symbols] for x in ss])
+        got = part_kernel_matrix(GaussianParts(sigma), stack_objects(a, scheme),
+                                 stack_objects(b, scheme))
+        assert np.array_equal(got, _gaussian_formula(hot(a), hot(b), sigma))
 
 
 def test_gram_diagonal_within_kernel_sup():

@@ -16,6 +16,7 @@ from locstruct.parts import (
     cover_counts,
     extract_part,
     gather_parts,
+    index_map,
     part_cdf,
     part_distance,
     part_values,
@@ -303,6 +304,21 @@ class TestIndexMap:
                              elements=st.floats(-1e3, 1e3, allow_nan=False)))
         got = scatter_parts(V, scheme, parts)
         assert np.array_equal(got, _scatter_oracle(V, scheme, parts, lead))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_scatter_equals_add_at(self, data):
+        """Bit for bit the single unbuffered ``np.add.at`` through the index
+        map, repeated parts included: each coordinate adds its parts in order."""
+        scheme, _, lead = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
+        parts = data.draw(st.lists(st.integers(0, scheme.num_parts - 1), min_size=1, max_size=8))
+        channels = int(np.prod(lead, dtype=int))
+        J = index_map(scheme, channels)
+        V = data.draw(arrays(float, (3, len(parts), J.shape[1]),
+                             elements=st.floats(-1e6, 1e6, allow_nan=False)))
+        want = np.zeros((3, channels * int(np.prod(scheme.shape))))
+        np.add.at(want, (slice(None), J[parts]), V)
+        assert np.array_equal(scatter_parts(V, scheme, parts), want)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

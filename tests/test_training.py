@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor
 
 from locstruct.kernels import (
     GaussianGlobal,
     GaussianParts,
     LinearParts,
+    PreparedAnchors,
     Restriction,
     SumKernel,
     gram_matrix,
 )
+from locstruct import training
 from locstruct.parts import (
     GridPatches,
     SequenceWindows,
@@ -309,6 +314,111 @@ class TestFitAlpha:
     def test_indefinite_system_raises_with_condition_estimate(self):
         with pytest.raises(FactorizationError, match="condition"):
             _factor_system(-np.eye(3), 0.0)
+        K = -np.eye(3) + 0.5 * np.ones((3, 3))
+        before = K.copy()
+        with pytest.raises(FactorizationError, match="condition"):
+            _factor_system(K, 0.0, overwrite=True)
+        assert np.array_equal(K, before)  # every failed attempt is undone
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(2, 12), dip=st.floats(1e-14, 1e-10), seed=st.integers(0, 2**16))
+    def test_retries_equal_fresh_copies(self, m, dip, seed):
+        """An exactly symmetric K with a slightly negative eigenvalue needs
+        one or more jitter retries. In place or on a copy, the factor and
+        the jitter are those of factoring a fresh copy at each attempt."""
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+        w = np.linspace(1.0, 2.0, m)
+        w[0] = -dip
+        K = (Q * w) @ Q.T
+        K = K + K.T  # exactly symmetric
+        want = _escalate_on_copies(K, 0.0)
+        for overwrite in (False, True):
+            if want is None:
+                with pytest.raises(FactorizationError):
+                    _factor_system(K, 0.0, overwrite=overwrite)
+                continue
+            (c, lower), jitter = _factor_system(K.copy(), 0.0, overwrite=overwrite)
+            assert jitter > 0 and jitter == want[1]
+            assert lower and np.array_equal(c, want[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(2, 20))
+    def test_own_gram_retry_equals_passed_gram(self, seed, m):
+        """Anchors 0 and 1 coincide, so at a negligible lambda the Gram is
+        singular and the fit retries with jitter: the fit that factors its
+        own Gram in place equals the one that copies a passed Gram, and
+        both equal factoring fresh copies."""
+        rng = np.random.default_rng(seed)
+        train = _train_set(rng, 3)
+        aux = generate_auxiliary(train, m, SCHEME, Uniform(3), rng)
+        aux[1] = aux[0]
+        inputs = [x for x, _ in train]
+        lam = 1e-30
+        own = fit_alpha(inputs, aux, GAUSS, lam, SCHEME)
+        gram = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
+        want = _escalate_on_copies(gram.entries, m * lam)
+        passed = fit_alpha(inputs, aux, GAUSS, lam, SCHEME, gram=gram)
+        assert np.array_equal(gram.entries, gram.entries.T)  # a passed Gram is not written
+        assert own.jitter > 0 and own.jitter == passed.jitter == want[1]
+        assert np.array_equal(own.factor[0], want[0])
+        assert np.array_equal(passed.factor[0], want[0])
+
+
+def _escalate_on_copies(K, shift):
+    """``_factor_system``'s jitter escalation with a fresh ``K + (shift +
+    jitter) I`` per attempt: (factor, jitter), or None when it gives up."""
+    m = K.shape[0]
+    scale = np.trace(K) / m
+    jitter = 0.0
+    while jitter <= 1e-6 * scale:
+        try:
+            return cho_factor(K + (shift + jitter) * np.eye(m), lower=True)[0], jitter
+        except np.linalg.LinAlgError:
+            jitter = jitter * 10.0 if jitter else 1e-12 * scale
+    return None
+
+
+class TestBlockedReadout:
+    """The dense readout in blocks of queries against one ``R.T @ cross``.
+    Integer parts and weights keep every sum exact, so any summation order
+    gives the same bits and the test sees only the blocking."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_equal_one_product(self, data):
+        m = data.draw(st.integers(1, 12))
+        parts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        per_input = 8 * m * len(parts)
+        block = data.draw(st.integers(1, 4))
+        n = data.draw(st.sampled_from(sorted({1, max(1, block - 1), block, block + 1,
+                                              2 * block + 1})))
+        # a budget under one input's cross matrix reads one input per block
+        budget = data.draw(st.one_of(st.just(per_input * block),
+                                     st.integers(1, per_input - 1)))
+        ints = arrays(float, (6,), elements=st.integers(-3, 3))
+        inputs = data.draw(st.lists(ints, min_size=1, max_size=4))
+        aux = [AuxiliarySample(data.draw(st.integers(0, len(inputs) - 1)),
+                               data.draw(st.integers(0, 2)), np.zeros(2)) for _ in range(m)]
+        # a passed Gram forces the dense path a linear kernel would skip
+        gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
+        model = fit_alpha(inputs, aux, LINEAR, 1.0, SCHEME, gram=gram)
+        R = data.draw(arrays(float, (m, data.draw(st.integers(1, 3))),
+                             elements=st.integers(-5, 5)))
+        xs = data.draw(st.lists(ints, min_size=n, max_size=n))
+
+        cross = PreparedAnchors.cross
+        widths = []
+
+        def spy(self, block_xs, block_parts):
+            widths.append(len(block_xs))
+            return cross(self, block_xs, block_parts)
+
+        with mock.patch.object(training, "READOUT_BLOCK_BYTES", budget), \
+                mock.patch.object(PreparedAnchors, "cross", spy):
+            got = model.readout(R, xs, parts)
+        assert np.array_equal(got, R.T @ model.prepared_anchors.cross(xs, parts))
+        assert sum(widths) == n
+        assert max(widths) == min(n, max(1, budget // per_input))
 
 
 class TestAlphaAt:
