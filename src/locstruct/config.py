@@ -21,8 +21,8 @@ from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import (ParseError, _at, _check_keys, _get, kernel_from_json, pi_from_json,
-                      scheme_from_json)
+from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, kernel_from_json,
+                      pi_from_json, scheme_from_json)
 from .parts import PartDistribution, PartScheme, Uniform, Weighted
 
 
@@ -33,10 +33,11 @@ def _decode(codec, doc, key, name, *args):
         return codec(doc[key], *args, path)
 
 
-def _int(doc, key, name, low=1):
-    v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < low:
-        raise ParseError(f"{name}.{key}: expected an integer >= {low}")
+def _integer(v) -> int:
+    """A count of a bench stanza as written: a JSON integer, never a
+    converted float, string or boolean."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"expected an integer, got {v!r}")
     return v
 
 
@@ -64,7 +65,7 @@ def _fields(doc, convs, name) -> dict:
 
 def _n_grid(doc, name) -> tuple:
     with _at(f"{name}.n_train"):
-        grid = _values(doc["n_train"], int)
+        grid = _values(doc["n_train"], _integer)
     if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParseError(f"{name}.n_train: expected ascending sizes >= 1")
     return grid
@@ -147,11 +148,12 @@ def _method(spec, loss: LossSpec, path: str):
         need = SQUARED_VECTOR if kind == "least_squares" else ANGULAR_SIN_SQ
         if loss != need:
             raise ParseError(f"predict.loss: the {kind} decoder needs the {need.kind} loss")
-        return ClosedForm(normalize=bool(spec.get("normalize", True)))
+        return ClosedForm(normalize=_flag(spec, "normalize", path, True))
     if kind == "exact":
         _check_keys(spec, {"method", "budget", "alphabet"}, path)
         with _at(path):
-            method = ExactEnumeration(budget=int(spec["budget"]), alphabet=tuple(spec["alphabet"]))
+            method = ExactEnumeration(budget=_int(spec, "budget", path),
+                                      alphabet=tuple(spec["alphabet"]))
         if isinstance(method.alphabet[0], str) and loss != ZERO_ONE_WINDOW:
             raise ParseError("predict.loss: a string alphabet needs the zero_one_window loss")
         return method
@@ -165,11 +167,11 @@ def _method(spec, loss: LossSpec, path: str):
         projection = None if pspec is None else _projection(pspec, f"{path}.projection")
         with _at(path):
             return SGM(
-                iterations=int(spec["iterations"]),
+                iterations=_int(spec, "iterations", path),
                 rng=None,
                 step_c=float(spec["step_c"]) if "step_c" in spec else None,
                 projection=projection,
-                average_tail=bool(spec.get("average_tail", True)),
+                average_tail=_flag(spec, "average_tail", path, True),
             )
     raise ParseError(f"{path}.method: unknown method {kind!r}")
 
@@ -222,7 +224,7 @@ def parse_diagnose(doc: dict) -> DiagnoseConfig:
         dataset=str(doc["dataset"]),
         scheme=_decode(scheme_from_json, doc, "scheme", "diagnose"),
         similarity=similarity,
-        annotate=bool(doc.get("annotate", False)),
+        annotate=_flag(doc, "annotate", "diagnose", False),
         subsample_pairs=subsample,
         seed=_int(doc, "seed", "diagnose", 0) if "seed" in doc else None,
     )
@@ -240,8 +242,10 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
                       *_SYNTHETIC_FIELDS}, name, optional=_SYNTHETIC_FIELDS.keys())
     n_grid = _n_grid(doc, name)
     curve = isinstance(doc["n_train"], list)
+    with _at(f"{name}.num_parts"):
+        parts = _values(doc["num_parts"], _integer)
     with _at(name):
-        parts, gammas = _values(doc["num_parts"], int), _values(doc["gamma"], float)
+        gammas = _values(doc["gamma"], float)
         if curve and (len(parts) > 1 or len(gammas) > 1):
             raise ParseError(f"{name}: an n_train grid needs scalar num_parts and gamma")
         cfg = SyntheticConfig(num_parts=parts[0], block_dim=_int(doc, "block_dim", name),
@@ -253,8 +257,9 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
     return cfg, (parts, gammas, n_grid if curve else None), _int(doc, "repeats", name)
 
 
-_ANGULAR_FIELDS = {"grid_size": int, "patch": int, "stride": int, "bandwidth": float, "m": int,
-                   "n_test": int, "input_noise": float, "freq_cutoff": int, "lambda_grid": _floats}
+_ANGULAR_FIELDS = {"grid_size": _integer, "patch": _integer, "stride": _integer,
+                   "bandwidth": float, "m": _integer, "n_test": _integer, "input_noise": float,
+                   "freq_cutoff": _integer, "lambda_grid": _floats}
 
 
 def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:

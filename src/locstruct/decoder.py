@@ -8,7 +8,10 @@ part-loss objective
 over the output space. Depending on the loss this is done exactly over a
 finite alphabet by dynamic programming over windows, by a closed form
 (weighted means for the squared loss, a resultant-angle formula for the
-angular loss), or by a projected stochastic subgradient loop.
+angular loss), or by a projected stochastic subgradient loop. The exact
+and closed-form decoders read their alpha-weighted sums out of readout
+weights ``(K + m lambda I)^{-1} E`` that the model keeps per output table
+``E``, so no query solves the m x m system.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .kernels import kernel_sup
-from .losses import LossSpec, part_losses
+from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, LossSpec, part_losses
 from .parts import (
     SequenceWindows,
     ShapeMismatchError,
@@ -87,7 +90,8 @@ class BoxProjection:
 
 @dataclass(frozen=True)
 class AngleWrap:
-    """Wrap every coordinate to [-pi, pi)."""
+    """Wrap every coordinate to [-pi, pi); a value just below -pi, which
+    rounds to 2 pi - pi, is put on the seam at -pi."""
 
 
 Projection = Union[BoxProjection, AngleWrap, None]
@@ -127,13 +131,20 @@ class DecodeRequest:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _project(z: np.ndarray, proj: Projection) -> np.ndarray:
+def _project(z: np.ndarray, proj: Projection, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``z`` projected, into ``out`` when given. Every projection is a bitwise
+    fixed point on its own outputs, so projecting again changes nothing."""
     if proj is None:
         return z
     if isinstance(proj, BoxProjection):
-        return np.clip(z, proj.lo, proj.hi)
+        return np.clip(z, proj.lo, proj.hi, out=out)
     if isinstance(proj, AngleWrap):
-        return (z + np.pi) % (2.0 * np.pi) - np.pi
+        w = np.add(z, np.pi, out=out)
+        np.remainder(w, 2.0 * np.pi, out=w)
+        w -= np.pi
+        # a value just below -pi wraps to 2 pi - pi by rounding: the seam is -pi
+        w[w >= np.pi] = -np.pi
+        return w
     raise TypeError(f"unknown projection {proj!r}")
 
 
@@ -196,11 +207,15 @@ def decode_exact(req: DecodeRequest):
 
     With window length ``l`` the objective is ``sum_p w_p c_p(z[p:p+l])``,
     where the cost table ``c_p(u) = sum_j alpha_j(x, p) L(u, eta_j)`` holds
-    every window value ``u`` (anchors summed in order, so each entry equals a
-    scalar loop's). A min-sum dynamic program over the last ``l - 1``
+    every window value ``u``. The table is a readout: with ``R = (K + m
+    lambda I)^{-1} L`` for the m x |alphabet|^l table ``L`` of window losses
+    against the anchors, ``c_p(u) = k(x, p)^T R[:, u]``. ``R`` depends on the
+    model, the loss and the alphabet only, so it is solved once per model
+    and kept there (``AlphaModel.memo_readout_weights``); a query costs one
+    cross-kernel readout. A min-sum dynamic program over the last ``l - 1``
     symbols (the Viterbi recursion) adds the parts in order, so its minimum
     equals, bit for bit, the least running sum over all |alphabet|^k
-    outputs, in O(num_parts * |alphabet|^l) time.
+    outputs of that cost table, in O(num_parts * |alphabet|^l) time.
 
     Tie rule: the result is the lexicographically smallest output (over the
     sorted alphabet) whose objective lies within ``EXACT_TIE_RTOL * (1 +
@@ -218,7 +233,8 @@ def decode_exact(req: DecodeRequest):
     method = req.method
     if not isinstance(method, ExactEnumeration):
         raise TypeError("decode_exact requires an ExactEnumeration method")
-    scheme = req.model.scheme
+    model = req.model
+    scheme = model.scheme
     if not isinstance(scheme, SequenceWindows):
         raise TypeError("exact decoding is defined for sequence schemes")
     alphabet = sorted(method.alphabet)
@@ -229,18 +245,20 @@ def decode_exact(req: DecodeRequest):
     text = isinstance(alphabet[0], str)
     if text and req.loss.kind != "zero_one_window":
         raise ValueError(f"loss {req.loss.kind!r} needs a numeric alphabet")
+    if model.etas.shape[1:] != (l,):
+        raise ShapeMismatchError(f"anchor output parts of shape {model.etas.shape[1:]} are "
+                                 f"not windows of length {l}")
+    weights = part_weights(req.pi, P)
 
-    # cost table: window values in lexicographic order against every anchor
-    codes = stack_objects(["".join(alphabet) if text else alphabet], SequenceWindows(s, s))[0]
-    windows = codes[np.indices((s,) * l).reshape(l, U).T]  # (U, l)
-    etas = req.model.etas  # (m, l)
-    if etas.shape[1:] != (l,):
-        raise ShapeMismatchError(f"anchor output parts of shape {etas.shape[1:]} are not "
-                                 f"windows of length {l}")
-    L = part_losses(req.loss, windows[None], etas[:, None])  # (m, U)
-    A = alpha_at_parts(req.model, req.x, range(P))  # (m, P)
-    terms = A[:, :, None] * L[:, None, :]
-    cost = part_weights(req.pi, P)[:, None] * np.cumsum(terms, axis=0, out=terms)[-1]
+    def losses() -> np.ndarray:
+        """Window values in lexicographic order against every anchor: (m, U)."""
+        codes = stack_objects(["".join(alphabet) if text else alphabet],
+                              SequenceWindows(s, s))[0]
+        windows = codes[np.indices((s,) * l).reshape(l, U).T]  # (U, l)
+        return part_losses(req.loss, windows[None], model.etas[:, None])
+
+    R = model.memo_readout_weights((req.loss.kind, tuple(alphabet)), losses)
+    cost = weights[:, None] * model.readout(R, [req.x], np.arange(P)).T  # (P, U)
 
     # window u = (prefix of l - 1 symbols) * s + last symbol; the next window
     # keeps the last l - 1 symbols, so u's successors are (u % q) * s + b
@@ -252,7 +270,7 @@ def decode_exact(req: DecodeRequest):
         ahead = np.repeat(ahead.reshape(s, q).min(axis=0), s) + cost[p]
     togo = np.zeros((P, U))  # least cost of parts p + 1, ... given window p
     for p in range(P - 1, 0, -1):
-        togo[p - 1] = np.tile((togo[p] + cost[p]).reshape(q, s).min(axis=1), s)
+        togo[p - 1].reshape(s, q)[:] = (togo[p] + cost[p]).reshape(q, s).min(axis=1)
 
     low = ahead.min()
     bound = low + EXACT_TIE_RTOL * (1.0 + abs(low))
@@ -291,9 +309,9 @@ class LeastSquaresDecoder:
         self.weights = _positive_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
         H, self.canvas = _eta_matrix(model)
-        ones = np.ones((model.m, 1))
         # the readout yields (sum_j alpha_j eta_j, sum_j alpha_j) per query
-        self._readout = model.readout_weights(np.hstack([H, ones]))
+        self._readout = model.memo_readout_weights(
+            (SQUARED_VECTOR.kind,), lambda: np.hstack([H, np.ones((model.m, 1))]))
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
@@ -341,7 +359,8 @@ class AngularDecoder:
         self.model = model
         self.weights = _positive_weights(pi, model.scheme.num_parts)
         H, self.canvas = _eta_matrix(model)
-        self._readout = model.readout_weights(np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
+        self._readout = model.memo_readout_weights(
+            (ANGULAR_SIN_SQ.kind,), lambda: np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
@@ -374,12 +393,19 @@ def decode_angular(req: DecodeRequest) -> np.ndarray:
 # Stochastic subgradient meta-algorithm
 # ---------------------------------------------------------------------------
 
-def _part_subgradient(loss: LossSpec, z_part: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _part_subgradient(loss: LossSpec, z_part: np.ndarray, eta: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """Subgradient of ``L(., eta)`` at ``z_part``, written into ``out``."""
+    np.subtract(z_part, eta, out=out)
     if loss.kind == "squared_vector":
-        return 2.0 * (z_part - eta)
-    if loss.kind == "angular_sin_sq":
-        return np.sin(2.0 * (z_part - eta)) / z_part.size
-    raise ValueError(f"no subgradient rule for loss {loss.kind!r}")
+        out *= 2.0
+    elif loss.kind == "angular_sin_sq":
+        out *= 2.0
+        np.sin(out, out=out)
+        out /= z_part.size
+    else:
+        raise ValueError(f"no subgradient rule for loss {loss.kind!r}")
+    return out
 
 
 def decode_sgm(req: DecodeRequest) -> np.ndarray:
@@ -438,17 +464,26 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
 
     tail_from = T - math.ceil(T / 2)
     tail_sum = np.zeros_like(z)
+    # per iteration: whether it steps, sign(alpha_j) * A(x, p) and -c / sqrt(t)
+    live = (totals[cols] > 0.0).tolist()
+    scales = np.copysign(totals[cols], alphas[anchors, cols]).tolist()
+    steps = [-(c / math.sqrt(t)) for t in range(1, T + 1)]
+    # a step moves one part's coordinates: gather them, step and project
+    # them in place, scatter them back; the rest of z is already projected
+    patch, grad = np.empty(J.shape[1]), np.empty(J.shape[1])
     stepped = False
-    for t, p, col, j in zip(range(1, T + 1), part_draws.tolist(), cols.tolist(),
-                            anchors.tolist()):
-        A_xp = totals[col]
-        if A_xp > 0.0:
-            g = _part_subgradient(req.loss, z[J[p]], etas[j])
-            u = math.copysign(1.0, alphas[j, col]) * A_xp * g
-            step = c / math.sqrt(t)
-            z[J[p]] += -step * u
-            z = _project(z, projection)
-            stepped = True
+    for t, p, j in zip(range(1, T + 1), part_draws.tolist(), anchors.tolist()):
+        if live[t - 1]:
+            Jp = J[p]
+            z.take(Jp, out=patch)
+            _part_subgradient(req.loss, patch, etas[j], grad)
+            grad *= scales[t - 1]
+            grad *= steps[t - 1]
+            patch += grad
+            z[Jp] = _project(patch, projection, out=patch)
+            if not stepped:  # the start point is projected with the first step
+                z = _project(z, projection)
+                stepped = True
         if t > tail_from:
             tail_sum += z
 

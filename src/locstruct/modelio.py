@@ -81,16 +81,16 @@ def scheme_from_json(d: dict, path="scheme"):
     kind = _get(d, "kind", path)
     if kind == "sequence_windows":
         _check_keys(d, {"kind", "k", "l"}, path)
-        return SequenceWindows(seq_len=int(d["k"]), window_len=int(d["l"]))
+        return SequenceWindows(seq_len=_int(d, "k", path), window_len=_int(d, "l", path))
     if kind == "vector_blocks":
         _check_keys(d, {"kind", "block_dim", "num_blocks"}, path)
-        return VectorBlocks(block_dim=int(d["block_dim"]), num_blocks=int(d["num_blocks"]))
+        return VectorBlocks(block_dim=_int(d, "block_dim", path),
+                            num_blocks=_int(d, "num_blocks", path))
     if kind == "grid_patches":
         _check_keys(d, {"kind", "width", "height", "patch_w", "patch_h", "stride", "circular"},
                     path, optional={"circular"})
-        return GridPatches(width=int(d["width"]), height=int(d["height"]),
-                           patch_w=int(d["patch_w"]), patch_h=int(d["patch_h"]),
-                           stride=int(d["stride"]), circular=bool(d.get("circular", False)))
+        size = {k: _int(d, k, path) for k in ("width", "height", "patch_w", "patch_h", "stride")}
+        return GridPatches(**size, circular=_flag(d, "circular", path, False))
     raise ParseError(f"{path}.kind: unknown scheme kind {kind!r}")
 
 
@@ -185,6 +185,23 @@ def _get(d, key, path):
     if key not in d:
         raise ParseError(f"{path}.{key}: missing required key")
     return d[key]
+
+
+def _int(d, key, path, low=1):
+    """``d[key]`` as written: a JSON integer of at least ``low``. A float,
+    string or boolean is refused, never converted."""
+    v = d[key]
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        raise ParseError(f"{path}.{key}: expected an integer >= {low}, got {v!r}")
+    return v
+
+
+def _flag(d, key, path, default: bool) -> bool:
+    """``d[key]`` as written, ``default`` when absent: a JSON boolean."""
+    v = d.get(key, default)
+    if not isinstance(v, bool):
+        raise ParseError(f"{path}.{key}: expected true or false, got {v!r}")
+    return v
 
 
 def _check_keys(d, allowed, path, optional=frozenset()):

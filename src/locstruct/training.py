@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -114,6 +114,13 @@ class AlphaModel:
     push-through identity ``(F F^T + s I)^{-1} F = F (F^T F + s I)^{-1}``.
     ``shift`` is ``m * lam + jitter`` either way. The dense inverse is never
     materialized. Immutable after fit, safe for concurrent queries.
+
+    Like ``prepared_anchors`` and ``etas``, readout weights are filled in
+    lazily: ``memo_readout_weights`` keeps the weights of each output table
+    it is asked for under the caller's key, so decoders built again on the
+    same model solve against the factor once per table. Two concurrent
+    fills of one key compute the same array and the last store wins, so a
+    race costs a duplicate solve, never a wrong entry.
     """
 
     inputs: tuple
@@ -126,6 +133,7 @@ class AlphaModel:
     features: Optional[np.ndarray] = field(default=None, repr=False)
     _prepared: Optional[PreparedAnchors] = field(default=None, repr=False)
     _etas: Optional[np.ndarray] = field(default=None, repr=False)
+    _readouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -181,6 +189,16 @@ class AlphaModel:
         if self.features is None:
             return self.apply_inverse(E)
         return cho_solve(self.factor, self.features.T @ E)
+
+    def memo_readout_weights(self, key, table: Callable[[], np.ndarray]) -> np.ndarray:
+        """``readout_weights(table())``, computed on the first call with
+        ``key`` and kept for later ones; ``key`` must name the table."""
+        R = self._readouts.get(key)
+        if R is None:
+            R = self.readout_weights(table())
+            R.flags.writeable = False  # shared by every later caller
+            self._readouts[key] = R
+        return R
 
     def readout(self, R: np.ndarray, xs, parts) -> np.ndarray:
         """Alpha-weighted sums in the columns of ``alphas(xs, parts)``, shape

@@ -288,6 +288,33 @@ BAD_INPUTS = {
     "bound_check_zero_parts": ("bound-check", ["--gamma", "1", "--parts", "0"]),
 }
 
+# counts must be JSON integers and flags JSON booleans: a value that would
+# convert (5.9 to 5, "false" to True) is refused; the key its error names
+EXACT_JSON = {"method": "exact", "budget": 100, "alphabet": [0, 1]}
+SGM_JSON = {"method": "sgm", "iterations": 10}
+GRID_JSON = {"kind": "grid_patches", "width": 4, "height": 4, "patch_w": 2, "patch_h": 2,
+             "stride": 2}
+STRICT_NUMBERS = {
+    "exact_budget_float": ("predict", {"decoder": {**EXACT_JSON, "budget": 5.9}}, "budget"),
+    "exact_budget_true": ("predict", {"decoder": {**EXACT_JSON, "budget": True}}, "budget"),
+    "exact_budget_string": ("predict", {"decoder": {**EXACT_JSON, "budget": "1000"}}, "budget"),
+    "sgm_iterations_float": ("predict", {"seed": 1, "decoder": {**SGM_JSON, "iterations": 10.7}},
+                             "iterations"),
+    "sgm_average_tail_string": ("predict", {"seed": 1, "decoder": {
+        **SGM_JSON, "average_tail": "false"}}, "average_tail"),
+    "least_squares_normalize_string": ("predict", {"decoder": {
+        "method": "least_squares", "normalize": "false"}}, "normalize"),
+    "sequence_k_float": ("train", {"scheme": {"kind": "sequence_windows", "k": 5.9, "l": 2}},
+                         "train.scheme.k"),
+    "grid_circular_string": ("train", {"scheme": {**GRID_JSON, "circular": "false"}},
+                             "train.scheme.circular"),
+    "block_dim_float": ("train", {"scheme": {**SCHEME_JSON, "block_dim": 2.0}},
+                        "train.scheme.block_dim"),
+    "bench_synthetic_num_parts_float": ("bench-synthetic", {"num_parts": 4.5}, "num_parts"),
+    "bench_angular_m_float": ("bench-angular", {"m": 16.5}, "bench-angular.m"),
+}
+BAD_INPUTS.update({name: row[:2] for name, row in STRICT_NUMBERS.items()})
+
 
 @pytest.fixture(scope="module")
 def vector_model(tmp_path_factory):
@@ -320,6 +347,7 @@ BAD_MODELS = {
     "negative_sample_input": (_set("samples", 0, "chi", value=-1), "parse"),
     "sample_part_out_of_range": (_set("samples", 0, "p", value=3), "parse"),
     "no_samples": (_set("samples", value=[]), "parse"),
+    "block_dim_float": (_set("scheme", "block_dim", value=2.0), "parse"),
     "version_99": (_set("version", value=99), "unsupported_version"),
 }
 
@@ -375,6 +403,31 @@ class TestBadInput:
         assert run_command(argv + ["--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "parse"
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,change,key", STRICT_NUMBERS.values(),
+                             ids=STRICT_NUMBERS.keys())
+    def test_lenient_number_names_its_key(self, tmp_path, capsys, vector_model, command,
+                                          change, key):
+        ds, model = vector_model
+        base = {"train": {**TRAIN_JSON, "dataset": str(ds)},
+                "predict": {"model": str(model), "dataset": str(ds), "loss": "squared_vector"},
+                **BENCH_JSON}[command]
+        cfg = _write_json(tmp_path / "c.json", {**base, **change})
+        capsys.readouterr()
+        assert run_command([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "parse" and key in err["message"]
+
+    def test_lenient_annotate_flag_rejected(self, tmp_path, capsys):
+        ds = tmp_path / "d.jsonl"
+        _vector_dataset(ds, n=4, seed=2)
+        cfg = _write_json(tmp_path / "diag.json", {
+            "dataset": str(ds), "scheme": SCHEME_JSON, "similarity": {"kind": "raw_inner"},
+            "annotate": 1})
+        capsys.readouterr()
+        assert run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "parse" and "diagnose.annotate" in err["message"]
 
 
 class TestDiagnose:

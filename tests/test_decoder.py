@@ -1,5 +1,10 @@
 import itertools
 import math
+import sys
+import tempfile
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +27,11 @@ from locstruct.decoder import (
     decode_exact,
     decode_least_squares,
     decode_sgm,
+    _project,
 )
 from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix, kernel_sup
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
+from locstruct.modelio import load_model, save_model
 from locstruct.parts import (
     GridPatches,
     SequenceWindows,
@@ -374,6 +381,102 @@ class TestExactAgainstEnumeration:
         assert decode_exact(req) == brute_force_argmin(model, x, loss, pi, alphabet)
 
 
+@st.composite
+def memo_cases(draw):
+    """A numeric window model on the dense or the feature-space path, with
+    a query and part weights of which one is zero."""
+    window = draw(st.integers(1, 2))
+    num_parts = draw(st.integers(2, 3))
+    return window, num_parts, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestReadoutMemo:
+    """The exact decoder's cost table comes from readout weights kept on the
+    model; reusing them must not change a decode."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=memo_cases())
+    def test_alternating_tables_match_brute_force(self, case):
+        window, num_parts, linear, seed = case
+        rng = np.random.default_rng(seed)
+        k = num_parts + window - 1
+        symbols = [-1.0, 0.5, 2.0]
+        train = [(rng.choice(symbols, k), rng.choice(symbols, k)) for _ in range(3)]
+        kernel = Restriction(LinearParts() if linear else GaussianParts(1.0))
+        model, _ = seq_model(train, lam=0.05, window=window, kernel=kernel)
+        assert (model.features is not None) == linear  # d = window < m = 3 * num_parts
+        pi = rng.uniform(0.1, 1.0, num_parts)
+        pi[rng.integers(num_parts)] = 0.0
+        x = rng.choice(symbols, k)
+        tables = [(loss, alphabet) for loss in (SQUARED_VECTOR, ZERO_ONE_WINDOW)
+                  for alphabet in ((2.0, -1.0), (0.5, -1.0, 2.0))]
+        for loss, alphabet in tables + tables[::-1]:
+            method = ExactEnumeration(budget=num_parts * len(alphabet)**window, alphabet=alphabet)
+            z = decode_exact(DecodeRequest(model, x, loss, pi, method))
+            assert z == brute_force_argmin(model, x, loss, pi, alphabet)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_warm_model_decodes_as_a_freshly_loaded_one(self, seed):
+        rng = np.random.default_rng(seed)
+        draw = lambda: "".join(rng.choice(list("abc"), 5))
+        model, _ = seq_model([(draw(), draw()) for _ in range(4)], window=2)
+        method = ExactEnumeration(budget=100, alphabet=tuple("abc"))
+        queries = [draw() for _ in range(4)]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            assert np.allclose(loaded.alphas(queries, range(4)), model.alphas(queries, range(4)),
+                               rtol=0, atol=1e-12)
+            for _ in range(2):
+                for x in queries:
+                    warm = decode_exact(DecodeRequest(model, x, ZERO_ONE_WINDOW, Uniform(4), method))
+                    cold = decode_exact(DecodeRequest(load_model(path), x, ZERO_ONE_WINDOW,
+                                                      Uniform(4), method))
+                    assert warm == cold == decode_exact(
+                        DecodeRequest(loaded, x, ZERO_ONE_WINDOW, Uniform(4), method))
+
+    def test_concurrent_fills_decode_as_serial_calls(self):
+        rng = np.random.default_rng(6)
+        train = [(rng.choice([-1.0, 2.0], 4), rng.choice([-1.0, 2.0], 4)) for _ in range(4)]
+        x = rng.choice([-1.0, 2.0], 4)
+        requests = [DecodeRequest(None, x, loss, Uniform(3),
+                                  ExactEnumeration(budget=100, alphabet=alphabet))
+                    for loss in (SQUARED_VECTOR, ZERO_ONE_WINDOW)
+                    for alphabet in ((2.0, -1.0), (0.5, -1.0, 2.0))]
+        decode = lambda model, req: decode_exact(replace(req, model=model))
+        serial = [decode(seq_model(train, window=2)[0], req) for req in requests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                model, _ = seq_model(train, window=2)  # an empty memo each round
+                results = {}
+                work = lambda k: results.setdefault(k, decode(model, requests[k % 4]))
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert [results[k] for k in range(8)] == serial * 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_closed_form_decoders_share_the_models_weights(self):
+        scheme = VectorBlocks(block_dim=1, num_blocks=3)
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((4, 3))
+        aux = [AuxiliarySample(i, p, X[i, p : p + 1]) for i in range(4) for p in range(3)]
+        model = fit_alpha(list(X), aux, Restriction(GaussianParts(1.0)), 0.1, scheme)
+        squared = LeastSquaresDecoder(model, Uniform(3))
+        angular = AngularDecoder(model, Uniform(3))
+        assert LeastSquaresDecoder(model, Uniform(3), normalize=False)._readout is squared._readout
+        assert AngularDecoder(model, Uniform(3))._readout is angular._readout
+        assert angular._readout is not squared._readout
+
+
 class TestExactMethod:
     @pytest.mark.parametrize("budget,alphabet", [
         (10, ("ab", "c")),
@@ -426,10 +529,16 @@ class TestScaleInvariance:
                 decode_angular(req_b)[0], rel=1e-12)
 
 
+def wrap_angles(z):
+    """Angles wrapped to [-pi, pi); a value that rounds up to +pi is -pi."""
+    w = (z + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(w >= np.pi, -np.pi, w)
+
+
 def sgm_reference(req):
     """The subgradient loop on a grid scheme one iteration at a time: draw
-    the part, look its column up, draw the anchor from |alpha(x, p)| and
-    step on that patch."""
+    the part, look its column up, draw the anchor from |alpha(x, p)|, step
+    on that patch and wrap the whole field."""
     model, method, scheme = req.model, req.method, req.model.scheme
     weights = part_weights(req.pi, scheme.num_parts)
     probs = weights / weights.sum()
@@ -457,11 +566,11 @@ def sgm_reference(req):
             rows, cols = scheme.patch_rows_cols(p)
             z[..., rows[:, None], cols[None, :]] += -(c / math.sqrt(t)) * u
             if wrap:
-                z = (z + np.pi) % (2.0 * np.pi) - np.pi
+                z = wrap_angles(z)
         if t > T - math.ceil(T / 2):
             tail += z
     z = tail / math.ceil(T / 2)
-    return (z + np.pi) % (2.0 * np.pi) - np.pi if wrap else z
+    return wrap_angles(z) if wrap else z
 
 
 class TestDecodeSGM:
@@ -532,3 +641,16 @@ class TestDecodeSGM:
                      projection=AngleWrap())
         z = decode_sgm(DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, method))[0]
         assert -np.pi <= z < np.pi
+
+
+class TestAngleWrap:
+    def test_value_just_below_the_seam_wraps_to_minus_pi(self):
+        z = _project(np.array([-3.1415926535897936, -np.pi, np.pi]), AngleWrap())
+        assert z.tolist() == [-np.pi, -np.pi, -np.pi]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    def test_wrap_is_a_fixed_point_on_its_outputs(self, vals):
+        once = _project(np.array(vals), AngleWrap())
+        assert np.all((-np.pi <= once) & (once < np.pi))
+        assert np.array_equal(_project(once, AngleWrap()), once)
