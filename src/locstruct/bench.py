@@ -39,7 +39,7 @@ from .decoder import AngularDecoder, LeastSquaresDecoder
 from .kernels import GaussianParts, LinearParts, Restriction, gram_matrix
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
-from .training import enumerate_auxiliary, fit_alpha, generate_auxiliary
+from .training import _prepare, enumerate_auxiliary, fit_alpha, generate_auxiliary
 
 log = logging.getLogger(__name__)
 
@@ -406,7 +406,8 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
     drawn once per training set from the cell's own stream, a Gaussian
     restriction kernel, and the angular closed form. The Gram over the
-    anchors is built once per training set and shared by every lambda."""
+    anchors is built once per training set, from the inputs stacked once
+    and one kernel row per distinct anchor part, and shared by every lambda."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -417,7 +418,7 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
         aux = generate_auxiliary(train, m, scheme, pi,
                                  _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
         inputs = list(X)
-        gram = gram_matrix(kernel, [(inputs[s.chi_ref], s.p) for s in aux], scheme)
+        gram = gram_matrix(kernel, _prepare(kernel, inputs, aux, scheme), scheme)
 
         def fit(lam):
             model = fit_alpha(inputs, aux, kernel, lam, scheme, gram=gram)

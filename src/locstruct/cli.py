@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +228,10 @@ def _cmd_bound_check(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and gives every call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="locstruct",
         description="Localized structured prediction: training, decoding, "

@@ -11,7 +11,8 @@ finite alphabet by dynamic programming over windows, by a closed form
 angular loss), or by a projected stochastic subgradient loop. The exact
 and closed-form decoders read their alpha-weighted sums out of readout
 weights ``(K + m lambda I)^{-1} E`` that the model keeps per output table
-``E``, so no query solves the m x m system.
+``E``, folded onto the distinct anchor parts, so no query solves the m x m
+system and a restriction kernel is evaluated once per distinct anchor part.
 """
 
 from __future__ import annotations
@@ -210,12 +211,14 @@ def decode_exact(req: DecodeRequest):
     every window value ``u``. The table is a readout: with ``R = (K + m
     lambda I)^{-1} L`` for the m x |alphabet|^l table ``L`` of window losses
     against the anchors, ``c_p(u) = k(x, p)^T R[:, u]``. ``R`` depends on the
-    model, the loss and the alphabet only, so it is solved once per model
-    and kept there (``AlphaModel.memo_readout_weights``); a query costs one
-    cross-kernel readout. A min-sum dynamic program over the last ``l - 1``
-    symbols (the Viterbi recursion) adds the parts in order, so its minimum
-    equals, bit for bit, the least running sum over all |alphabet|^k
-    outputs of that cost table, in O(num_parts * |alphabet|^l) time.
+    model, the loss and the alphabet only, so it is solved once per model,
+    folded onto the u distinct anchor windows (u x |alphabet|^l floats) and
+    kept there (``AlphaModel.memo_readout_weights``); a query costs one
+    cross-kernel readout against the u distinct windows. A min-sum dynamic
+    program over the last ``l - 1`` symbols (the Viterbi recursion) adds
+    the parts in order, so its minimum equals, bit for bit, the least
+    running sum over all |alphabet|^k outputs of that cost table, in
+    O(num_parts * |alphabet|^l) time.
 
     Tie rule: the result is the lexicographically smallest output (over the
     sorted alphabet) whose objective lies within ``EXACT_TIE_RTOL * (1 +

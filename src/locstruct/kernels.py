@@ -13,15 +13,23 @@ linear kernel counts matching positions and the squared distance inside the
 Gaussian is twice the number of mismatches. Gram, cross and prepared-anchor
 matrices all come from ``_matrix``, vectorized over the stacked parts or
 inputs of ``parts.stack_objects``; strings stack as character codes and are
-compared by match counts. The Gaussian is worked in place in the matrix of
-inner products (``part_kernel_matrix``): one array of the matrix's size
-plus one temporary, the sum of the two norm vectors. ``kernel_eval`` is the
-scalar form.
+compared by match counts, position by position. The Gaussian is worked in
+place in the matrix of inner products (``part_kernel_matrix``): one array of
+the matrix's size plus one temporary, the sum of the two norm vectors.
+``kernel_eval`` is the scalar form.
+
+Anchors drawn with replacement repeat, and a restriction kernel sees only
+the extracted part, so ``PreparedAnchors`` evaluates it once per distinct
+anchor part: its ``cross`` has one row per distinct part and ``index`` maps
+each anchor to its row. ``gram_matrix`` expands the u x u matrix over the
+distinct parts into the m x m one with a gather of its columns and one of
+its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -202,10 +210,12 @@ def _pair_stack(spec: KernelSpec, pairs, scheme: PartScheme):
 
 def _code_matches(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matching positions between the rows of two string-code stacks: the
-    inner products of their one-hot encodings, exact in float64."""
-    codes, inv = np.unique(np.concatenate([A, B]), return_inverse=True)
-    hot = (inv.reshape(len(A) + len(B), -1, 1) == np.arange(len(codes))).astype(float)
-    return hot[: len(A)].reshape(len(A), -1) @ hot[len(A):].reshape(len(B), -1).T
+    inner products of their one-hot encodings, counted position by position
+    and exact in float64."""
+    K = np.zeros((len(A), len(B)))
+    for k in range(A.shape[1]):
+        K += A[:, k, None] == B[None, :, k]
+    return K
 
 
 def part_kernel_matrix(kernel: PartKernel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -250,11 +260,20 @@ def _matrix(spec: KernelSpec, A, B) -> np.ndarray:
 class PreparedAnchors:
     """A fixed anchor list with its stack cached, for repeated cross-kernel
     evaluation against fresh queries. Queries are the product of some
-    inputs and some parts: every input with every part, input-major."""
+    inputs and some parts: every input with every part, input-major.
+
+    ``cross`` has one row per distinct anchor part for a restriction kernel,
+    which sees nothing else of an anchor, and one row per anchor for the
+    other kernels; ``index`` maps each anchor to its row. The distinct rows
+    come from one ``np.unique`` over a byte view of the stacked parts, in
+    order of first appearance, built on the first ``cross``, ``index`` or
+    Gram: the feature-space solve never builds them."""
 
     def __init__(self, spec: KernelSpec, anchors, scheme: PartScheme):
+        anchors = list(anchors)
         self.spec = spec
         self.scheme = scheme
+        self.size = len(anchors)
         self._stack = _pair_stack(spec, anchors, scheme)
 
     @classmethod
@@ -265,6 +284,7 @@ class PreparedAnchors:
         self = cls.__new__(cls)
         self.spec = spec
         self.scheme = scheme
+        self.size = len(rows)
         self._stack = _stack(spec, X, rows, check_parts(scheme, parts), scheme)
         return self
 
@@ -276,6 +296,49 @@ class PreparedAnchors:
             return self._stack
         return None
 
+    @cached_property
+    def _distinct(self) -> tuple:
+        """The stack of the rows of ``cross``, their number, and the index
+        from each anchor to its row. Rows come in order of first appearance,
+        so when no two anchor parts are equal the rows are the anchors and
+        the index is the identity."""
+        S = self._stack
+        if not isinstance(self.spec, Restriction):
+            return S, self.size, np.arange(self.size)
+        keys = np.ascontiguousarray(S).view(np.dtype((np.void, S.dtype.itemsize * S.shape[1])))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return S[first[order]], len(order), rank[inverse]
+
+    @property
+    def rows(self) -> int:
+        """Number of rows of ``cross``: distinct anchor parts for a restriction
+        kernel, anchors otherwise."""
+        return self._distinct[1]
+
+    @property
+    def index(self) -> np.ndarray:
+        """Row of ``cross`` of every anchor, shape (len(anchors),)."""
+        return self._distinct[2]
+
+    def expand(self, C: np.ndarray) -> np.ndarray:
+        """A matrix with one row per row of ``cross`` as one row per anchor:
+        ``C[index]``."""
+        return C if self.rows == self.size else C[self.index]
+
+    def fold(self, R: np.ndarray) -> np.ndarray:
+        """The adjoint of ``expand``: the rows of ``R``, one per anchor,
+        summed per row of ``cross``, so ``fold(R).T @ C == R.T @ expand(C)``."""
+        if self.rows == self.size:
+            return R
+        # one bincount over the flat entries: each sum runs in anchor order
+        c = R[0].size
+        bins = (self.index[:, None] * c + np.arange(c)).ravel()
+        out = np.bincount(bins, weights=R.ravel(), minlength=self.rows * c)
+        return out.reshape((self.rows,) + R.shape[1:])
+
     def _query_stack(self, xs, parts):
         X = stack_objects(xs, self.scheme)
         parts = check_parts(self.scheme, parts)
@@ -284,20 +347,26 @@ class PreparedAnchors:
 
     def query_features(self, xs, parts) -> np.ndarray:
         """Queries in the anchors' feature space, shape (len(xs) * len(parts),
-        d), so that ``cross(xs, parts) == features @ query_features(xs, parts).T``."""
+        d), so that ``expand(cross(xs, parts)) == features @
+        query_features(xs, parts).T``."""
         B = self._query_stack(xs, parts)
         if B.shape[1] != self.features.shape[1]:
             raise ShapeMismatchError("query parts do not match the shape of the anchor parts")
         return B
 
     def cross(self, xs, parts) -> np.ndarray:
-        """k(anchor_j, (xs[i], parts[k])), shape (len(anchors), len(xs) *
-        len(parts)); column ``i * len(parts) + k`` holds query (xs[i], parts[k])."""
-        return _matrix(self.spec, self._stack, self._query_stack(xs, parts))
+        """k(row_r, (xs[i], parts[k])) for every row ``r`` of the anchors (see
+        ``index``), shape (rows, len(xs) * len(parts)); column ``i *
+        len(parts) + k`` holds query (xs[i], parts[k])."""
+        return _matrix(self.spec, self._distinct[0], self._query_stack(xs, parts))
 
 
 def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
     """Assemble the dense symmetric Gram matrix over ``anchors``.
+
+    The kernel is evaluated once per pair of rows of ``PreparedAnchors.cross``
+    (distinct parts, for a restriction kernel) and gathered into the m x m
+    matrix.
 
     Parameters
     ----------
@@ -314,8 +383,13 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
         if not anchors:
             raise ValueError("anchors must be non-empty")
         anchors = PreparedAnchors(spec, anchors, scheme)
-    S = anchors._stack
-    return GramMatrix(entries=_matrix(spec, S, S))
+    S = anchors._distinct[0]
+    K = _matrix(spec, S, S)
+    if anchors.rows != anchors.size:
+        # columns first: the per-entry gather runs over u x m entries, and
+        # the row gather that follows copies whole rows
+        K = K.take(anchors.index, axis=1).take(anchors.index, axis=0)
+    return GramMatrix(entries=K)
 
 
 def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.ndarray:

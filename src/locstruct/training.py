@@ -12,9 +12,15 @@ explicit feature map ``K = F F^T`` with ``F`` of shape (m, d) and ``d < m``
 system ``F^T F + m lambda I`` is factored and the m x m Gram is never
 built; otherwise the dense m x m system is factored. A system matrix the
 fit builds itself is factored in its own memory; a Gram passed in is copied.
-The dense readout of a decode streams its queries in blocks of at most
-``READOUT_BLOCK_BYTES`` of cross matrix, so its memory does not grow with
-the number of queries.
+
+On the dense path a restriction kernel is evaluated once per distinct anchor
+part (``PreparedAnchors.cross``): weight vectors expand that matrix to one
+row per anchor before the solve, and readout weights fold the dual weights
+onto the distinct parts once per output table, ``R_u = U^T R`` for the
+m x u indicator ``U`` of the anchors' parts, so a readout multiplies the
+u-row cross matrix (``R^T U C_u = R_u^T C_u``). The dense readout of a
+decode streams its queries in blocks of at most ``READOUT_BLOCK_BYTES`` of
+that matrix, so its memory does not grow with the number of queries.
 """
 
 from __future__ import annotations
@@ -118,9 +124,9 @@ class AlphaModel:
     Like ``prepared_anchors`` and ``etas``, readout weights are filled in
     lazily: ``memo_readout_weights`` keeps the weights of each output table
     it is asked for under the caller's key, so decoders built again on the
-    same model solve against the factor once per table. Two concurrent
-    fills of one key compute the same array and the last store wins, so a
-    race costs a duplicate solve, never a wrong entry.
+    same model solve against the factor, and fold, once per table. Two
+    concurrent fills of one key compute the same array and the last store
+    wins, so a race costs a duplicate solve, never a wrong entry.
     """
 
     inputs: tuple
@@ -173,7 +179,8 @@ class AlphaModel:
         features ``B``, the push-through form of ``(K + s I)^{-1} F B^T``.
         """
         if self.features is None:
-            return self.apply_inverse(self.prepared_anchors.cross(xs, parts))
+            prepared = self.prepared_anchors
+            return self.apply_inverse(prepared.expand(prepared.cross(xs, parts)))
         B = self.prepared_anchors.query_features(xs, parts)
         return self.features @ cho_solve(self.factor, B.T)
 
@@ -181,13 +188,15 @@ class AlphaModel:
         """Weights ``R`` such that ``readout(R, xs, parts)`` gives
         ``sum_j alpha_j(x, p) E[j]`` per query; ``E`` has one row per anchor.
 
-        Dual form: ``R = (K + s I)^{-1} E``, shape (m, c). With features the
-        push-through identity ``E^T (F F^T + s I)^{-1} F = E^T F (F^T F +
-        s I)^{-1}`` gives ``R = (F^T F + s I)^{-1} F^T E``, shape (d, c); this
-        also avoids the cancellation of a Woodbury solve contracted with F.
+        Dual form: ``(K + s I)^{-1} E`` folded onto the rows of the prepared
+        anchors' cross matrix (``PreparedAnchors.fold``), shape (u, c) for u
+        distinct anchor parts. With features the push-through identity ``E^T
+        (F F^T + s I)^{-1} F = E^T F (F^T F + s I)^{-1}`` gives ``R = (F^T F +
+        s I)^{-1} F^T E``, shape (d, c); this also avoids the cancellation of
+        a Woodbury solve contracted with F.
         """
         if self.features is None:
-            return self.apply_inverse(E)
+            return self.prepared_anchors.fold(self.apply_inverse(E))
         return cho_solve(self.factor, self.features.T @ E)
 
     def memo_readout_weights(self, key, table: Callable[[], np.ndarray]) -> np.ndarray:
@@ -205,15 +214,16 @@ class AlphaModel:
         (c, len(xs) * len(parts)), from weights made by ``readout_weights``.
 
         Without features the queries are read out in blocks of inputs whose
-        cross matrix, m x (block * len(parts)), fits ``READOUT_BLOCK_BYTES``
-        (one input per block when a single one does not), each block's
-        ``R.T @ cross`` written straight into the output: the memory of a
-        decode does not grow with the number of queries."""
+        cross matrix, u x (block * len(parts)) over the u distinct anchor
+        parts, fits ``READOUT_BLOCK_BYTES`` (one input per block when a single
+        one does not), each block's ``R.T @ cross`` written straight into the
+        output: the memory of a decode does not grow with the number of
+        queries."""
         if self.features is not None:
             return R.T @ self.prepared_anchors.query_features(xs, parts).T
         xs = list(xs)
         P = len(parts)
-        block = max(1, READOUT_BLOCK_BYTES // (8 * self.m * P))
+        block = max(1, READOUT_BLOCK_BYTES // (8 * self.prepared_anchors.rows * P))
         S = np.empty((R.shape[1], len(xs) * P))
         for i in range(0, len(xs), block):
             C = self.prepared_anchors.cross(xs[i:i + block], parts)

@@ -558,3 +558,32 @@ class TestBoundCheck:
                          "--out", str(tmp_path / d)])
         assert ((tmp_path / "a" / "bound_check.csv").read_bytes()
                 == (tmp_path / "b" / "bound_check.csv").read_bytes())
+
+
+class TestParserCache:
+    """The parser is built once per process; every call still parses into a
+    namespace of its own and keeps the exit codes of argparse."""
+
+    def test_calls_get_independent_namespaces(self, monkeypatch, capsys):
+        from locstruct import cli
+
+        seen = []
+        for command in ("train", "bound-check"):
+            monkeypatch.setitem(cli._DISPATCH, command, lambda args: seen.append(args) or 0)
+        assert run_command(["train", "--config", "a.json", "--seed", "3"]) == 0
+        assert run_command(["bound-check", "--gamma", "0.5", "--parts", "4"]) == 0
+        assert run_command(["train", "--config", "b.json"]) == 0
+        first, second, third = seen
+        assert vars(first) == {"command": "train", "config": "a.json", "seed": 3, "out": "out"}
+        assert vars(second) == {"command": "bound-check", "gamma": "0.5", "parts": "4",
+                                "r2": 1.0, "out": None}
+        assert vars(third) == {"command": "train", "config": "b.json", "seed": None, "out": "out"}
+        assert cli._build_parser() is cli._build_parser()
+
+        assert run_command(["train"]) == 2  # --config missing
+        assert run_command(["train", "--config", "a.json", "--seed", "x"]) == 2
+        assert run_command(["no-such-command"]) == 2
+        assert run_command(["--help"]) == 0
+        assert run_command(["predict", "--help"]) == 0
+        assert "usage: locstruct predict" in capsys.readouterr().out
+        assert len(seen) == 3

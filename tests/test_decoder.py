@@ -5,6 +5,7 @@ import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,16 @@ from locstruct.decoder import (
     decode_sgm,
     _project,
 )
-from locstruct.kernels import GaussianParts, LinearParts, Restriction, gram_matrix, kernel_sup
+from locstruct.kernels import (
+    GaussianParts,
+    LinearParts,
+    PreparedAnchors,
+    Restriction,
+    cross_matrix,
+    gram_matrix,
+    kernel_eval,
+    kernel_sup,
+)
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
 from locstruct.modelio import load_model, save_model
 from locstruct.parts import (
@@ -242,19 +252,21 @@ def seq_model(train, lam=1e-3, window=1, kernel=Restriction(GaussianParts(1.0)))
     return model, scheme
 
 
-def brute_force_argmin(model, x, loss, pi, alphabet):
+def brute_force_argmin(model, x, loss, pi, alphabet, alpha=alpha_at):
     """Independent recomputation of the decoding objective: anchor-major loop
     order and its own window slicing, with the decoder's tie rule: the first
-    output, in lexicographic order, within the tie slack of the minimum."""
+    output, in lexicographic order, within the tie slack of the minimum.
+    ``alpha(model, x, p)`` gives the weight vector of one part."""
     scheme = model.scheme
     weights = part_weights(pi, scheme.num_parts)
+    alphas = [alpha(model, x, p) for p in range(scheme.num_parts)]
     objs = {}
     for cand in itertools.product(sorted(alphabet), repeat=scheme.seq_len):
         z = "".join(cand) if isinstance(cand[0], str) else cand
         obj = 0.0
         for j, s in enumerate(model.aux):
             for p in range(scheme.num_parts):
-                a = alpha_at(model, x, p)[j]
+                a = alphas[p][j]
                 obj += a * weights[p] * part_loss(loss, z[p : p + scheme.window_len], s.eta)
         objs[z] = obj
     low = min(objs.values())
@@ -475,6 +487,148 @@ class TestReadoutMemo:
         assert LeastSquaresDecoder(model, Uniform(3), normalize=False)._readout is squared._readout
         assert AngularDecoder(model, Uniform(3))._readout is angular._readout
         assert angular._readout is not squared._readout
+
+
+def oracle_alpha(model, x, p):
+    """``(K + m lambda I)^{-1} v`` for ``v_j = kernel_eval(anchor_j, (x, p))``:
+    the weights from the scalar kernel, one entry per anchor."""
+    v = np.array([kernel_eval(model.kernel, a, (x, p), model.scheme) for a in model.anchors])
+    return model.apply_inverse(v)
+
+
+def per_anchor_rows():
+    """Prepared anchors evaluated with one row per anchor, as if no two
+    anchor parts were equal."""
+    return mock.patch.object(PreparedAnchors, "_distinct", property(
+        lambda self: (self._stack, self.size, np.arange(self.size))))
+
+
+GRID = GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=2, circular=True)
+
+
+@st.composite
+def grid_fits(draw):
+    """A Gaussian restriction model on 4 grid patches whose anchors are drawn
+    with replacement from 1-3 fields: m runs past the number of (field,
+    part) pairs, down to a single anchor. Inputs in a positive box and
+    outputs in a narrow band keep weight totals and resultants of order
+    one, so the decodes do not cancel."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3 * 4 * n))
+    lam = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.5, 1.5, (n, 4, 4))
+    Y = 0.3 * X + 0.05 * rng.standard_normal(X.shape)
+    aux = generate_auxiliary(list(zip(X, Y)), m, GRID, Uniform(4), rng)
+    return list(X), aux, lam, rng.uniform(0.5, 1.5, (draw(st.integers(1, 3)), 4, 4))
+
+
+def _assert_rel(got, want, rtol):
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(np.abs(want), np.abs(want).max()))
+
+
+class TestDistinctAnchorOracle:
+    """Decodes that evaluate the kernel once per distinct anchor part
+    against the per-anchor oracles: the scalar ``kernel_eval``, ``R.T @
+    cross_matrix`` on all m anchors, and the per-anchor evaluation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=grid_fits())
+    def test_weights_readout_and_closed_forms(self, case):
+        inputs, aux, lam, Q = case
+        kernel = Restriction(GaussianParts(1.0))
+        model = fit_alpha(inputs, aux, kernel, lam, GRID)
+        assert model.prepared_anchors.rows == len({(s.chi_ref, s.p) for s in aux})
+        parts = [3, 0, 2]
+        A = model.alphas(Q, parts)
+        want = np.column_stack([oracle_alpha(model, x, p) for x in Q for p in parts])
+        assert np.linalg.norm(A - want) <= 1e-10 * np.linalg.norm(want)
+
+        E = np.column_stack([model.etas.reshape(model.m, -1), np.ones(model.m)])
+        R = model.apply_inverse(E)
+        C = cross_matrix(kernel, model.anchors, [(x, p) for x in Q for p in parts], GRID)
+        got = model.readout(model.readout_weights(E), Q, parts)
+        # the bound of rounding in either summation order
+        assert np.all(np.abs(got - R.T @ C) <= 1e-13 * (np.abs(R).T @ np.abs(C)))
+
+        pi = Uniform(4)
+        decoders = [lambda m: LeastSquaresDecoder(m, pi), lambda m: AngularDecoder(m, pi),
+                    lambda m: LeastSquaresDecoder(m, pi, normalize=False)]
+        with per_anchor_rows():
+            per_anchor = fit_alpha(inputs, aux, kernel, lam, GRID)
+            wants = [make(per_anchor).decode_batch(Q) for make in decoders]
+        for make, want in zip(decoders, wants):
+            _assert_rel(make(model).decode_batch(Q), want, 1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 3),
+           extra=st.integers(0, 12), window=st.integers(1, 2))
+    def test_exact_decodes_on_repeated_windows(self, seed, n_train, extra, window):
+        # two symbols over 4 positions: windows repeat within and across strings
+        rng = np.random.default_rng(seed)
+        draw = lambda: "".join(rng.choice(list("ab"), 4))
+        train = [(draw(), draw()) for _ in range(n_train)]
+        scheme = SequenceWindows(4, window)
+        pairs = n_train * scheme.num_parts
+        aux = generate_auxiliary(train, pairs + extra, scheme, Uniform(scheme.num_parts), rng)
+        model = fit_alpha([x for x, _ in train], aux, Restriction(GaussianParts(1.0)),
+                          0.05, scheme)
+        assert model.prepared_anchors.rows <= 2**window
+        x = draw()
+        pi = Uniform(scheme.num_parts)
+        method = ExactEnumeration(budget=100, alphabet=("b", "a"))
+        assert decode_exact(DecodeRequest(model, x, ZERO_ONE_WINDOW, pi, method)) == \
+            brute_force_argmin(model, x, ZERO_ONE_WINDOW, pi, "ab", alpha=oracle_alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=grid_fits())
+    def test_permuting_anchors_leaves_closed_forms_unchanged(self, case):
+        inputs, aux, lam, Q = case
+        perm = np.random.default_rng(len(aux)).permutation(len(aux))
+        fits = [fit_alpha(inputs, a, Restriction(GaussianParts(1.0)), lam, GRID)
+                for a in (aux, [aux[i] for i in perm])]
+        for make in (lambda m: LeastSquaresDecoder(m, Uniform(4)),
+                     lambda m: AngularDecoder(m, Uniform(4))):
+            a, b = (make(f).decode_batch(Q) for f in fits)
+            _assert_rel(b, a, 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_anchors_leaves_exact_decodes_unchanged(self, seed):
+        rng = np.random.default_rng(seed)
+        draw = lambda: "".join(rng.choice(list("abc"), 5))
+        train = [(draw(), draw()) for _ in range(3)]
+        scheme = SequenceWindows(5, 2)
+        aux = generate_auxiliary(train, 20, scheme, Uniform(4), rng)
+        perm = rng.permutation(20)
+        fits = [fit_alpha([x for x, _ in train], a, Restriction(GaussianParts(1.0)), 0.05,
+                          scheme) for a in (aux, [aux[i] for i in perm])]
+        method = ExactEnumeration(budget=100, alphabet=tuple("abc"))
+        for x in [draw() for _ in range(3)]:
+            a, b = (decode_exact(DecodeRequest(f, x, ZERO_ONE_WINDOW, Uniform(4), method))
+                    for f in fits)
+            assert a == b
+
+    @pytest.mark.filterwarnings("ignore::locstruct.decoder.DegenerateDecodeWarning")
+    def test_feature_space_path_never_builds_the_distinct_rows(self):
+        rng = np.random.default_rng(3)
+        scheme = VectorBlocks(block_dim=2, num_blocks=3)
+        train = [(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(4)]
+        Q = [rng.standard_normal(6) for _ in range(3)]
+
+        def forbidden(self):
+            raise AssertionError("the feature-space path built the distinct rows")
+
+        with mock.patch.object(PreparedAnchors, "_distinct", property(forbidden)):
+            aux = generate_auxiliary(train, 30, scheme, Uniform(3), rng)
+            model = fit_alpha([x for x, _ in train], aux, Restriction(LinearParts()), 0.1, scheme)
+            assert model.features is not None
+            LeastSquaresDecoder(model, Uniform(3)).decode_batch(Q)
+            AngularDecoder(model, Uniform(3)).decode_batch(Q)
+            model.alphas(Q, [0, 2])
+            decode_sgm(DecodeRequest(model, Q[0], SQUARED_VECTOR, Uniform(3),
+                                     SGM(iterations=50, rng=np.random.default_rng(0))))
 
 
 class TestExactMethod:

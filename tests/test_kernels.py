@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locstruct.kernels import (
+    _matrix,
     GaussianGlobal,
     GaussianParts,
     LinearParts,
@@ -22,6 +23,7 @@ from locstruct.parts import (
     SequenceWindows,
     ShapeMismatchError,
     VectorBlocks,
+    extract_part,
     stack_objects,
 )
 
@@ -231,7 +233,8 @@ ORACLE_SCHEMES = {
 def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     """Gram, cross and prepared cross matrices agree with the scalar
     ``kernel_eval`` on every entry, and the Gram is exactly symmetric. The
-    prepared cross takes the product of some inputs and some parts."""
+    prepared cross takes the product of some inputs and some parts, and is
+    expanded from its distinct rows to one row per anchor."""
     spec = ORACLE_KERNELS[kernel_name]
     scheme, inputs = ORACLE_SCHEMES[scheme_name]
     part = st.integers(0, scheme.num_parts - 1)
@@ -251,7 +254,97 @@ def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     assert_close(gram, oracle(anchors, anchors))
     want = oracle(anchors, queries)
     assert_close(cross_matrix(spec, anchors, queries, scheme), want)
-    assert_close(PreparedAnchors(spec, anchors, scheme).cross(xs, parts), want)
+    prepared = PreparedAnchors(spec, anchors, scheme)
+    assert_close(prepared.expand(prepared.cross(xs, parts)), want)
+
+
+# Anchors over few, small part values, so that draws repeat parts both as
+# repeated (input, part) pairs and as equal parts of different inputs.
+_REPEAT_SCHEMES = {
+    "vector_blocks": (SCHEME, arrays(float, (6,), elements=st.integers(0, 1))),
+    "strings": (SequenceWindows(4, 2), st.text(alphabet="ab", min_size=4, max_size=4)),
+}
+
+
+def _part_key(part):
+    return part if isinstance(part, str) else tuple(np.ravel(part))
+
+
+@st.composite
+def repeated_anchors(draw, scheme, inputs):
+    """Anchors drawn with replacement from a few inputs: m may exceed the
+    number of (input, part) pairs, one distinct anchor and all-distinct
+    anchors included."""
+    xs = draw(st.lists(inputs, min_size=1, max_size=3))
+    shape = draw(st.sampled_from(["drawn", "one", "distinct"]))
+    if shape == "one":
+        x, p = draw(st.sampled_from(xs)), draw(st.integers(0, 2))
+        return [(x, p)] * draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xs), st.integers(0, 2)),
+                          min_size=1, max_size=12))
+    if shape == "distinct":
+        keys = [_part_key(extract_part(x, scheme, p)) for x, p in pairs]
+        pairs = [pair for i, pair in enumerate(pairs) if keys[i] not in keys[:i]]
+    return pairs
+
+
+class TestDistinctAnchorParts:
+    """A restriction kernel is evaluated once per distinct anchor part; the
+    per-anchor matrices come back through ``index`` and stay those of the
+    scalar ``kernel_eval`` oracle."""
+
+    @pytest.mark.parametrize("scheme_name", sorted(_REPEAT_SCHEMES))
+    @pytest.mark.parametrize("kernel_name", ["linear", "gaussian"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_distinct_parts(self, kernel_name, scheme_name, data):
+        spec = ORACLE_KERNELS[kernel_name]
+        scheme, inputs = _REPEAT_SCHEMES[scheme_name]
+        anchors = data.draw(repeated_anchors(scheme, inputs))
+        xs = data.draw(st.lists(inputs, min_size=1, max_size=2))
+        parts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+        prepared = PreparedAnchors(spec, anchors, scheme)
+
+        keys = [_part_key(extract_part(x, scheme, p)) for x, p in anchors]
+        distinct = list(dict.fromkeys(keys))  # in order of first appearance
+        assert prepared.rows == len(distinct)
+        assert prepared.index.tolist() == [distinct.index(k) for k in keys]
+
+        queries = [(x, p) for x in xs for p in parts]
+        want = np.array([[kernel_eval(spec, a, q, scheme) for q in queries] for a in anchors])
+        C = prepared.cross(xs, parts)
+        assert C.shape == (len(distinct), len(queries))
+        assert np.all(np.abs(prepared.expand(C) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        gram = gram_matrix(spec, prepared, scheme).entries
+        assert np.array_equal(gram, gram.T)
+        want = np.array([[kernel_eval(spec, a, b, scheme) for b in anchors] for a in anchors])
+        assert np.all(np.abs(gram - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        if prepared.rows == len(anchors):  # every anchor its own row: the per-anchor matrices
+            assert prepared.index.tolist() == list(range(len(anchors)))
+            assert np.array_equal(C, _matrix(spec, prepared._stack,
+                                             prepared._query_stack(xs, parts)))
+            assert np.array_equal(gram, _matrix(spec, prepared._stack, prepared._stack))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fold_is_the_adjoint_of_expand(self, data):
+        anchors = data.draw(repeated_anchors(*_REPEAT_SCHEMES["vector_blocks"]))
+        prepared = PreparedAnchors(ORACLE_KERNELS["gaussian"], anchors, SCHEME)
+        m, u = prepared.size, prepared.rows
+        # integers keep every sum exact, whatever its order
+        R = data.draw(arrays(float, (m, 3), elements=st.integers(-9, 9)))
+        C = data.draw(arrays(float, (u, 4), elements=st.integers(-9, 9)))
+        folded = prepared.fold(R)
+        assert np.array_equal(folded, [R[prepared.index == r].sum(axis=0) for r in range(u)])
+        assert np.array_equal(folded.T @ C, R.T @ prepared.expand(C))
+
+    @pytest.mark.parametrize("spec", [GaussianGlobal(1.0),
+                                      SumKernel(GaussianGlobal(1.0), Restriction(LinearParts()))])
+    def test_other_kernels_keep_one_row_per_anchor(self, spec):
+        x = np.arange(6.0)
+        prepared = PreparedAnchors(spec, [(x, 1), (x, 1), (x, 0)], SCHEME)
+        assert prepared.rows == 3 and prepared.index.tolist() == [0, 1, 2]
+        assert prepared.cross([x], [0, 1]).shape == (3, 2)
 
 
 def _gaussian_formula(A, B, sigma):
@@ -286,8 +379,10 @@ class TestGaussianMatrix:
         scheme = SequenceWindows(l, l)
         symbols = sorted(set("".join(a + b)))
         hot = lambda ss: np.array([[float(c == s) for c in x for s in symbols] for x in ss])
-        got = part_kernel_matrix(GaussianParts(sigma), stack_objects(a, scheme),
-                                 stack_objects(b, scheme))
+        A, B = stack_objects(a, scheme), stack_objects(b, scheme)
+        # match counts, position by position, are the one-hot inner products
+        assert np.array_equal(part_kernel_matrix(LinearParts(), A, B), hot(a) @ hot(b).T)
+        got = part_kernel_matrix(GaussianParts(sigma), A, B)
         assert np.array_equal(got, _gaussian_formula(hot(a), hot(b), sigma))
 
 

@@ -379,22 +379,16 @@ def _escalate_on_copies(K, shift):
 
 
 class TestBlockedReadout:
-    """The dense readout in blocks of queries against one ``R.T @ cross``.
-    Integer parts and weights keep every sum exact, so any summation order
-    gives the same bits and the test sees only the blocking."""
+    """The dense readout in blocks of queries against one ``R.T @ cross``
+    over the distinct anchor parts. Integer parts and weights keep every sum
+    exact, so any summation order gives the same bits and the test sees
+    only the blocking."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_blocks_equal_one_product(self, data):
         m = data.draw(st.integers(1, 12))
         parts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
-        per_input = 8 * m * len(parts)
-        block = data.draw(st.integers(1, 4))
-        n = data.draw(st.sampled_from(sorted({1, max(1, block - 1), block, block + 1,
-                                              2 * block + 1})))
-        # a budget under one input's cross matrix reads one input per block
-        budget = data.draw(st.one_of(st.just(per_input * block),
-                                     st.integers(1, per_input - 1)))
         ints = arrays(float, (6,), elements=st.integers(-3, 3))
         inputs = data.draw(st.lists(ints, min_size=1, max_size=4))
         aux = [AuxiliarySample(data.draw(st.integers(0, len(inputs) - 1)),
@@ -402,7 +396,16 @@ class TestBlockedReadout:
         # a passed Gram forces the dense path a linear kernel would skip
         gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
         model = fit_alpha(inputs, aux, LINEAR, 1.0, SCHEME, gram=gram)
-        R = data.draw(arrays(float, (m, data.draw(st.integers(1, 3))),
+        # the budget counts one row per distinct anchor part, not per anchor
+        u = model.prepared_anchors.rows
+        per_input = 8 * u * len(parts)
+        block = data.draw(st.integers(1, 4))
+        n = data.draw(st.sampled_from(sorted({1, max(1, block - 1), block, block + 1,
+                                              2 * block + 1})))
+        # a budget under one input's cross matrix reads one input per block
+        budget = data.draw(st.one_of(st.just(per_input * block),
+                                     st.integers(1, per_input - 1)))
+        R = data.draw(arrays(float, (u, data.draw(st.integers(1, 3))),
                              elements=st.integers(-5, 5)))
         xs = data.draw(st.lists(ints, min_size=n, max_size=n))
 
