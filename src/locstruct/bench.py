@@ -36,10 +36,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .decoder import AngularDecoder, LeastSquaresDecoder
-from .kernels import GaussianParts, LinearParts, Restriction, gram_matrix
+from .kernels import GaussianParts, LinearParts, Restriction
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
-from .training import _prepare, enumerate_auxiliary, fit_alpha, generate_auxiliary
+from .training import _lambda_path, enumerate_auxiliary, fit_alpha, generate_auxiliary
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +113,8 @@ class AngularConfig:
     def __post_init__(self):
         self.scheme()  # the patches must fit the grid
         GaussianParts(self.bandwidth)  # and the bandwidth be positive
+        if any(l <= 0 for l in self.lambda_grid):
+            raise ValueError("lambda grid entries must be positive")
 
     def scheme(self) -> GridPatches:
         return GridPatches(
@@ -405,9 +407,9 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
 def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
     drawn once per training set from the cell's own stream, a Gaussian
-    restriction kernel, and the angular closed form. The Gram over the
-    anchors is built once per training set, from the inputs stacked once
-    and one kernel row per distinct anchor part, and shared by every lambda."""
+    restriction kernel, and the angular closed form. The anchors are
+    prepared and their Gram over the distinct anchor parts built once per
+    training set (``training._lambda_path``), and shared by every lambda."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -417,12 +419,10 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
         m = min(cfg.m, len(train) * scheme.num_parts)
         aux = generate_auxiliary(train, m, scheme, pi,
                                  _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
-        inputs = list(X)
-        gram = gram_matrix(kernel, _prepare(kernel, inputs, aux, scheme), scheme)
+        fit_at = _lambda_path(list(X), aux, kernel, scheme)
 
         def fit(lam):
-            model = fit_alpha(inputs, aux, kernel, lam, scheme, gram=gram)
-            return AngularDecoder(model, pi).decode_batch
+            return AngularDecoder(fit_at(lam), pi).decode_batch
         return fit
     return path
 

@@ -21,8 +21,8 @@ from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, kernel_from_json,
-                      pi_from_json, scheme_from_json)
+from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _real, _reals,
+                      kernel_from_json, pi_from_json, scheme_from_json)
 from .parts import PartDistribution, PartScheme, Uniform, Weighted
 
 
@@ -47,10 +47,6 @@ def _values(v, kind) -> tuple:
     if not vals:
         raise ValueError("must not be empty")
     return vals
-
-
-def _floats(v) -> tuple:
-    return tuple(float(x) for x in v)
 
 
 def _fields(doc, convs, name) -> dict:
@@ -94,7 +90,7 @@ def parse_train(doc: dict) -> TrainConfig:
     if not isinstance(kernel, KernelSpec):
         raise ParseError("train.kernel: expected a restriction, gaussian_global or sum kernel")
     with _at("train.lambda"):
-        lam = float(doc["lambda"])
+        lam = _real(doc["lambda"])
     if not lam > 0:
         raise ParseError("train.lambda: must be positive")
     return TrainConfig(
@@ -165,11 +161,15 @@ def _method(spec, loss: LossSpec, path: str):
                              f"not {loss.kind}")
         pspec = spec.get("projection")
         projection = None if pspec is None else _projection(pspec, f"{path}.projection")
+        step_c = None
+        if "step_c" in spec:
+            with _at(f"{path}.step_c"):
+                step_c = _real(spec["step_c"])
         with _at(path):
             return SGM(
                 iterations=_int(spec, "iterations", path),
                 rng=None,
-                step_c=float(spec["step_c"]) if "step_c" in spec else None,
+                step_c=step_c,
                 projection=projection,
                 average_tail=_flag(spec, "average_tail", path, True),
             )
@@ -180,8 +180,12 @@ def _projection(spec, path: str):
     kind = _get(spec, "kind", path)
     if kind == "box":
         _check_keys(spec, {"kind", "lo", "hi"}, path)
+        bounds = {}
+        for key in ("lo", "hi"):
+            with _at(f"{path}.{key}"):
+                bounds[key] = _real(spec[key])
         with _at(path):
-            return BoxProjection(lo=float(spec["lo"]), hi=float(spec["hi"]))
+            return BoxProjection(**bounds)
     if kind == "angle_wrap":
         _check_keys(spec, {"kind"}, path)
         return AngleWrap()
@@ -230,7 +234,7 @@ def parse_diagnose(doc: dict) -> DiagnoseConfig:
     )
 
 
-_SYNTHETIC_FIELDS = {"noise_std": float, "lambda_grid": _floats, "estimators": tuple}
+_SYNTHETIC_FIELDS = {"noise_std": _real, "lambda_grid": _reals, "estimators": tuple}
 
 
 def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
@@ -244,8 +248,9 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
     curve = isinstance(doc["n_train"], list)
     with _at(f"{name}.num_parts"):
         parts = _values(doc["num_parts"], _integer)
+    with _at(f"{name}.gamma"):
+        gammas = _values(doc["gamma"], _real)
     with _at(name):
-        gammas = _values(doc["gamma"], float)
         if curve and (len(parts) > 1 or len(gammas) > 1):
             raise ParseError(f"{name}: an n_train grid needs scalar num_parts and gamma")
         cfg = SyntheticConfig(num_parts=parts[0], block_dim=_int(doc, "block_dim", name),
@@ -258,8 +263,8 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
 
 
 _ANGULAR_FIELDS = {"grid_size": _integer, "patch": _integer, "stride": _integer,
-                   "bandwidth": float, "m": _integer, "n_test": _integer, "input_noise": float,
-                   "freq_cutoff": _integer, "lambda_grid": _floats}
+                   "bandwidth": _real, "m": _integer, "n_test": _integer, "input_noise": _real,
+                   "freq_cutoff": _integer, "lambda_grid": _reals}
 
 
 def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:

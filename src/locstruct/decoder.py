@@ -88,6 +88,10 @@ class BoxProjection:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"box projection needs lo <= hi, got {self.lo!r} and {self.hi!r}")
+
 
 @dataclass(frozen=True)
 class AngleWrap:
@@ -117,6 +121,8 @@ class SGM:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations!r}")
+        if self.step_c is not None and not self.step_c > 0:
+            raise ValueError(f"step_c must be positive, got {self.step_c!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,10 +20,11 @@ the matrix's size plus one temporary, the sum of the two norm vectors.
 
 Anchors drawn with replacement repeat, and a restriction kernel sees only
 the extracted part, so ``PreparedAnchors`` evaluates it once per distinct
-anchor part: its ``cross`` has one row per distinct part and ``index`` maps
-each anchor to its row. ``gram_matrix`` expands the u x u matrix over the
-distinct parts into the m x m one with a gather of its columns and one of
-its rows.
+anchor part: its ``cross`` and ``gram`` have one row per distinct part,
+``index`` maps each anchor to its row and ``counts`` counts the anchors on
+each row. ``gram_matrix`` expands the u x u matrix over the distinct parts
+into the m x m one with a gather of its columns and one of its rows; the
+fit does not need it.
 """
 
 from __future__ import annotations
@@ -323,6 +324,17 @@ class PreparedAnchors:
         """Row of ``cross`` of every anchor, shape (len(anchors),)."""
         return self._distinct[2]
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Number of anchors on every row of ``cross``, shape (rows,)."""
+        return np.bincount(self.index, minlength=self.rows)
+
+    def gram(self) -> np.ndarray:
+        """Kernel matrix between the rows of ``cross``, shape (rows, rows),
+        exactly symmetric; a new array on every call."""
+        S = self._distinct[0]
+        return _matrix(self.spec, S, S)
+
     def expand(self, C: np.ndarray) -> np.ndarray:
         """A matrix with one row per row of ``cross`` as one row per anchor:
         ``C[index]``."""
@@ -383,8 +395,7 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
         if not anchors:
             raise ValueError("anchors must be non-empty")
         anchors = PreparedAnchors(spec, anchors, scheme)
-    S = anchors._distinct[0]
-    K = _matrix(spec, S, S)
+    K = anchors.gram()
     if anchors.rows != anchors.size:
         # columns first: the per-entry gather runs over u x m entries, and
         # the row gather that follows copies whole rows

@@ -11,6 +11,7 @@ factorization, which is recomputed deterministically on load.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -116,13 +117,15 @@ def kernel_from_json(d: dict, path="kernel"):
         return LinearParts()
     if kind == "gaussian":
         _check_keys(d, {"kind", "sigma"}, path)
-        return GaussianParts(sigma=float(d["sigma"]))
+        with _at(f"{path}.sigma"):
+            return GaussianParts(sigma=_real(d["sigma"]))
     if kind == "restriction":
         _check_keys(d, {"kind", "base"}, path)
         return Restriction(base=kernel_from_json(d["base"], f"{path}.base"))
     if kind == "gaussian_global":
         _check_keys(d, {"kind", "sigma"}, path)
-        return GaussianGlobal(sigma=float(d["sigma"]))
+        with _at(f"{path}.sigma"):
+            return GaussianGlobal(sigma=_real(d["sigma"]))
     if kind == "sum":
         _check_keys(d, {"kind", "universal", "local"}, path)
         return SumKernel(universal=kernel_from_json(d["universal"], f"{path}.universal"),
@@ -147,7 +150,8 @@ def pi_from_json(d: dict, num_parts, path="pi"):
         return None if num_parts is None else Uniform(num_parts)
     if kind == "weighted":
         _check_keys(d, {"kind", "probs"}, path)
-        pi = Weighted(probs=tuple(float(v) for v in d["probs"]))
+        with _at(f"{path}.probs"):
+            pi = Weighted(probs=_reals(d["probs"]))
         if num_parts is not None and pi.num_parts != num_parts:
             raise ParseError(f"{path}.probs: {pi.num_parts} probabilities for {num_parts} parts")
         return pi
@@ -194,6 +198,28 @@ def _int(d, key, path, low=1):
     if not isinstance(v, int) or isinstance(v, bool) or v < low:
         raise ParseError(f"{path}.{key}: expected an integer >= {low}, got {v!r}")
     return v
+
+
+def _real(v) -> float:
+    """A real value as written: a finite JSON number. A boolean, string,
+    NaN or infinity is refused with a ``ValueError``, never converted; read
+    it inside ``_at``, which names the key."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
+def _reals(v) -> tuple:
+    """A JSON list of ``_real`` values, as a tuple."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of numbers, got {v!r}")
+    return tuple(_real(x) for x in v)
 
 
 def _flag(d, key, path, default: bool) -> bool:
@@ -334,7 +360,7 @@ def load_model(path) -> AlphaModel:
     with _at(f"{where}scheme"):
         scheme = scheme_from_json(doc["scheme"], f"{where}scheme")
     with _at(f"{where}lambda"):
-        lam = float(doc["lambda"])
+        lam = _real(doc["lambda"])
     if not lam > 0:
         raise ParseError(f"{where}lambda: must be positive")
     with _at(f"{where}inputs"):

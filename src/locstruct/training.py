@@ -10,17 +10,22 @@ The solve follows the kernel's structure. When the pair kernel has an
 explicit feature map ``K = F F^T`` with ``F`` of shape (m, d) and ``d < m``
 (a linear restriction kernel on fixed-shape numeric parts), only the d x d
 system ``F^T F + m lambda I`` is factored and the m x m Gram is never
-built; otherwise the dense m x m system is factored. A system matrix the
-fit builds itself is factored in its own memory; a Gram passed in is copied.
+built.
 
-On the dense path a restriction kernel is evaluated once per distinct anchor
-part (``PreparedAnchors.cross``): weight vectors expand that matrix to one
-row per anchor before the solve, and readout weights fold the dual weights
-onto the distinct parts once per output table, ``R_u = U^T R`` for the
-m x u indicator ``U`` of the anchors' parts, so a readout multiplies the
-u-row cross matrix (``R^T U C_u = R_u^T C_u``). The dense readout of a
-decode streams its queries in blocks of at most ``READOUT_BLOCK_BYTES`` of
-that matrix, so its memory does not grow with the number of queries.
+Otherwise the solve is dense, over the u distinct anchor parts: anchors are
+drawn with replacement and a restriction kernel sees only the extracted
+part, so ``K = U K_u U^T`` for the u x u Gram ``K_u`` of the distinct parts
+and the m x u indicator ``U`` of each anchor's part
+(``PreparedAnchors.index``). The fit factors the count-weighted system
+``M = W K_u W + m lambda I``, ``W = diag(sqrt(c))`` for the counts ``c`` of
+anchors per part, and every solve with the m x m system is read out of
+``M`` (``AlphaModel``); no m x m matrix is built. Weight vectors expand
+the u-row cross matrix (``PreparedAnchors.cross``) to one row per anchor,
+and readout weights are kept on the distinct parts, so a readout multiplies
+the u-row cross matrix. The dense readout of a decode streams its queries
+in blocks of at most ``READOUT_BLOCK_BYTES`` of that matrix, so its memory
+does not grow with the number of queries. A system matrix the fit builds
+itself is factored in its own memory; a Gram passed in is left unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernels import KernelSpec, PreparedAnchors, gram_matrix, GramMatrix, has_feature_map
+from .kernels import KernelSpec, PreparedAnchors, GramMatrix, has_feature_map
 from .parts import (
     NonFiniteError,
     PartDistribution,
@@ -113,12 +118,21 @@ def _samples(train, scheme: PartScheme, rows: np.ndarray, parts: np.ndarray) -> 
 class AlphaModel:
     """Fitted estimator: anchors plus a factorization of ``K + m lambda I``.
 
-    With ``features`` unset, ``factor`` is the Cholesky factor of the m x m
-    system ``K + shift I``. With ``features = F`` (m x d, ``K = F F^T``) it
-    is the factor of the d x d system ``F^T F + shift I``: ``apply_inverse``
-    then uses the Woodbury identity, and weights and readouts use the
-    push-through identity ``(F F^T + s I)^{-1} F = F (F^T F + s I)^{-1}``.
-    ``shift`` is ``m * lam + jitter`` either way. The dense inverse is never
+    With ``features`` unset, ``factor`` is the Cholesky factor of the u x u
+    count-weighted system ``M = W K_u W + shift I`` over the u distinct
+    anchor parts (the rows of ``PreparedAnchors.cross``): ``K_u`` is their
+    Gram and ``W = diag(sqrt(c))`` for ``c`` the anchors per part. The m x m
+    system ``K + shift I`` is ``Q M Q^T`` on the span of ``Q = U W^{-1}``
+    (``U`` the m x u indicator of the anchors' parts, orthonormal columns)
+    and ``shift I`` on the vectors that sum to zero over each part's
+    anchors, so every solve with it is read out of ``M``. When no two
+    anchor parts are equal, ``W = I`` and ``M`` is ``K + shift I`` itself.
+    With ``features = F`` (m x d, ``K = F F^T``) ``factor`` is the factor of
+    the d x d system ``F^T F + shift I``: ``apply_inverse`` then uses the
+    Woodbury identity, and weights and readouts use the push-through
+    identity ``(F F^T + s I)^{-1} F = F (F^T F + s I)^{-1}``. ``shift`` is
+    ``m * lam + jitter`` either way, and ``jitter`` is the diagonal that the
+    factor of ``K + m lam I`` needed on top. The dense inverse is never
     materialized. Immutable after fit, safe for concurrent queries.
 
     Like ``prepared_anchors`` and ``etas``, readout weights are filled in
@@ -164,10 +178,29 @@ class AlphaModel:
             return self._prepared
         return _prepare(self.kernel, self.inputs, self.aux, self.scheme)
 
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """The diagonal of ``W``."""
+        return np.sqrt(self.prepared_anchors.counts)
+
+    def _solve_weighted(self, B: np.ndarray) -> np.ndarray:
+        """``W^{-1} M^{-1} B`` for u-row ``B``."""
+        w = _rows(self._roots, B)
+        return cho_solve(self.factor, B) / w
+
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns."""
+        """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns.
+
+        Dense form: ``(v - expand(fold(v) / c)) / s + expand(W^{-1} M^{-1}
+        W^{-1} fold(v))``, the part of ``v`` off the span of ``Q``, which
+        ``K`` maps to zero, divided by the shift, plus the solve on that
+        span. Nothing cancels as lambda goes to zero."""
         if self.features is None:
-            return cho_solve(self.factor, v)
+            prepared = self.prepared_anchors
+            f = prepared.fold(v)
+            means = f / _rows(prepared.counts, f)
+            inner = self._solve_weighted(f / _rows(self._roots, f))
+            return (v - prepared.expand(means)) / self.shift + prepared.expand(inner)
         F = self.features
         return (v - F @ cho_solve(self.factor, F.T @ v)) / self.shift
 
@@ -175,12 +208,16 @@ class AlphaModel:
         """Weight vectors ``alpha(x, p)`` for every ``x`` in ``xs`` and ``p``
         in ``parts`` as columns, input-major: shape (m, len(xs) * len(parts)).
 
-        With features this is ``F (F^T F + s I)^{-1} B^T`` for the query
-        features ``B``, the push-through form of ``(K + s I)^{-1} F B^T``.
+        Dense form: ``expand(W^{-1} M^{-1} W C_u)`` for the u-row cross
+        matrix ``C_u``. With features this is ``F (F^T F + s I)^{-1} B^T``
+        for the query features ``B``, the push-through form of ``(K + s
+        I)^{-1} F B^T``.
         """
         if self.features is None:
             prepared = self.prepared_anchors
-            return self.apply_inverse(prepared.expand(prepared.cross(xs, parts)))
+            C = prepared.cross(xs, parts)
+            C *= _rows(self._roots, C)
+            return prepared.expand(self._solve_weighted(C))
         B = self.prepared_anchors.query_features(xs, parts)
         return self.features @ cho_solve(self.factor, B.T)
 
@@ -189,14 +226,17 @@ class AlphaModel:
         ``sum_j alpha_j(x, p) E[j]`` per query; ``E`` has one row per anchor.
 
         Dual form: ``(K + s I)^{-1} E`` folded onto the rows of the prepared
-        anchors' cross matrix (``PreparedAnchors.fold``), shape (u, c) for u
-        distinct anchor parts. With features the push-through identity ``E^T
-        (F F^T + s I)^{-1} F = E^T F (F^T F + s I)^{-1}`` gives ``R = (F^T F +
-        s I)^{-1} F^T E``, shape (d, c); this also avoids the cancellation of
-        a Woodbury solve contracted with F.
+        anchors' cross matrix (``PreparedAnchors.fold``), read out of the
+        count-weighted system as ``W M^{-1} W^{-1} fold(E)``, shape (u, c)
+        for u distinct anchor parts. With features the push-through
+        identity ``E^T (F F^T + s I)^{-1} F = E^T F (F^T F + s I)^{-1}``
+        gives ``R = (F^T F + s I)^{-1} F^T E``, shape (d, c); this also
+        avoids the cancellation of a Woodbury solve contracted with F.
         """
         if self.features is None:
-            return self.prepared_anchors.fold(self.apply_inverse(E))
+            f = self.prepared_anchors.fold(E)
+            w = _rows(self._roots, f)
+            return cho_solve(self.factor, f / w) * w
         return cho_solve(self.factor, self.features.T @ E)
 
     def memo_readout_weights(self, key, table: Callable[[], np.ndarray]) -> np.ndarray:
@@ -229,6 +269,11 @@ class AlphaModel:
             C = self.prepared_anchors.cross(xs[i:i + block], parts)
             np.matmul(R.T, C, out=S[:, i * P:i * P + C.shape[1]])
         return S
+
+
+def _rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The vector ``v`` shaped to scale the rows of ``a``."""
+    return v.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
 def _prepare(kernel: KernelSpec, inputs: tuple, aux: tuple, scheme: PartScheme) -> PreparedAnchors:
@@ -302,6 +347,42 @@ def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None,
             log.debug("factorization retry with jitter %.3e", jitter)
 
 
+def _factor_distinct(prepared: PreparedAnchors, K: np.ndarray, shift: float, fresh: bool):
+    """Cholesky of the count-weighted system ``W K W + shift I`` over the
+    distinct anchor parts of ``prepared``, ``K`` their u x u Gram, with
+    ``_factor_system``'s jitter at the scale ``c . diag(K) / m = trace(K_m)
+    / m`` of the m x m Gram ``K_m``. ``K`` is scaled in its own memory when
+    ``fresh``, else left as it is. When every part is distinct ``W = I``
+    and this is ``_factor_system(K, shift)``."""
+    if not np.isfinite(K).all():
+        raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
+    c = prepared.counts
+    scale = (c * K.diagonal()).sum() / prepared.size
+    w = np.sqrt(c)
+    ww = np.outer(w, w)  # one product per entry keeps the system exactly symmetric
+    if fresh:
+        K *= ww
+    else:
+        K = K * ww
+    return _factor_system(K, shift, scale=scale, overwrite=True)
+
+
+def _model(inputs: tuple, aux: tuple, kernel: KernelSpec, lam: float, scheme: PartScheme,
+           fitted: tuple, features, prepared: PreparedAnchors, etas: np.ndarray) -> AlphaModel:
+    factor, jitter = fitted
+    if jitter:
+        log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, len(aux))
+    return AlphaModel(
+        inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
+        factor=factor, jitter=jitter, features=features, _prepared=prepared, _etas=etas,
+    )
+
+
+def _check_lambda(lam: float) -> None:
+    if lam <= 0:
+        raise ValueError("lambda must be strictly positive")
+
+
 def fit_alpha(
     inputs: Sequence,
     aux: Sequence[AuxiliarySample],
@@ -325,9 +406,10 @@ def fit_alpha(
         Regularization, strictly positive; the system matrix is
         ``K + len(aux) * lam * I``.
     gram : GramMatrix, optional
-        Precomputed Gram over the anchors, factored in a copy, so one Gram
-        can serve fits at several lambdas. Passing one forces the dense
-        m x m solve.
+        Precomputed m x m Gram over the anchors, left unchanged. Passing one
+        forces the dense solve, which reads its u x u block at the first
+        anchor of each distinct part (all of it when the parts are
+        distinct).
 
     Raises
     ------
@@ -338,8 +420,7 @@ def fit_alpha(
         If the inputs do not stack or the anchor output parts do not share
         one shape.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be strictly positive")
+    _check_lambda(lam)
     aux = tuple(aux)
     if not aux:
         raise ValueError("auxiliary set must be non-empty")
@@ -352,22 +433,38 @@ def fit_alpha(
     F = prepared.features if gram is None else None
     if F is not None and F.shape[1] < m:
         G = F.T @ F
-        factor, jitter = _factor_system(G, m * lam, scale=np.trace(G) / m, overwrite=True)
+        fitted = _factor_system(G, m * lam, scale=np.trace(G) / m, overwrite=True)
     else:
         F = None
-        own = gram is None
-        if own:
-            gram = gram_matrix(kernel, prepared, scheme)
-        K = np.asarray(gram.entries, dtype=float)
-        if not np.isfinite(K).all():
-            raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
-        factor, jitter = _factor_system(K, m * lam, overwrite=own)
-    if jitter:
-        log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
-    return AlphaModel(
-        inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-        factor=factor, jitter=jitter, features=F, _prepared=prepared, _etas=etas,
-    )
+        if gram is None:
+            K, fresh = prepared.gram(), True
+        else:
+            K = np.asarray(gram.entries, dtype=float)
+            fresh = prepared.rows < m
+            if fresh:
+                first = np.unique(prepared.index, return_index=True)[1]
+                K = K[np.ix_(first, first)]
+        fitted = _factor_distinct(prepared, K, m * lam, fresh)
+    return _model(inputs, aux, kernel, lam, scheme, fitted, F, prepared, etas)
+
+
+def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
+                 scheme: PartScheme) -> Callable[[float], AlphaModel]:
+    """Dense fits of one anchor set at any lambda: ``path(lam)`` equals
+    ``fit_alpha(inputs, aux, kernel, lam, scheme, gram=...)``. The anchors
+    are prepared, their output parts stacked and their u x u Gram built
+    once; every fit factors a scaled copy of that Gram."""
+    aux = tuple(aux)
+    inputs = tuple(inputs)
+    etas = _stack_etas(aux)
+    prepared = _prepare(kernel, inputs, aux, scheme)
+    K = prepared.gram()
+
+    def path(lam: float) -> AlphaModel:
+        _check_lambda(lam)
+        fitted = _factor_distinct(prepared, K, len(aux) * lam, fresh=False)
+        return _model(inputs, aux, kernel, lam, scheme, fitted, None, prepared, etas)
+    return path
 
 
 def alpha_at(model: AlphaModel, x, p: int) -> np.ndarray:

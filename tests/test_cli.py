@@ -294,6 +294,7 @@ EXACT_JSON = {"method": "exact", "budget": 100, "alphabet": [0, 1]}
 SGM_JSON = {"method": "sgm", "iterations": 10}
 GRID_JSON = {"kind": "grid_patches", "width": 4, "height": 4, "patch_w": 2, "patch_h": 2,
              "stride": 2}
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
 STRICT_NUMBERS = {
     "exact_budget_float": ("predict", {"decoder": {**EXACT_JSON, "budget": 5.9}}, "budget"),
     "exact_budget_true": ("predict", {"decoder": {**EXACT_JSON, "budget": True}}, "budget"),
@@ -312,6 +313,33 @@ STRICT_NUMBERS = {
                         "train.scheme.block_dim"),
     "bench_synthetic_num_parts_float": ("bench-synthetic", {"num_parts": 4.5}, "num_parts"),
     "bench_angular_m_float": ("bench-angular", {"m": 16.5}, "bench-angular.m"),
+    # reals must be finite JSON numbers: NaN, an infinity, a boolean or a
+    # numeric string is refused, as are values out of range
+    "sgm_step_c_nan": ("predict", {"seed": 1, "decoder": {**SGM_JSON, "step_c": NAN}}, "step_c"),
+    "sgm_step_c_negative": ("predict", {"seed": 1, "decoder": {**SGM_JSON, "step_c": -1.0}},
+                            "step_c"),
+    "sgm_step_c_string": ("predict", {"seed": 1, "decoder": {**SGM_JSON, "step_c": "0.5"}},
+                          "step_c"),
+    "box_lo_above_hi": ("predict", {"seed": 1, "decoder": {
+        **SGM_JSON, "projection": {"kind": "box", "lo": 1.0, "hi": -1.0}}}, "lo <= hi"),
+    "box_hi_string": ("predict", {"seed": 1, "decoder": {
+        **SGM_JSON, "projection": {"kind": "box", "lo": -1.0, "hi": "1"}}}, "projection.hi"),
+    "lambda_true": ("train", {"lambda": True}, "train.lambda"),
+    "lambda_infinite": ("train", {"lambda": INF}, "train.lambda"),
+    "sigma_infinite": ("train", {"kernel": {"kind": "restriction",
+                                            "base": {"kind": "gaussian", "sigma": INF}}},
+                       "train.kernel.base.sigma"),
+    "pi_probs_strings": ("train", {"pi": {"kind": "weighted", "probs": ["0.5", "0.25", "0.25"]}},
+                         "train.pi.probs"),
+    "bench_synthetic_gamma_true": ("bench-synthetic", {"gamma": True}, "bench-synthetic.gamma"),
+    "bench_synthetic_noise_std_string": ("bench-synthetic", {"noise_std": "0.5"},
+                                         "bench-synthetic.noise_std"),
+    "bench_angular_bandwidth_infinite": ("bench-angular", {"bandwidth": INF},
+                                         "bench-angular.bandwidth"),
+    "bench_angular_lambda_grid_nan": ("bench-angular", {"lambda_grid": [NAN]},
+                                      "bench-angular.lambda_grid"),
+    "bench_angular_lambda_grid_negative": ("bench-angular", {"lambda_grid": [-1e-3]},
+                                           "lambda grid"),
 }
 BAD_INPUTS.update({name: row[:2] for name, row in STRICT_NUMBERS.items()})
 
@@ -348,6 +376,10 @@ BAD_MODELS = {
     "sample_part_out_of_range": (_set("samples", 0, "p", value=3), "parse"),
     "no_samples": (_set("samples", value=[]), "parse"),
     "block_dim_float": (_set("scheme", "block_dim", value=2.0), "parse"),
+    "lambda_true": (_set("lambda", value=True), "parse"),
+    "lambda_nan": (_set("lambda", value=float("nan")), "parse"),
+    "sigma_infinite": (_set("kernel", "base", "sigma", value=float("inf")), "parse"),
+    "sigma_string": (_set("kernel", "base", "sigma", value="1.0"), "parse"),
     "version_99": (_set("version", value=99), "unsupported_version"),
 }
 
@@ -506,11 +538,11 @@ class TestBenchCommands:
         def broken(*args, **kwargs):
             raise RuntimeError("solver down")
 
-        monkeypatch.setattr("locstruct.bench.fit_alpha", broken)
+        monkeypatch.setattr("locstruct.training._factor_system", broken)
         if command == "bench-synthetic":
             doc = {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0,
                    "n_train": 12, "n_test": 20, "repeats": 2, "lambda_grid": [1e-3]}
-            failed = 2  # local_ls on each repeat; the baselines do not use fit_alpha
+            failed = 2  # local_ls on each repeat; the baselines do not use the fit
         else:
             doc = {"seed": 4, "n_train": [2, 4], "repeats": 2, "grid_size": 8,
                    "patch": 4, "stride": 2, "m": 64, "n_test": 3, "lambda_grid": [1e-3]}

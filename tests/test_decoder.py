@@ -56,6 +56,7 @@ from locstruct.training import (
     AlphaModel,
     AuxiliarySample,
     NonFiniteError,
+    _prepare,
     alpha_at,
     alpha_at_parts,
     fit_alpha,
@@ -65,14 +66,17 @@ from locstruct.training import (
 
 def scalar_model(anchor_vals, etas, scale=1.0):
     """Model over one scalar part whose weights at the query x=[1] equal
-    scale * anchor_vals: the solve factor is the identity (scaled), so the
-    weights are the raw linear kernel values."""
+    scale * anchor_vals: the solve factor, over the distinct anchor values,
+    is the identity (scaled), so the weights are the raw linear kernel
+    values."""
     scheme = VectorBlocks(block_dim=1, num_blocks=1)
     inputs = tuple(np.array([float(a)]) for a in anchor_vals)
     aux = tuple(AuxiliarySample(i, 0, np.array([float(e)])) for i, e in enumerate(etas))
-    factor = cho_factor(np.eye(len(aux)) / scale, lower=True)
-    return AlphaModel(inputs=inputs, aux=aux, kernel=Restriction(LinearParts()),
-                      lam=1.0, scheme=scheme, factor=factor)
+    kernel = Restriction(LinearParts())
+    prepared = _prepare(kernel, inputs, aux, scheme)
+    factor = cho_factor(np.eye(prepared.rows) / scale, lower=True)
+    return AlphaModel(inputs=inputs, aux=aux, kernel=kernel, lam=1.0, scheme=scheme,
+                      factor=factor, _prepared=prepared)
 
 
 QUERY = np.array([1.0])
@@ -298,8 +302,9 @@ class TestDecodeExact:
         model = scalar_model([0.0, 0.0], [0.0, 1.0])
         scheme = SequenceWindows(3, 1)
         aux = tuple(AuxiliarySample(0, 0, "b") for _ in range(2))
+        # the two anchors share one part: the factor is over that one part
         model = AlphaModel(inputs=("aaa",), aux=aux, kernel=Restriction(LinearParts()),
-                           lam=1.0, scheme=scheme, factor=cho_factor(np.eye(2), lower=True))
+                           lam=1.0, scheme=scheme, factor=cho_factor(np.eye(1), lower=True))
         # query whose windows never match the anchors: all weights vanish
         req = DecodeRequest(model, "ccc", ZERO_ONE_WINDOW, Uniform(3),
                             ExactEnumeration(budget=10, alphabet=("b", "a")))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 from locstruct.kernels import (
     GaussianGlobal,
@@ -13,6 +13,7 @@ from locstruct.kernels import (
     PreparedAnchors,
     Restriction,
     SumKernel,
+    cross_matrix,
     gram_matrix,
 )
 from locstruct import training
@@ -30,6 +31,7 @@ from locstruct.training import (
     FactorizationError,
     NonFiniteError,
     _factor_system,
+    _lambda_path,
     alpha_at,
     alpha_at_parts,
     enumerate_auxiliary,
@@ -259,7 +261,9 @@ class TestFitAlpha:
             gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
         model = fit_alpha(inputs, aux, kernel, 0.1, scheme, gram=gram)
         assert model.features is None
-        assert model.factor[0].shape == (model.m, model.m)
+        # the dense factor is over the distinct anchor parts
+        u = model.prepared_anchors.rows
+        assert u <= model.m and model.factor[0].shape == (u, u)
 
     def test_linear_kernel_takes_feature_space_solve(self):
         rng = np.random.default_rng(12)
@@ -342,33 +346,52 @@ class TestFitAlpha:
             assert lower and np.array_equal(c, want[0])
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**16), m=st.integers(2, 20))
+    @given(seed=st.integers(0, 2**16), m=st.integers(1, 20))
     def test_own_gram_retry_equals_passed_gram(self, seed, m):
-        """Anchors 0 and 1 coincide, so at a negligible lambda the Gram is
-        singular and the fit retries with jitter: the fit that factors its
-        own Gram in place equals the one that copies a passed Gram, and
-        both equal factoring fresh copies."""
+        """Anchors 0 and 1 hold the parts (0, 1) and (1e-9, 1): two rows of
+        the distinct-part system whose Gaussian kernel value rounds to 1,
+        the value on its diagonal, so their 2 x 2 block is singular in
+        floating point. At a negligible lambda the fit retries with jitter:
+        the fit that factors its own Gram in place equals the one that reads
+        a passed Gram, and both equal factoring fresh copies of the
+        count-weighted system."""
         rng = np.random.default_rng(seed)
         train = _train_set(rng, 3)
-        aux = generate_auxiliary(train, m, SCHEME, Uniform(3), rng)
-        aux[1] = aux[0]
-        inputs = [x for x, _ in train]
+        inputs = [x for x, _ in train] + [np.array([0.0, 1.0] * 3), np.array([1e-9, 1.0] * 3)]
+        aux = [AuxiliarySample(3, 0, np.zeros(2)), AuxiliarySample(4, 0, np.zeros(2))]
+        aux += generate_auxiliary(train, m, SCHEME, Uniform(3), rng)
         lam = 1e-30
         own = fit_alpha(inputs, aux, GAUSS, lam, SCHEME)
         gram = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
-        want = _escalate_on_copies(gram.entries, m * lam)
+        entries = gram.entries.copy()
         passed = fit_alpha(inputs, aux, GAUSS, lam, SCHEME, gram=gram)
-        assert np.array_equal(gram.entries, gram.entries.T)  # a passed Gram is not written
+        assert np.array_equal(gram.entries, entries)  # a passed Gram is not written
+        M, scale = _distinct_system(own.prepared_anchors, entries)
+        want = _escalate_on_copies(M, own.m * lam, scale)
         assert own.jitter > 0 and own.jitter == passed.jitter == want[1]
         assert np.array_equal(own.factor[0], want[0])
         assert np.array_equal(passed.factor[0], want[0])
 
 
-def _escalate_on_copies(K, shift):
+def _distinct_system(prepared, K):
+    """The count-weighted system ``W K_u W`` of the m x m Gram ``K``, read at
+    the first anchor of each distinct part, and the scale of its jitter,
+    ``c . diag(K_u) / m``, which is ``trace(K) / m``."""
+    first = np.unique(prepared.index, return_index=True)[1]
+    K_u = K[np.ix_(first, first)]
+    c = prepared.counts
+    w = np.sqrt(c)
+    scale = (c * K_u.diagonal()).sum() / prepared.size
+    assert scale == pytest.approx(np.trace(K) / prepared.size, rel=1e-14)
+    return K_u * np.outer(w, w), scale
+
+
+def _escalate_on_copies(K, shift, scale=None):
     """``_factor_system``'s jitter escalation with a fresh ``K + (shift +
     jitter) I`` per attempt: (factor, jitter), or None when it gives up."""
     m = K.shape[0]
-    scale = np.trace(K) / m
+    if scale is None:
+        scale = np.trace(K) / m
     jitter = 0.0
     while jitter <= 1e-6 * scale:
         try:
@@ -376,6 +399,139 @@ def _escalate_on_copies(K, shift):
         except np.linalg.LinAlgError:
             jitter = jitter * 10.0 if jitter else 1e-12 * scale
     return None
+
+
+@st.composite
+def distinct_part_fits(draw):
+    """(inputs, aux, kernel, scheme, lam, queries) for a dense fit whose
+    anchors repeat in four ways: drawn with replacement from inputs of few
+    distinct values, m past the number of (input, part) pairs; string
+    windows over two symbols; every (input, part) pair once with
+    continuous inputs, so no two parts are equal; one sample m times."""
+    kind = draw(st.sampled_from(["repeated", "strings", "all_distinct", "single"]))
+    lam = 10.0 ** draw(st.integers(-6, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    if kind == "strings":
+        scheme = SequenceWindows(4, draw(st.integers(1, 2)))
+        word = lambda: "".join(rng.choice(list("ab"), 4))
+        train = [(word(), word()) for _ in range(n)]
+        queries = [word() for _ in range(2)]
+        kernel = draw(st.sampled_from([GAUSS, LINEAR]))  # strings: always dense
+    else:
+        scheme = SCHEME
+        if kind == "all_distinct":
+            train = _train_set(rng, n)
+        else:
+            train = [(x, 2.0 * x) for x in rng.integers(-1, 2, (n, 6)).astype(float)]
+        queries = list(rng.standard_normal((2, 6)))
+        kernel = GAUSS
+    pairs = n * scheme.num_parts
+    if kind == "all_distinct":
+        aux = enumerate_auxiliary(train, scheme)
+    elif kind == "single":
+        aux = generate_auxiliary(train, 1, scheme, Uniform(scheme.num_parts), rng)
+        aux = aux * draw(st.integers(1, 12))
+    else:
+        m = draw(st.integers(1, 3 * pairs))
+        aux = generate_auxiliary(train, m, scheme, Uniform(scheme.num_parts), rng)
+    return [x for x, _ in train], aux, kernel, scheme, lam, queries
+
+
+class TestDistinctPartSystem:
+    """The dense fit factors the u x u count-weighted system over the
+    distinct anchor parts; its solves must equal those of the m x m system
+    ``K + s I`` on the per-anchor Gram."""
+
+    @staticmethod
+    def _bound(A):
+        """The rounding bound of a backward-stable solve with ``A``, relative
+        to the norm of the exact solution: ``64 m eps cond(A)``."""
+        w = np.linalg.eigvalsh(A)
+        return 64 * len(A) * np.finfo(float).eps * w[-1] / w[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=distinct_part_fits())
+    def test_solves_equal_the_per_anchor_system(self, case):
+        inputs, aux, kernel, scheme, lam, queries = case
+        model = fit_alpha(inputs, aux, kernel, lam, scheme)
+        assert model.features is None
+        m, u = model.m, model.prepared_anchors.rows
+        assert model.factor[0].shape == (u, u)
+        K = gram_matrix(kernel, model.anchors, scheme).entries
+        A = K + model.shift * np.eye(m)
+        tol = self._bound(A)
+        rng = np.random.default_rng(m)
+
+        def close(got, want):
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+        V = rng.standard_normal((m, 3))
+        close(model.apply_inverse(V), np.linalg.solve(A, V))
+        close(model.apply_inverse(V[:, 0]), np.linalg.solve(A, V[:, 0]))
+        parts = list(range(scheme.num_parts))
+        C = cross_matrix(kernel, model.anchors, [(x, p) for x in queries for p in parts], scheme)
+        close(model.alphas(queries, parts), np.linalg.solve(A, C))
+        E = rng.standard_normal((m, 2))
+        close(model.readout_weights(E), model.prepared_anchors.fold(np.linalg.solve(A, E)))
+        # one shared preparation gives the same fit at every lambda
+        assert np.array_equal(_lambda_path(inputs, aux, kernel, scheme)(lam).factor[0],
+                              model.factor[0])
+
+        if u == m:
+            # W = I: the m x m factor, weights and readout weights, bit for bit
+            factor = _factor_system(K, m * lam)[0]
+            assert np.array_equal(model.factor[0], factor[0])
+            Cq = model.prepared_anchors.cross(queries, parts)
+            assert np.array_equal(model.alphas(queries, parts), cho_solve(factor, Cq))
+            assert np.array_equal(model.readout_weights(E), cho_solve(factor, E))
+
+    @pytest.mark.parametrize("gram_passed", [False, True])
+    def test_all_distinct_decodes_equal_the_per_anchor_fit(self, gram_passed):
+        # every anchor part distinct: the closed-form decodes of the m x m
+        # system, bit for bit
+        rng = np.random.default_rng(21)
+        train = _train_set(rng, 4)
+        inputs = [x for x, _ in train]
+        aux = enumerate_auxiliary(train, SCHEME)
+        K = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
+        model = fit_alpha(inputs, aux, GAUSS, 1e-3, SCHEME, gram=K if gram_passed else None)
+        assert model.prepared_anchors.rows == model.m
+        factor = _factor_system(K.entries, model.m * 1e-3)[0]
+        Q = list(rng.standard_normal((3, 6)))
+        C = model.prepared_anchors.cross(Q, range(3))
+        E = np.column_stack([model.etas.reshape(model.m, -1), np.ones(model.m)])
+        want = cho_solve(factor, E).T @ C
+        assert np.array_equal(model.readout(model.readout_weights(E), Q, range(3)), want)
+
+    def test_jitter_on_a_singular_distinct_system(self):
+        """Parts (1, 0), (0, 1) and (1, 1) under the linear kernel, seen 1, 4
+        and 9 times: the third is the sum of the other two, so the
+        distinct-part system is singular, and with integer weights its
+        Cholesky meets an exact zero pivot. The fit retries with jitter at
+        the scale trace(K) / m of the per-anchor Gram, and solves that
+        system with the jitter added to a backward error of rounding size,
+        ``64 m eps (|A| |x| + |v|)``."""
+        scheme = VectorBlocks(block_dim=2, num_blocks=1)
+        inputs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+        aux = [AuxiliarySample(i, 0, np.array([float(i), 0.0])) for i in range(3)]
+        aux += [aux[1]] * 3 + [aux[2]] * 8
+        gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], 0) for s in aux], scheme)
+        lam = 1e-30
+        model = fit_alpha(inputs, aux, LINEAR, lam, scheme, gram=gram)
+        m = model.m
+        assert (m, model.prepared_anchors.rows) == (14, 3)
+        M, scale = _distinct_system(model.prepared_anchors, gram.entries)
+        assert np.array_equal(M, [[1, 0, 3], [0, 4, 6], [3, 6, 18]]) and scale == 23 / 14
+        want = _escalate_on_copies(M, m * lam, scale)
+        assert model.jitter == want[1] == 1e-12 * scale
+        assert np.array_equal(model.factor[0], want[0])
+        A = gram.entries + model.shift * np.eye(m)
+        v = np.random.default_rng(0).standard_normal(m)
+        x = model.apply_inverse(v)
+        norm = np.linalg.norm
+        bound = 64 * m * np.finfo(float).eps * (norm(A, 2) * norm(x) + norm(v))
+        assert norm(A @ x - v) <= bound
 
 
 class TestBlockedReadout:
