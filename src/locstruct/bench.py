@@ -39,7 +39,7 @@ from .decoder import AngularDecoder, LeastSquaresDecoder
 from .kernels import GaussianParts, LinearParts, Restriction
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
-from .training import _lambda_path, enumerate_auxiliary, fit_alpha, generate_auxiliary
+from .training import _lambda_path, enumerate_auxiliary, generate_auxiliary
 
 log = logging.getLogger(__name__)
 
@@ -87,8 +87,8 @@ class SyntheticConfig:
             raise ValueError("noise_std must be >= 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ValueError("lambda grid entries must be positive")
+        if not all(0 < l < math.inf for l in self.lambda_grid):
+            raise ValueError("lambda grid entries must be positive and finite")
         unknown = [e for e in self.estimators if e not in LS_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}")
@@ -113,8 +113,8 @@ class AngularConfig:
     def __post_init__(self):
         self.scheme()  # the patches must fit the grid
         GaussianParts(self.bandwidth)  # and the bandwidth be positive
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ValueError("lambda grid entries must be positive")
+        if not all(0 < l < math.inf for l in self.lambda_grid):
+            raise ValueError("lambda grid entries must be positive and finite")
 
     def scheme(self) -> GridPatches:
         return GridPatches(
@@ -270,17 +270,17 @@ def _local_path(scheme: VectorBlocks):
     """Hold-out path of the part-pooled estimator: every (input, part) pair of
     the training set is an anchor of a linear restriction kernel, decoded with
     the squared-loss closed form. The readout is the unnormalized weighted
-    sum, the ridge conditional mean of a linear kernel on centered data."""
+    sum, the ridge conditional mean of a linear kernel on centered data.
+    Every lambda factors a copy of one ``F^T F`` (``training._lambda_path``)."""
     kernel = Restriction(LinearParts())
     pi = Uniform(scheme.num_parts)
 
     def path(X, Y):
-        aux = enumerate_auxiliary(list(zip(X, Y)), scheme)
-        inputs = list(X)
+        fit_at = _lambda_path(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme),
+                              kernel, scheme)
 
         def fit(lam):
-            model = fit_alpha(inputs, aux, kernel, lam, scheme)
-            return LeastSquaresDecoder(model, pi, normalize=False).decode_batch
+            return LeastSquaresDecoder(fit_at(lam), pi, normalize=False).decode_batch
         return fit
     return path
 
@@ -407,9 +407,8 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
 def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
     drawn once per training set from the cell's own stream, a Gaussian
-    restriction kernel, and the angular closed form. The anchors are
-    prepared and their Gram over the distinct anchor parts built once per
-    training set (``training._lambda_path``), and shared by every lambda."""
+    restriction kernel, and the angular closed form. Every lambda factors a
+    copy of one Gram over the distinct anchor parts (``training._lambda_path``)."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))

@@ -31,7 +31,8 @@ from .decoder import (
     decode_exact,
     decode_sgm,
 )
-from .locality import SquaredKernel, empirical_cov_map, locality_constants, sequence_bound_check
+from .locality import (InsufficientDataError, SquaredKernel, UnsupportedConfigurationError,
+                       empirical_cov_map, locality_constants, sequence_bound_check)
 from .losses import SQUARED_VECTOR
 from .modelio import (ParseError, UnsupportedVersionError, encode_value, load_model, read_dataset,
                       read_json, save_model)
@@ -271,7 +272,9 @@ _DISPATCH = {
 # JSON error kinds of the errors a command reports with exit status 2
 _ERROR_KINDS = ((ParseError, "parse"), (UnsupportedVersionError, "unsupported_version"),
                 (OSError, "io"), (NonFiniteError, "non_finite"),
-                ((ShapeMismatchError, PartIndexError), "shape"))
+                ((ShapeMismatchError, PartIndexError), "shape"),
+                (InsufficientDataError, "insufficient_data"),
+                (UnsupportedConfigurationError, "unsupported"))
 
 
 def run_command(argv) -> int:

@@ -121,8 +121,9 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
 
     The first expectation is the mean over the sample, the second the mean
     over all ordered pairs of distinct samples. Standard errors come from a
-    leave-one-out jackknife over the samples. Invariant to permuting the
-    sample list.
+    leave-one-out jackknife over the samples, which needs at least 3 of
+    them, so that every leave-one-out set still has a pair; fewer raise
+    ``InsufficientDataError``. Invariant to permuting the sample list.
 
     The pair loop is O(n^2) per cell; for data beyond desk scale pass
     ``pair_subsample`` to average the cross term over that many randomly
@@ -132,8 +133,8 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     """
     samples = list(samples)
     n = len(samples)
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 samples, got {n}")
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 samples, got {n}")
     pairs = None
     if pair_subsample is not None and pair_subsample < n * (n - 1):
         if pair_subsample < n:

@@ -24,8 +24,12 @@ the u-row cross matrix (``PreparedAnchors.cross``) to one row per anchor,
 and readout weights are kept on the distinct parts, so a readout multiplies
 the u-row cross matrix. The dense readout of a decode streams its queries
 in blocks of at most ``READOUT_BLOCK_BYTES`` of that matrix, so its memory
-does not grow with the number of queries. A system matrix the fit builds
-itself is factored in its own memory; a Gram passed in is left unchanged.
+does not grow with the number of queries.
+
+Every fit goes through one lambda path (``_lambda_path``): the anchors are
+prepared and the lambda-free system, ``F^T F`` or ``W K_u W``, built once,
+and each lambda factors a fresh copy of it. ``fit_alpha`` is that path at
+one lambda; the hold-out searches of ``bench`` walk their grids on one path.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernels import KernelSpec, PreparedAnchors, GramMatrix, has_feature_map
+from .kernels import KernelSpec, PreparedAnchors
 from .parts import (
     NonFiniteError,
     PartDistribution,
@@ -301,27 +305,22 @@ def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
     return E
 
 
-def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None,
-                   overwrite: bool = False):
+def _factor_system(K: np.ndarray, shift: float, scale: float):
     """Cholesky of K + shift*I with diagonal jitter escalation on failure.
 
     Jitter starts at ``1e-12 * scale`` and grows tenfold up to ``1e-6 *
-    scale``. ``scale`` defaults to the mean diagonal of ``K``; the
-    feature-space solve passes ``trace(K) / m`` of the full kernel matrix so
-    that a jitter means the same on both paths.
+    scale``; both paths pass ``trace(K) / m`` of the m x m kernel matrix, so
+    a jitter means the same on each.
 
-    The factor is computed in a column-major copy of ``K``, or with
-    ``overwrite`` in the memory of ``K`` itself, which must then be exactly
-    symmetric: ``K.T`` is factored, so LAPACK writes the factor over the
-    upper triangle of a row-major ``K`` and leaves its lower one intact.
-    A failed attempt is undone from that intact triangle and a saved
-    diagonal, so every attempt, and the factor, equals the copying path's.
+    ``K`` must be a fresh, exactly symmetric array: the factor is computed
+    in its memory. ``K.T`` is factored, so LAPACK writes the factor over the
+    upper triangle of a row-major ``K`` and leaves its lower one intact. A
+    failed attempt is undone from that intact triangle and a saved diagonal,
+    so every attempt equals factoring a fresh copy of ``K``.
     """
     m = K.shape[0]
-    if scale is None:
-        scale = np.trace(K) / m
     base = 1e-12 * scale
-    A = K.T if overwrite else K.copy(order="F")
+    A = K.T
     diag = K.diagonal().copy()
     on_diag = np.diag_indices(m)
     jitter = 0.0
@@ -347,40 +346,9 @@ def _factor_system(K: np.ndarray, shift: float, scale: Optional[float] = None,
             log.debug("factorization retry with jitter %.3e", jitter)
 
 
-def _factor_distinct(prepared: PreparedAnchors, K: np.ndarray, shift: float, fresh: bool):
-    """Cholesky of the count-weighted system ``W K W + shift I`` over the
-    distinct anchor parts of ``prepared``, ``K`` their u x u Gram, with
-    ``_factor_system``'s jitter at the scale ``c . diag(K) / m = trace(K_m)
-    / m`` of the m x m Gram ``K_m``. ``K`` is scaled in its own memory when
-    ``fresh``, else left as it is. When every part is distinct ``W = I``
-    and this is ``_factor_system(K, shift)``."""
-    if not np.isfinite(K).all():
-        raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
-    c = prepared.counts
-    scale = (c * K.diagonal()).sum() / prepared.size
-    w = np.sqrt(c)
-    ww = np.outer(w, w)  # one product per entry keeps the system exactly symmetric
-    if fresh:
-        K *= ww
-    else:
-        K = K * ww
-    return _factor_system(K, shift, scale=scale, overwrite=True)
-
-
-def _model(inputs: tuple, aux: tuple, kernel: KernelSpec, lam: float, scheme: PartScheme,
-           fitted: tuple, features, prepared: PreparedAnchors, etas: np.ndarray) -> AlphaModel:
-    factor, jitter = fitted
-    if jitter:
-        log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, len(aux))
-    return AlphaModel(
-        inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-        factor=factor, jitter=jitter, features=features, _prepared=prepared, _etas=etas,
-    )
-
-
 def _check_lambda(lam: float) -> None:
-    if lam <= 0:
-        raise ValueError("lambda must be strictly positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be strictly positive and finite, got {lam!r}")
 
 
 def fit_alpha(
@@ -389,7 +357,6 @@ def fit_alpha(
     kernel: KernelSpec,
     lam: float,
     scheme: PartScheme,
-    gram: GramMatrix | None = None,
 ) -> AlphaModel:
     """Fit the weight model on an auxiliary sample set.
 
@@ -403,16 +370,13 @@ def fit_alpha(
     kernel : KernelSpec
         Pair kernel used for the Gram and all queries.
     lam : float
-        Regularization, strictly positive; the system matrix is
+        Regularization, strictly positive and finite; the system matrix is
         ``K + len(aux) * lam * I``.
-    gram : GramMatrix, optional
-        Precomputed m x m Gram over the anchors, left unchanged. Passing one
-        forces the dense solve, which reads its u x u block at the first
-        anchor of each distinct part (all of it when the parts are
-        distinct).
 
     Raises
     ------
+    ValueError
+        If ``lam`` is not positive and finite or ``aux`` is empty.
     NonFiniteError
         If an input, a kernel value or a numeric anchor output part is NaN
         or infinite.
@@ -421,49 +385,47 @@ def fit_alpha(
         one shape.
     """
     _check_lambda(lam)
+    return _lambda_path(inputs, aux, kernel, scheme)(lam)
+
+
+def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
+                 scheme: PartScheme) -> Callable[[float], AlphaModel]:
+    """Fits of one anchor set at any lambda: ``path(lam)`` is
+    ``fit_alpha(inputs, aux, kernel, lam, scheme)``. The anchors are
+    prepared, their output parts stacked and the lambda-free system built
+    once: ``F^T F`` with features ``F`` of width ``d < m``, else the
+    count-weighted ``W K_u W`` over the distinct anchor parts. Every fit
+    factors a fresh copy of it."""
     aux = tuple(aux)
     if not aux:
         raise ValueError("auxiliary set must be non-empty")
     inputs = tuple(inputs)
     m = len(aux)
-    if gram is not None and gram.entries.shape[0] != m:
-        raise ValueError("precomputed Gram size does not match the auxiliary set")
     etas = _stack_etas(aux)
     prepared = _prepare(kernel, inputs, aux, scheme)
-    F = prepared.features if gram is None else None
+    F = prepared.features
     if F is not None and F.shape[1] < m:
         G = F.T @ F
-        fitted = _factor_system(G, m * lam, scale=np.trace(G) / m, overwrite=True)
+        scale = np.trace(G) / m
     else:
         F = None
-        if gram is None:
-            K, fresh = prepared.gram(), True
-        else:
-            K = np.asarray(gram.entries, dtype=float)
-            fresh = prepared.rows < m
-            if fresh:
-                first = np.unique(prepared.index, return_index=True)[1]
-                K = K[np.ix_(first, first)]
-        fitted = _factor_distinct(prepared, K, m * lam, fresh)
-    return _model(inputs, aux, kernel, lam, scheme, fitted, F, prepared, etas)
-
-
-def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
-                 scheme: PartScheme) -> Callable[[float], AlphaModel]:
-    """Dense fits of one anchor set at any lambda: ``path(lam)`` equals
-    ``fit_alpha(inputs, aux, kernel, lam, scheme, gram=...)``. The anchors
-    are prepared, their output parts stacked and their u x u Gram built
-    once; every fit factors a scaled copy of that Gram."""
-    aux = tuple(aux)
-    inputs = tuple(inputs)
-    etas = _stack_etas(aux)
-    prepared = _prepare(kernel, inputs, aux, scheme)
-    K = prepared.gram()
+        G = prepared.gram()
+        if not np.isfinite(G).all():
+            raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
+        c = prepared.counts
+        scale = (c * G.diagonal()).sum() / m  # trace(K) / m of the m x m Gram
+        w = np.sqrt(c)
+        G *= np.outer(w, w)  # one product per entry keeps the system exactly symmetric
 
     def path(lam: float) -> AlphaModel:
         _check_lambda(lam)
-        fitted = _factor_distinct(prepared, K, len(aux) * lam, fresh=False)
-        return _model(inputs, aux, kernel, lam, scheme, fitted, None, prepared, etas)
+        factor, jitter = _factor_system(G.copy(), m * lam, scale)
+        if jitter:
+            log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
+        return AlphaModel(
+            inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
+            factor=factor, jitter=jitter, features=F, _prepared=prepared, _etas=etas,
+        )
     return path
 
 

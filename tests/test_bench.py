@@ -174,8 +174,11 @@ class TestEstimatorComparison:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             _cfg(noise_std=-1.0)
-        with pytest.raises(ValueError):
-            _cfg(lambda_grid=(0.0, 1.0))
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _cfg(lambda_grid=(bad, 1.0))
+            with pytest.raises(ValueError, match="finite"):
+                AngularConfig(lambda_grid=(1.0, bad))
         with pytest.raises(ValueError, match="glob_ls"):
             _cfg(estimators=("glob_ls",))
         with pytest.raises(ValueError):
@@ -218,8 +221,8 @@ class TestAngularTask:
             assert structured_loss(ANGULAR_SIN_SQ, y, y, None, scheme, pi) == 0.0
 
     def test_shared_gram_path_equals_a_fit_per_lambda(self):
-        """The path builds the anchors' Gram once and passes it to every
-        lambda's fit; each predictor decodes exactly as a fit that builds
+        """The path builds the anchors' Gram once and factors a copy of it
+        at every lambda; each predictor decodes exactly as a fit that builds
         its own Gram."""
         X, Y = gen_orientation_fields(3, ANG.grid_size, ANG.freq_cutoff, ANG.input_noise,
                                       np.random.default_rng(2))

@@ -496,6 +496,23 @@ class TestDiagnose:
         assert "s_hat" not in text
 
 
+    @pytest.mark.parametrize("pairs,scheme,kind", [
+        ([(np.zeros(6), np.zeros(6)), (np.ones(6), np.ones(6))], SCHEME_JSON,
+         "insufficient_data"),
+        ([("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")],
+         {"kind": "sequence_windows", "k": 4, "l": 2}, "unsupported"),
+    ], ids=["two_records", "strings"])
+    def test_locality_errors_have_a_kind(self, tmp_path, capsys, pairs, scheme, kind):
+        ds = tmp_path / "d.jsonl"
+        write_dataset(ds, pairs)
+        cfg = _write_json(tmp_path / "diag.json", {
+            "dataset": str(ds), "scheme": scheme, "similarity": {"kind": "raw_inner"}})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_command(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == kind
+        assert not out.exists()
+
 class TestBenchCommands:
     def test_synthetic_comparison_csv(self, tmp_path):
         cfg = _write_json(tmp_path / "b.json", {

@@ -36,7 +36,6 @@ from locstruct.kernels import (
     PreparedAnchors,
     Restriction,
     cross_matrix,
-    gram_matrix,
     kernel_eval,
     kernel_sup,
 )
@@ -62,6 +61,8 @@ from locstruct.training import (
     fit_alpha,
     generate_auxiliary,
 )
+
+from helpers import dense_fit
 
 
 def scalar_model(anchor_vals, etas, scale=1.0):
@@ -158,8 +159,8 @@ class TestDecodeLeastSquares:
 
 class TestFeatureSpaceOracle:
     """The feature-space solve of a linear restriction kernel (K = F F^T,
-    d < m) against the dense m x m solve on the same anchors, which passing
-    the Gram forces."""
+    d < m) against the dense solve on the same anchors, which hiding the
+    feature map forces (``helpers.dense_fit``)."""
 
     # with fewer distinct anchor parts than d a total can still fall below
     # zero; both paths then take the flagged unnormalized branch
@@ -183,8 +184,7 @@ class TestFeatureSpaceOracle:
         aux = generate_auxiliary(list(zip(X, Y)), d + extra, scheme, pi, rng)
         kernel = Restriction(LinearParts())
         primal = fit_alpha(inputs, aux, kernel, lam, scheme)
-        gram = gram_matrix(kernel, [(inputs[s.chi_ref], s.p) for s in aux], scheme)
-        dual = fit_alpha(inputs, aux, kernel, lam, scheme, gram=gram)
+        dual = dense_fit(inputs, aux, kernel, lam, scheme)
         assert primal.features is not None and dual.features is None
 
         def close(a, b):

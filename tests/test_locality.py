@@ -128,9 +128,12 @@ class TestEmpiricalCovMap:
         for p in range(3):
             assert report.cov_map[p, p] >= -3 * report.std_err[p, p]
 
-    def test_needs_two_samples(self):
-        with pytest.raises(InsufficientDataError):
-            empirical_cov_map([np.zeros(4)], VectorBlocks(2, 2), RawInner())
+    def test_needs_three_samples(self):
+        # two samples leave one sample and no pair to a jackknife replicate
+        for n in (1, 2):
+            with pytest.raises(InsufficientDataError, match="at least 3"):
+                empirical_cov_map([np.full(4, float(i)) for i in range(n)],
+                                  VectorBlocks(2, 2), RawInner())
 
     def test_pair_subsampling_approximates_full_estimate(self):
         rng = np.random.default_rng(12)

@@ -39,6 +39,8 @@ from locstruct.training import (
     generate_auxiliary,
 )
 
+from helpers import dense_fit
+
 SCHEME = VectorBlocks(block_dim=2, num_blocks=3)
 GAUSS = Restriction(GaussianParts(1.0))
 LINEAR = Restriction(LinearParts())
@@ -229,8 +231,12 @@ class TestFitAlpha:
     def test_lambda_must_be_positive(self):
         x = np.zeros(6)
         aux = [AuxiliarySample(0, 0, np.zeros(2))]
-        with pytest.raises(ValueError):
-            fit_alpha([x], aux, GAUSS, 0.0, SCHEME)
+        path = _lambda_path([x], aux, GAUSS, SCHEME)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_alpha([x], aux, GAUSS, lam, SCHEME)
+            with pytest.raises(ValueError, match="finite"):
+                path(lam)
 
     def test_empty_aux_rejected(self):
         with pytest.raises(ValueError):
@@ -243,7 +249,7 @@ class TestFitAlpha:
         train = _train_set(rng, 4)
         inputs = [x for x, _ in train]
         aux = generate_auxiliary(train, 12, SCHEME, Uniform(3), rng)
-        scheme, kernel, gram = SCHEME, LINEAR, None
+        scheme, kernel, fit = SCHEME, LINEAR, fit_alpha
         if case == "d_ge_m":
             aux = aux[:2]  # parts of dimension 2, two anchors
         elif case == "string_parts":
@@ -258,8 +264,8 @@ class TestFitAlpha:
         elif case == "sum_kernel":
             kernel = SumKernel(GaussianGlobal(1.0), LINEAR)
         else:
-            gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
-        model = fit_alpha(inputs, aux, kernel, 0.1, scheme, gram=gram)
+            fit = dense_fit  # the feature map hidden: the dense oracle
+        model = fit(inputs, aux, kernel, 0.1, scheme)
         assert model.features is None
         # the dense factor is over the distinct anchor parts
         u = model.prepared_anchors.rows
@@ -312,38 +318,38 @@ class TestFitAlpha:
 
     def test_jitter_rescues_singular_system(self):
         K = np.ones((4, 4))  # rank one, plain Cholesky fails at shift 0
-        factor, jitter = _factor_system(K, 0.0)
+        factor, jitter = _factor_system(K, 0.0, 1.0)
         assert jitter > 0
 
     def test_indefinite_system_raises_with_condition_estimate(self):
         with pytest.raises(FactorizationError, match="condition"):
-            _factor_system(-np.eye(3), 0.0)
+            _factor_system(-np.eye(3), 0.0, -1.0)
         K = -np.eye(3) + 0.5 * np.ones((3, 3))
         before = K.copy()
         with pytest.raises(FactorizationError, match="condition"):
-            _factor_system(K, 0.0, overwrite=True)
+            _factor_system(K, 0.0, np.trace(K) / 3)
         assert np.array_equal(K, before)  # every failed attempt is undone
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.integers(2, 12), dip=st.floats(1e-14, 1e-10), seed=st.integers(0, 2**16))
     def test_retries_equal_fresh_copies(self, m, dip, seed):
         """An exactly symmetric K with a slightly negative eigenvalue needs
-        one or more jitter retries. In place or on a copy, the factor and
-        the jitter are those of factoring a fresh copy at each attempt."""
+        one or more jitter retries. Factored in place, the factor and the
+        jitter are those of factoring a fresh copy at each attempt."""
         Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
         w = np.linspace(1.0, 2.0, m)
         w[0] = -dip
         K = (Q * w) @ Q.T
         K = K + K.T  # exactly symmetric
         want = _escalate_on_copies(K, 0.0)
-        for overwrite in (False, True):
-            if want is None:
-                with pytest.raises(FactorizationError):
-                    _factor_system(K, 0.0, overwrite=overwrite)
-                continue
-            (c, lower), jitter = _factor_system(K.copy(), 0.0, overwrite=overwrite)
-            assert jitter > 0 and jitter == want[1]
-            assert lower and np.array_equal(c, want[0])
+        scale = np.trace(K) / m
+        if want is None:
+            with pytest.raises(FactorizationError):
+                _factor_system(K.copy(), 0.0, scale)
+            return
+        (c, lower), jitter = _factor_system(K.copy(), 0.0, scale)
+        assert jitter > 0 and jitter == want[1]
+        assert lower and np.array_equal(c, want[0])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), m=st.integers(1, 20))
@@ -351,9 +357,8 @@ class TestFitAlpha:
         """Anchors 0 and 1 hold the parts (0, 1) and (1e-9, 1): two rows of
         the distinct-part system whose Gaussian kernel value rounds to 1,
         the value on its diagonal, so their 2 x 2 block is singular in
-        floating point. At a negligible lambda the fit retries with jitter:
-        the fit that factors its own Gram in place equals the one that reads
-        a passed Gram, and both equal factoring fresh copies of the
+        floating point. At a negligible lambda the fit retries with jitter,
+        and its factor and jitter equal factoring fresh copies of the
         count-weighted system."""
         rng = np.random.default_rng(seed)
         train = _train_set(rng, 3)
@@ -363,14 +368,10 @@ class TestFitAlpha:
         lam = 1e-30
         own = fit_alpha(inputs, aux, GAUSS, lam, SCHEME)
         gram = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
-        entries = gram.entries.copy()
-        passed = fit_alpha(inputs, aux, GAUSS, lam, SCHEME, gram=gram)
-        assert np.array_equal(gram.entries, entries)  # a passed Gram is not written
-        M, scale = _distinct_system(own.prepared_anchors, entries)
+        M, scale = _distinct_system(own.prepared_anchors, gram.entries)
         want = _escalate_on_copies(M, own.m * lam, scale)
-        assert own.jitter > 0 and own.jitter == passed.jitter == want[1]
+        assert own.jitter > 0 and own.jitter == want[1]
         assert np.array_equal(own.factor[0], want[0])
-        assert np.array_equal(passed.factor[0], want[0])
 
 
 def _distinct_system(prepared, K):
@@ -474,30 +475,38 @@ class TestDistinctPartSystem:
         close(model.alphas(queries, parts), np.linalg.solve(A, C))
         E = rng.standard_normal((m, 2))
         close(model.readout_weights(E), model.prepared_anchors.fold(np.linalg.solve(A, E)))
-        # one shared preparation gives the same fit at every lambda
+        # one shared preparation gives the same fit at every lambda, on the
+        # dense path and on the feature-space path of a linear kernel
         assert np.array_equal(_lambda_path(inputs, aux, kernel, scheme)(lam).factor[0],
                               model.factor[0])
+        linear = fit_alpha(inputs, aux, LINEAR, lam, scheme)
+        assert np.array_equal(_lambda_path(inputs, aux, LINEAR, scheme)(lam).factor[0],
+                              linear.factor[0])
 
         if u == m:
             # W = I: the m x m factor, weights and readout weights, bit for bit
-            factor = _factor_system(K, m * lam)[0]
+            factor = _factor_system(K.copy(), m * lam, np.trace(K) / m)[0]
             assert np.array_equal(model.factor[0], factor[0])
             Cq = model.prepared_anchors.cross(queries, parts)
             assert np.array_equal(model.alphas(queries, parts), cho_solve(factor, Cq))
             assert np.array_equal(model.readout_weights(E), cho_solve(factor, E))
 
-    @pytest.mark.parametrize("gram_passed", [False, True])
-    def test_all_distinct_decodes_equal_the_per_anchor_fit(self, gram_passed):
+    @pytest.mark.parametrize("after_another_lambda", [False, True])
+    def test_all_distinct_decodes_equal_the_per_anchor_fit(self, after_another_lambda):
         # every anchor part distinct: the closed-form decodes of the m x m
-        # system, bit for bit
+        # system, bit for bit, also from a path that has fitted another
+        # lambda first
         rng = np.random.default_rng(21)
         train = _train_set(rng, 4)
         inputs = [x for x, _ in train]
         aux = enumerate_auxiliary(train, SCHEME)
-        K = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
-        model = fit_alpha(inputs, aux, GAUSS, 1e-3, SCHEME, gram=K if gram_passed else None)
+        K = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME).entries
+        path = _lambda_path(inputs, aux, GAUSS, SCHEME)
+        if after_another_lambda:
+            path(10.0)
+        model = path(1e-3)
         assert model.prepared_anchors.rows == model.m
-        factor = _factor_system(K.entries, model.m * 1e-3)[0]
+        factor = _factor_system(K, model.m * 1e-3, np.trace(K) / model.m)[0]
         Q = list(rng.standard_normal((3, 6)))
         C = model.prepared_anchors.cross(Q, range(3))
         E = np.column_stack([model.etas.reshape(model.m, -1), np.ones(model.m)])
@@ -518,7 +527,7 @@ class TestDistinctPartSystem:
         aux += [aux[1]] * 3 + [aux[2]] * 8
         gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], 0) for s in aux], scheme)
         lam = 1e-30
-        model = fit_alpha(inputs, aux, LINEAR, lam, scheme, gram=gram)
+        model = dense_fit(inputs, aux, LINEAR, lam, scheme)
         m = model.m
         assert (m, model.prepared_anchors.rows) == (14, 3)
         M, scale = _distinct_system(model.prepared_anchors, gram.entries)
@@ -532,6 +541,38 @@ class TestDistinctPartSystem:
         norm = np.linalg.norm
         bound = 64 * m * np.finfo(float).eps * (norm(A, 2) * norm(x) + norm(v))
         assert norm(A @ x - v) <= bound
+
+
+class TestLambdaPath:
+    """Every fit of a path factors a copy of one lambda-free system, so the
+    system is never written and a lambda fitted again gives the same bits."""
+
+    @pytest.mark.parametrize("case", ["feature_space", "dense", "string_windows"])
+    def test_shared_system_never_written(self, case):
+        rng = np.random.default_rng(31)
+        scheme, kernel = SCHEME, GAUSS
+        if case == "string_windows":
+            scheme = SequenceWindows(4, 2)
+            train = [("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")]
+            queries = ["abba", "bbbb"]
+            aux = generate_auxiliary(train, 20, scheme, Uniform(scheme.num_parts), rng)
+        else:
+            train = _train_set(rng, 4)
+            queries = list(rng.standard_normal((2, 6)))
+            aux = generate_auxiliary(train, 20, scheme, Uniform(3), rng)
+            if case == "feature_space":
+                kernel = LINEAR
+        inputs = [x for x, _ in train]
+        parts = list(range(scheme.num_parts))
+        path = _lambda_path(inputs, aux, kernel, scheme)
+        first, _, again = path(1e-3), path(10.0), path(1e-3)
+        alone = fit_alpha(inputs, aux, kernel, 1e-3, scheme)
+        assert (first.features is not None) == (case == "feature_space")
+        E = rng.standard_normal((first.m, 2))
+        for model in (again, alone):
+            assert np.array_equal(model.factor[0], first.factor[0])
+            assert np.array_equal(model.alphas(queries, parts), first.alphas(queries, parts))
+            assert np.array_equal(model.readout_weights(E), first.readout_weights(E))
 
 
 class TestBlockedReadout:
@@ -549,9 +590,8 @@ class TestBlockedReadout:
         inputs = data.draw(st.lists(ints, min_size=1, max_size=4))
         aux = [AuxiliarySample(data.draw(st.integers(0, len(inputs) - 1)),
                                data.draw(st.integers(0, 2)), np.zeros(2)) for _ in range(m)]
-        # a passed Gram forces the dense path a linear kernel would skip
-        gram = gram_matrix(LINEAR, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME)
-        model = fit_alpha(inputs, aux, LINEAR, 1.0, SCHEME, gram=gram)
+        # the dense path a linear kernel would skip
+        model = dense_fit(inputs, aux, LINEAR, 1.0, SCHEME)
         # the budget counts one row per distinct anchor part, not per anchor
         u = model.prepared_anchors.rows
         per_input = 8 * u * len(parts)
