@@ -1,9 +1,22 @@
 """Test-side helpers shared by several test modules."""
 
+import math
+import warnings
 from unittest import mock
 
-from locstruct.kernels import PreparedAnchors
-from locstruct.training import fit_alpha
+import numpy as np
+
+from locstruct.decoder import (
+    SGM,
+    AngleWrap,
+    DegenerateDecodeWarning,
+    _eta_matrix,
+    _positive_weights,
+    _project,
+)
+from locstruct.kernels import PreparedAnchors, kernel_sup
+from locstruct.parts import index_map
+from locstruct.training import alpha_at_parts, fit_alpha
 
 
 def dense_fit(inputs, aux, kernel, lam, scheme):
@@ -12,3 +25,77 @@ def dense_fit(inputs, aux, kernel, lam, scheme):
     distinct anchor parts: the oracle of the feature-space solve."""
     with mock.patch.object(PreparedAnchors, "features", property(lambda self: None)):
         return fit_alpha(inputs, aux, kernel, lam, scheme)
+
+
+def sgm_loop(req):
+    """The subgradient decode one iteration at a time, on any scheme: the
+    oracle of ``decode_sgm``'s per-coordinate sweep.
+
+    Each iteration that steps gathers its part's coordinates, steps them
+    (subtract, x2, [sin, / part size], x scale, x step, add), projects them
+    and scatters them back; the first step also projects the rest of the
+    field. Every iteration in the tail adds the whole field to a sum that
+    starts from +0.0."""
+    method, model, loss = req.method, req.model, req.loss
+    assert isinstance(method, SGM)
+    scheme = model.scheme
+    weights = _positive_weights(req.pi, scheme.num_parts)
+    probs = weights / weights.sum()
+    projection = method.projection
+    if projection is None and loss.kind == "angular_sin_sq":
+        projection = AngleWrap()
+    if method.step_c is not None:
+        c = float(method.step_c)
+    else:
+        sup = kernel_sup(model.kernel)
+        c = 1.0 / sup if sup else 1.0
+
+    etas, canvas = _eta_matrix(model)
+    J = index_map(scheme, math.prod(canvas) // math.prod(scheme.shape))
+    z = np.zeros(math.prod(canvas))
+
+    active = np.flatnonzero(probs > 0)
+    alphas = alpha_at_parts(model, req.x, active)
+    totals = np.abs(alphas).sum(axis=0)
+    cums = np.cumsum(np.abs(alphas), axis=0)
+
+    T = method.iterations
+    part_draws = method.rng.choice(len(probs), size=T, p=probs)
+    anchor_u = method.rng.random(T)
+    cols = np.searchsorted(active, part_draws)
+    anchors = np.zeros(T, dtype=np.intp)
+    for col in range(len(active)):
+        drawn = cols == col
+        anchors[drawn] = np.searchsorted(cums[:, col], anchor_u[drawn] * totals[col])
+    np.minimum(anchors, model.m - 1, out=anchors)
+
+    tail_from = T - math.ceil(T / 2)
+    tail_sum = np.zeros_like(z)
+    patch, grad = np.empty(J.shape[1]), np.empty(J.shape[1])
+    stepped = False
+    for t in range(1, T + 1):
+        p, j, col = int(part_draws[t - 1]), int(anchors[t - 1]), int(cols[t - 1])
+        if totals[col] > 0.0:
+            Jp = J[p]
+            z.take(Jp, out=patch)
+            np.subtract(patch, etas[j], out=grad)
+            grad *= 2.0
+            if loss.kind == "angular_sin_sq":
+                np.sin(grad, out=grad)
+                grad /= patch.size
+            grad *= float(np.copysign(totals[col], alphas[j, col]))
+            grad *= -(c / math.sqrt(t))
+            patch += grad
+            z[Jp] = _project(patch, projection, out=patch)
+            if not stepped:
+                z = _project(z, projection)
+                stepped = True
+        if t > tail_from:
+            tail_sum += z
+
+    if not stepped:
+        warnings.warn("every subgradient iteration skipped, returning the start point",
+                      DegenerateDecodeWarning)
+    elif method.average_tail:
+        z = _project(tail_sum / (T - tail_from), projection)
+    return z.reshape(canvas)

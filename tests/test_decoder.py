@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from locstruct.bench import DEFAULT_LAMBDA_GRID
 from locstruct.decoder import (
     AngleWrap,
     AngularDecoder,
+    BoxProjection,
     CapacityError,
     ClosedForm,
     DecodeRequest,
@@ -49,6 +51,7 @@ from locstruct.parts import (
     VectorBlocks,
     Weighted,
     extract_part,
+    index_map,
     part_weights,
 )
 from locstruct.training import (
@@ -62,7 +65,7 @@ from locstruct.training import (
     generate_auxiliary,
 )
 
-from helpers import dense_fit
+from helpers import dense_fit, sgm_loop
 
 
 def scalar_model(anchor_vals, etas, scale=1.0):
@@ -643,16 +646,46 @@ class TestExactMethod:
         (10, ()),
         (10, ("a", 1.0)),
         (0, ("a", "b")),
-    ], ids=["multi_char", "duplicate", "empty", "mixed", "zero_budget"])
+        (2.5, ("a", "b")),
+        (True, ("a", "b")),
+        ("10", ("a", "b")),
+    ], ids=["multi_char", "duplicate", "empty", "mixed", "zero_budget", "float_budget",
+            "bool_budget", "string_budget"])
     def test_bad_method_rejected(self, budget, alphabet):
         with pytest.raises(ValueError):
             ExactEnumeration(budget=budget, alphabet=alphabet)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert ExactEnumeration(budget=np.int64(10), alphabet=("a",)).budget == 10
 
     def test_numeric_alphabet_returns_tuple(self):
         model, _ = seq_model([((0.0, 1.0), (1.0, 0.0))])
         req = DecodeRequest(model, (0.0, 1.0), SQUARED_VECTOR, Uniform(2),
                             ExactEnumeration(budget=10, alphabet=[1.0, 0.0]))
         assert decode_exact(req) == (1.0, 0.0)
+
+
+class TestSGMMethod:
+    @pytest.mark.parametrize("iterations,step_c", [
+        (0, None),
+        (2.5, None),
+        (True, None),
+        (10.0, None),
+        (10, 0.0),
+        (10, -1.0),
+        (10, math.nan),
+        (10, math.inf),
+    ], ids=["zero_iterations", "float_iterations", "bool_iterations", "integral_float",
+            "zero_step", "negative_step", "nan_step", "infinite_step"])
+    def test_bad_method_rejected(self, iterations, step_c):
+        with pytest.raises(ValueError):
+            SGM(iterations=iterations, rng=np.random.default_rng(0), step_c=step_c)
+
+    def test_numpy_integer_iterations_accepted(self):
+        method = SGM(iterations=np.int64(3), rng=np.random.default_rng(0), step_c=0.5)
+        z = decode_sgm(DecodeRequest(scalar_model([0.5], [1.0]), QUERY, SQUARED_VECTOR, PI1,
+                                     method))
+        assert np.isfinite(z).all()
 
 
 class TestZeroPartWeights:
@@ -800,6 +833,131 @@ class TestDecodeSGM:
                      projection=AngleWrap())
         z = decode_sgm(DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, method))[0]
         assert -np.pi <= z < np.pi
+
+
+# Schemes of the sweep property: overlapping grid patches with and without
+# wrap-around, disjoint blocks, overlapping windows and a one-coordinate
+# canvas, where every step of the sweep is one iteration.
+SWEEP_SCHEMES = {
+    "grid": GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=1),
+    "circular_grid": GridPatches(width=4, height=3, patch_w=2, patch_h=2, stride=1, circular=True),
+    "blocks": VectorBlocks(block_dim=2, num_blocks=3),
+    "windows": SequenceWindows(6, 3),
+    "one_coordinate": VectorBlocks(block_dim=1, num_blocks=1),
+}
+
+
+# The box at -0.0 pins every stepped coordinate to -0.0, so only a tail sum
+# that starts from +0.0 gets the loop's sign bits.
+SWEEP_PROJECTIONS = [None, BoxProjection(0.25, 1.5), BoxProjection(-0.0, -0.0), AngleWrap()]
+
+
+@st.composite
+def sgm_cases(draw):
+    """A fitted model, a query and SGM settings. Grids carry one or two
+    output channels; pi may put zero weight on a part; under the linear
+    kernel the query may be zero on a part, whose iterations then do not
+    step, down to a decode where none does."""
+    scheme = SWEEP_SCHEMES[draw(st.sampled_from(sorted(SWEEP_SCHEMES)))]
+    lead = draw(st.sampled_from([(), (2,)])) if isinstance(scheme, GridPatches) else ()
+    P = scheme.num_parts
+    pi = Uniform(P)
+    if P > 1 and draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=P, max_size=P)))
+        raw[draw(st.integers(0, P - 1))] = 0.0
+        pi = Weighted(tuple(raw / raw.sum()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    train = [(rng.uniform(-1.0, 1.0, scheme.shape), rng.uniform(-2.0, 2.0, lead + scheme.shape))
+             for _ in range(draw(st.integers(1, 4)))]
+    aux = generate_auxiliary(train, draw(st.integers(1, 12)), scheme, pi, rng)
+    linear = draw(st.booleans())
+    kernel = Restriction(LinearParts() if linear else GaussianParts(1.0))
+    model = fit_alpha([x for x, _ in train], aux, kernel, 0.1, scheme)
+    x = rng.uniform(-1.0, 1.0, scheme.shape)
+    if linear:
+        for p in draw(st.lists(st.integers(0, P - 1), max_size=P)):
+            np.put(x, index_map(scheme)[p], 0.0)
+    loss = draw(st.sampled_from([SQUARED_VECTOR, ANGULAR_SIN_SQ]))
+    settings_ = dict(iterations=draw(st.integers(1, 300)),
+                     step_c=draw(st.sampled_from([None, 0.3])),
+                     projection=draw(st.sampled_from(SWEEP_PROJECTIONS)),
+                     average_tail=draw(st.booleans()))
+    return DecodeRequest(model, x, loss, pi, None), settings_, seed
+
+
+def _sgm_both(req, seed, **settings_):
+    """``decode_sgm`` and the one-iteration-at-a-time loop on equal generators,
+    with the warning categories each raised."""
+    out = []
+    for decode in (decode_sgm, sgm_loop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            z = decode(replace(req, method=SGM(rng=np.random.default_rng(seed), **settings_)))
+        out.append((z, [w.category for w in caught]))
+    return out
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSGMSweep:
+    """The per-coordinate sweep of ``decode_sgm`` against the loop that runs
+    one iteration at a time (``helpers.sgm_loop``): bitwise, sign bits
+    included."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=sgm_cases())
+    def test_equals_the_loop(self, case):
+        req, settings_, seed = case
+        (fast, fast_warned), (slow, slow_warned) = _sgm_both(req, seed, **settings_)
+        _assert_bitwise(fast, slow)
+        assert fast_warned == slow_warned
+
+    @pytest.mark.parametrize("projection", [None, BoxProjection(0.25, 1.5)])
+    def test_all_dead_returns_the_start_point(self, projection):
+        """A query that is zero everywhere gives zero weights under the
+        linear kernel: no iteration steps, and the unprojected start point
+        comes back flagged."""
+        rng = np.random.default_rng(31)
+        train = [(rng.uniform(-1.0, 1.0, (4, 4)), rng.uniform(-2.0, 2.0, (4, 4))) for _ in range(3)]
+        aux = generate_auxiliary(train, 10, GRID, Uniform(4), rng)
+        model = fit_alpha([x for x, _ in train], aux, Restriction(LinearParts()), 0.1, GRID)
+        req = DecodeRequest(model, np.zeros((4, 4)), SQUARED_VECTOR, Uniform(4), None)
+        (fast, fast_warned), (slow, slow_warned) = _sgm_both(
+            req, 0, iterations=50, projection=projection)
+        assert fast_warned == slow_warned == [DegenerateDecodeWarning]
+        _assert_bitwise(fast, slow)
+        _assert_bitwise(fast, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("average_tail", [True, False])
+    def test_first_step_in_the_tail(self, average_tail):
+        """Only block 2 of the query is non-zero, under the linear kernel,
+        and pi rarely draws it: with a generator whose first draw of block 2
+        comes after the first half, the tail sums unprojected zeros before
+        the first step and the projected start after it."""
+        scheme = VectorBlocks(block_dim=2, num_blocks=3)
+        probs = np.array([0.49, 0.49, 0.02])
+        T = 40
+        seed = next(s for s in range(1000)
+                    if np.argmax(np.random.default_rng(s).choice(3, size=T, p=probs) == 2)
+                    >= T - math.ceil(T / 2))
+        rng = np.random.default_rng(32)
+        train = [(rng.uniform(0.5, 1.0, 6), rng.uniform(-2.0, 2.0, 6)) for _ in range(3)]
+        pi = Weighted(tuple(probs))
+        aux = generate_auxiliary(train, 12, scheme, pi, rng)
+        model = fit_alpha([x for x, _ in train], aux, Restriction(LinearParts()), 0.1, scheme)
+        x = np.array([0.0, 0.0, 0.0, 0.0, 0.7, 0.9])
+        for loss in (SQUARED_VECTOR, ANGULAR_SIN_SQ):
+            (fast, fast_warned), (slow, slow_warned) = _sgm_both(
+                DecodeRequest(model, x, loss, pi, None), seed, iterations=T,
+                projection=BoxProjection(0.25, 1.5), average_tail=average_tail)
+            assert fast_warned == slow_warned == []
+            _assert_bitwise(fast, slow)
+            assert fast[0] == 0.25  # block 0 never steps: the projected start
 
 
 class TestAngleWrap:

@@ -258,6 +258,44 @@ def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     assert_close(prepared.expand(prepared.cross(xs, parts)), want)
 
 
+def _outside_part(x, scheme, p):
+    """Mask over ``x`` (a string's characters or an array's entries) of the
+    positions that part ``p`` does not read."""
+    if isinstance(x, str):
+        labels = np.arange(len(x))
+    else:
+        labels = np.arange(np.size(x)).reshape(np.shape(x))
+    mask = np.ones(labels.size, dtype=bool)
+    mask[np.ravel(extract_part(labels, scheme, p))] = False
+    return mask
+
+
+@pytest.mark.parametrize("scheme_name", sorted(ORACLE_SCHEMES))
+@pytest.mark.parametrize("kernel_name", ["linear", "gaussian"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_kernels_are_local(kernel_name, scheme_name, data):
+    """A restriction kernel reads part ``p`` of an input and nothing else:
+    rewriting the input outside part ``p`` leaves ``kernel_eval`` and
+    ``PreparedAnchors.cross`` at ``(x, p)`` bitwise unchanged."""
+    spec = ORACLE_KERNELS[kernel_name]
+    scheme, inputs = ORACLE_SCHEMES[scheme_name]
+    part = st.integers(0, scheme.num_parts - 1)
+    anchors = data.draw(st.lists(st.tuples(inputs, part), min_size=1, max_size=7))
+    x, other = data.draw(inputs), data.draw(inputs)
+    p = data.draw(part)
+    outside = _outside_part(x, scheme, p)
+    if isinstance(x, str):
+        y = "".join(o if out else c for c, o, out in zip(x, other, outside))
+    else:
+        y = np.where(outside.reshape(np.shape(x)), other, x)
+    for anchor in anchors:
+        assert kernel_eval(spec, (x, p), anchor, scheme) == kernel_eval(spec, (y, p), anchor, scheme)
+        assert kernel_eval(spec, anchor, (x, p), scheme) == kernel_eval(spec, anchor, (y, p), scheme)
+    prepared = PreparedAnchors(spec, anchors, scheme)
+    assert np.array_equal(prepared.cross([x], [p]), prepared.cross([y], [p]))
+
+
 # Anchors over few, small part values, so that draws repeat parts both as
 # repeated (input, part) pairs and as equal parts of different inputs.
 _REPEAT_SCHEMES = {
