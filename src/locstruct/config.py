@@ -21,7 +21,7 @@ from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _real, _reals,
+from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _integer, _real, _reals,
                       kernel_from_json, pi_from_json, scheme_from_json)
 from .parts import PartDistribution, PartScheme, Uniform, Weighted
 
@@ -31,14 +31,6 @@ def _decode(codec, doc, key, name, *args):
     path = f"{name}.{key}"
     with _at(path):
         return codec(doc[key], *args, path)
-
-
-def _integer(v) -> int:
-    """A count of a bench stanza as written: a JSON integer, never a
-    converted float, string or boolean."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
 
 
 def _values(v, kind) -> tuple:

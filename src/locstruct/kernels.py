@@ -18,6 +18,16 @@ place in the matrix of inner products (``part_kernel_matrix``): one array of
 the matrix's size plus one temporary, the sum of the two norm vectors.
 ``kernel_eval`` is the scalar form.
 
+``PreparedAnchors.cross`` takes a shorter road for a Gaussian restriction
+kernel on numeric parts. One matrix product of the anchor half ``[2a,
+-|a|^2, 1]``, built once, with the query half ``[b, 1, -|b|^2]`` writes
+minus the squared distances, which are clamped at 0, divided by ``2
+sigma^2`` and exponentiated in place: no temporary, and no array beside the
+result. On parts whose sums are exact this is the arithmetic of
+``part_kernel_matrix``, bit for bit. The Gram, which the factor needs
+exactly symmetric, ``cross_matrix`` and the covariance maps keep
+``part_kernel_matrix``.
+
 Anchors drawn with replacement repeat, and a restriction kernel sees only
 the extracted part, so ``PreparedAnchors`` evaluates it once per distinct
 anchor part: its ``cross`` and ``gram`` have one row per distinct part,
@@ -268,7 +278,11 @@ class PreparedAnchors:
     other kernels; ``index`` maps each anchor to its row. The distinct rows
     come from one ``np.unique`` over a byte view of the stacked parts, in
     order of first appearance, built on the first ``cross``, ``index`` or
-    Gram: the feature-space solve never builds them."""
+    Gram: the feature-space solve never builds them. For a Gaussian
+    restriction kernel on numeric parts the first ``cross`` also builds the
+    anchor half of its exponent product, ``[2a, -|a|^2, 1]`` per distinct
+    part ``a`` (module docstring); a fit, which needs only the Gram, never
+    does."""
 
     def __init__(self, spec: KernelSpec, anchors, scheme: PartScheme):
         anchors = list(anchors)
@@ -366,11 +380,49 @@ class PreparedAnchors:
             raise ShapeMismatchError("query parts do not match the shape of the anchor parts")
         return B
 
-    def cross(self, xs, parts) -> np.ndarray:
+    @cached_property
+    def _exponent_rows(self):
+        """The anchor half ``[2a, -|a|^2, 1]`` of the Gaussian exponent, one
+        row per row ``a`` of ``cross``, or None when ``cross`` does not take
+        the product: kernels other than a Gaussian restriction, string parts."""
+        S = self._distinct[0]
+        if not (isinstance(self.spec, Restriction) and isinstance(self.spec.base, GaussianParts)
+                and S.dtype.kind == "f"):
+            return None
+        H = np.empty((len(S), S.shape[1] + 2))
+        H[:, :-2] = 2.0 * S
+        H[:, -2] = -np.einsum("ij,ij->i", S, S)
+        H[:, -1] = 1.0
+        return H
+
+    def cross(self, xs, parts, out=None) -> np.ndarray:
         """k(row_r, (xs[i], parts[k])) for every row ``r`` of the anchors (see
         ``index``), shape (rows, len(xs) * len(parts)); column ``i *
-        len(parts) + k`` holds query (xs[i], parts[k])."""
-        return _matrix(self.spec, self._distinct[0], self._query_stack(xs, parts))
+        len(parts) + k`` holds query (xs[i], parts[k]).
+
+        ``out``, a C-contiguous float64 array of that shape, receives the
+        matrix and is returned, so that a decode can reuse one buffer for
+        all of its query blocks. The Gaussian product path writes into it
+        directly; the other kernels copy their matrix into it."""
+        B = self._query_stack(xs, parts)
+        H = self._exponent_rows
+        if H is None:
+            C = _matrix(self.spec, self._distinct[0], B)
+            if out is None:
+                return C
+            out[...] = C
+            return out
+        if B.dtype.kind != "f" or B.shape[1] + 2 != H.shape[1]:
+            raise ShapeMismatchError(
+                f"parts ({H.shape[1] - 2},) float64 vs {B.shape[1:]} {B.dtype}")
+        Q = np.empty((len(B), H.shape[1]))
+        Q[:, :-2] = B
+        Q[:, -2] = 1.0
+        Q[:, -1] = -np.einsum("ij,ij->i", B, B)
+        E = np.matmul(H, Q.T, out=out)  # minus the squared distances
+        np.minimum(E, 0.0, out=E)
+        E /= 2.0 * self.spec.base.sigma**2
+        return np.exp(E, out=E)
 
 
 def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:

@@ -191,11 +191,24 @@ def _get(d, key, path):
     return d[key]
 
 
+def _is_integer(v) -> bool:
+    """The one rule for counts and indices: a JSON integer as written. A
+    float, string or boolean is refused, never converted."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v) -> int:
+    """``v`` if ``_is_integer``, else a ``ValueError``; read it inside
+    ``_at``, which names the key."""
+    if not _is_integer(v):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def _int(d, key, path, low=1):
-    """``d[key]`` as written: a JSON integer of at least ``low``. A float,
-    string or boolean is refused, never converted."""
+    """``d[key]`` if ``_is_integer`` and at least ``low``."""
     v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+    if not _is_integer(v) or v < low:
         raise ParseError(f"{path}.{key}: expected an integer >= {low}, got {v!r}")
     return v
 
@@ -373,7 +386,7 @@ def load_model(path) -> AlphaModel:
         _check_keys(s, {"chi", "p", "eta"}, path=key)
         for name, bound in (("chi", len(inputs)), ("p", scheme.num_parts)):
             v = s[name]
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+            if not _is_integer(v) or not 0 <= v < bound:
                 raise ParseError(f"{key}.{name}: expected an integer in [0, {bound})")
     with _at(f"{where}samples"):
         aux = [AuxiliarySample(s["chi"], s["p"], decode_value(s["eta"])) for s in samples]

@@ -23,8 +23,8 @@ anchors per part, and every solve with the m x m system is read out of
 the u-row cross matrix (``PreparedAnchors.cross``) to one row per anchor,
 and readout weights are kept on the distinct parts, so a readout multiplies
 the u-row cross matrix. The dense readout of a decode streams its queries
-in blocks of at most ``READOUT_BLOCK_BYTES`` of that matrix, so its memory
-does not grow with the number of queries.
+in blocks of at most ``READOUT_BLOCK_BYTES`` of that matrix, all written
+into one buffer, so its memory does not grow with the number of queries.
 
 Every fit goes through one lambda path (``_lambda_path``): the anchors are
 prepared and the lambda-free system, ``F^T F`` or ``W K_u W``, built once,
@@ -261,17 +261,23 @@ class AlphaModel:
         cross matrix, u x (block * len(parts)) over the u distinct anchor
         parts, fits ``READOUT_BLOCK_BYTES`` (one input per block when a single
         one does not), each block's ``R.T @ cross`` written straight into the
-        output: the memory of a decode does not grow with the number of
-        queries."""
+        output. Every block's cross matrix is written into one buffer, made
+        once per call (``PreparedAnchors.cross(..., out=)``): the memory of a
+        decode does not grow with the number of queries, and a decode
+        allocates one block, not one per block."""
+        prepared = self.prepared_anchors
         if self.features is not None:
-            return R.T @ self.prepared_anchors.query_features(xs, parts).T
+            return R.T @ prepared.query_features(xs, parts).T
         xs = list(xs)
-        P = len(parts)
-        block = max(1, READOUT_BLOCK_BYTES // (8 * self.prepared_anchors.rows * P))
+        P, u = len(parts), prepared.rows
+        block = max(1, READOUT_BLOCK_BYTES // (8 * u * P))
         S = np.empty((R.shape[1], len(xs) * P))
+        buf = np.empty(u * min(block, len(xs)) * P)
         for i in range(0, len(xs), block):
-            C = self.prepared_anchors.cross(xs[i:i + block], parts)
-            np.matmul(R.T, C, out=S[:, i * P:i * P + C.shape[1]])
+            chunk = xs[i:i + block]
+            w = len(chunk) * P
+            C = prepared.cross(chunk, parts, out=buf[:u * w].reshape(u, w))
+            np.matmul(R.T, C, out=S[:, i * P:i * P + w])
         return S
 
 

@@ -39,7 +39,6 @@ from locstruct.kernels import (
     Restriction,
     cross_matrix,
     kernel_eval,
-    kernel_sup,
 )
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
 from locstruct.modelio import load_model, save_model
@@ -50,7 +49,6 @@ from locstruct.parts import (
     Uniform,
     VectorBlocks,
     Weighted,
-    extract_part,
     index_map,
     part_weights,
 )
@@ -721,50 +719,6 @@ class TestScaleInvariance:
                 decode_angular(req_b)[0], rel=1e-12)
 
 
-def wrap_angles(z):
-    """Angles wrapped to [-pi, pi); a value that rounds up to +pi is -pi."""
-    w = (z + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(w >= np.pi, -np.pi, w)
-
-
-def sgm_reference(req):
-    """The subgradient loop on a grid scheme one iteration at a time: draw
-    the part, look its column up, draw the anchor from |alpha(x, p)|, step
-    on that patch and wrap the whole field."""
-    model, method, scheme = req.model, req.method, req.model.scheme
-    weights = part_weights(req.pi, scheme.num_parts)
-    probs = weights / weights.sum()
-    active = np.flatnonzero(probs > 0)
-    alphas = alpha_at_parts(model, req.x, active)
-    col_of = {int(p): i for i, p in enumerate(active)}
-    totals = np.abs(alphas).sum(axis=0)
-    cums = np.cumsum(np.abs(alphas), axis=0)
-    c = method.step_c if method.step_c is not None else 1.0 / kernel_sup(model.kernel)
-    wrap = req.loss.kind == "angular_sin_sq"
-    T = method.iterations
-    draws = method.rng.choice(len(probs), size=T, p=probs)
-    us = method.rng.random(T)
-    z = np.zeros(np.shape(model.aux[0].eta)[:-2] + scheme.shape)  # a grid scheme
-    tail = np.zeros_like(z)
-    for t in range(1, T + 1):
-        p = int(draws[t - 1])
-        col = col_of[p]
-        if totals[col] > 0.0:
-            j = min(int(np.searchsorted(cums[:, col], us[t - 1] * totals[col])), model.m - 1)
-            zp = extract_part(z, scheme, p)
-            eta = np.asarray(model.aux[j].eta, dtype=float)
-            g = 2.0 * (zp - eta) if not wrap else np.sin(2.0 * (zp - eta)) / zp.size
-            u = math.copysign(1.0, alphas[j, col]) * totals[col] * g
-            rows, cols = scheme.patch_rows_cols(p)
-            z[..., rows[:, None], cols[None, :]] += -(c / math.sqrt(t)) * u
-            if wrap:
-                z = wrap_angles(z)
-        if t > T - math.ceil(T / 2):
-            tail += z
-    z = tail / math.ceil(T / 2)
-    return wrap_angles(z) if wrap else z
-
-
 class TestDecodeSGM:
     @pytest.mark.parametrize("loss", [SQUARED_VECTOR, ANGULAR_SIN_SQ], ids=["squared", "angular"])
     def test_equals_per_iteration_loop(self, loss):
@@ -779,7 +733,7 @@ class TestDecodeSGM:
             x = rng.standard_normal((2, 4, 4))
             fast, slow = (DecodeRequest(model, x, loss, pi, SGM(
                 iterations=400, rng=np.random.default_rng(i))) for _ in range(2))
-            assert np.array_equal(decode_sgm(fast), sgm_reference(slow))
+            assert np.array_equal(decode_sgm(fast), sgm_loop(slow))
 
     def test_scalar_squared_matches_closed_form(self):
         rng = np.random.default_rng(5)

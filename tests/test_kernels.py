@@ -183,6 +183,19 @@ class TestPreparedAnchors:
                                cross_matrix(spec, anchors, queries, SCHEME),
                                rtol=0, atol=1e-13)
 
+    def test_only_cross_builds_the_exponent_half(self):
+        """The anchor half of the Gaussian product is built on the first
+        ``cross``, never by the Gram a fit needs, and kept for later calls."""
+        rng = np.random.default_rng(9)
+        anchors = [(rng.standard_normal(6), int(rng.integers(3))) for _ in range(5)]
+        prepared = PreparedAnchors(Restriction(GaussianParts(1.0)), anchors, SCHEME)
+        prepared.gram()
+        assert "_exponent_rows" not in vars(prepared)
+        prepared.cross([anchors[0][0]], [0])
+        H = vars(prepared)["_exponent_rows"]
+        prepared.cross([anchors[1][0]], [1, 2])
+        assert prepared._exponent_rows is H and H.shape == (prepared.rows, 4)
+
 
     def test_anchor_iterator_accepted(self):
         rng = np.random.default_rng(7)
@@ -422,6 +435,70 @@ class TestGaussianMatrix:
         assert np.array_equal(part_kernel_matrix(LinearParts(), A, B), hot(a) @ hot(b).T)
         got = part_kernel_matrix(GaussianParts(sigma), A, B)
         assert np.array_equal(got, _gaussian_formula(hot(a), hot(b), sigma))
+
+
+# Schemes of the Gaussian product path, each with the shape of its inputs
+# and the size d of its parts.
+_PRODUCT_SCHEMES = {
+    "vector_blocks": (VectorBlocks(block_dim=3, num_blocks=2), (6,), 3),
+    "grid_one_channel": (GridPatches(width=4, height=4, patch_w=2, patch_h=2, stride=2),
+                         (4, 4), 4),
+    "grid_two_channels": (GridPatches(width=4, height=3, patch_w=2, patch_h=2, stride=1,
+                                      circular=True), (2, 3, 4), 8),
+}
+_MAX_NORM = 1e3
+
+
+@pytest.mark.parametrize("values", ["exact", "floats"])
+@pytest.mark.parametrize("scheme_name", sorted(_PRODUCT_SCHEMES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sigma=st.floats(0.3, 10.0))
+def test_gaussian_product_matches_scalar_oracle(scheme_name, values, data, sigma):
+    """``PreparedAnchors.cross`` of a Gaussian restriction kernel, one matrix
+    product of the anchor and query halves, against the scalar
+    ``kernel_eval``, with part norms up to 1e3. Every entry lies in [0, 1],
+    and a query part equal to an anchor part reads 1.
+
+    ``exact`` inputs are multiples of 1/8 small enough that every inner
+    product and norm is exact, as in ``kernel_eval``: then the entries agree
+    within 1e-12 and equal parts read 1 within 1e-15. Over ``floats`` the
+    exponent ``2 a.b - |a|^2 - |b|^2`` loses up to (d + 2) * 2^-52 * (|a| +
+    |b|)^2 to rounding in any summation order (the norms and the d + 2 term
+    product), which the division by 2 sigma^2 carries into the kernel: the
+    tolerance adds that bound. ``part_kernel_matrix`` has the same
+    cancellation, about 4e-9 on equal parts of norm 1e3 at sigma 0.3."""
+    scheme, shape, d = _PRODUCT_SCHEMES[scheme_name]
+    spec = Restriction(GaussianParts(sigma))
+    bound = _MAX_NORM / np.sqrt(d)  # every part of norm at most 1e3
+    if values == "exact":
+        steps = int(bound * 8)
+        coord = st.integers(-steps, steps).map(lambda k: k / 8.0)
+    else:
+        scale = data.draw(st.sampled_from([1.0, 10.0, bound]))
+        coord = st.floats(-scale, scale, allow_nan=False)
+    inputs = arrays(float, shape, elements=coord)
+    part = st.integers(0, scheme.num_parts - 1)
+    anchors = data.draw(st.lists(st.tuples(inputs, part), min_size=1, max_size=6))
+    x0, p0 = data.draw(st.sampled_from(anchors))  # an anchor among the queries
+    xs = data.draw(st.lists(inputs, max_size=2)) + [x0]
+    parts = list(dict.fromkeys(data.draw(st.lists(part, max_size=2)) + [p0]))
+    queries = [(x, p) for x in xs for p in parts]
+
+    prepared = PreparedAnchors(spec, anchors, scheme)
+    got = prepared.expand(prepared.cross(xs, parts))
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    want = np.array([[kernel_eval(spec, a, q, scheme) for q in queries] for a in anchors])
+    norms = lambda pairs: np.array([np.linalg.norm(extract_part(x, scheme, p)) for x, p in pairs])
+    rounding = 0.0
+    if values == "floats":
+        reach = norms(anchors)[:, None] + norms(queries)[None, :]
+        rounding = (d + 2) * 2.0**-52 * reach**2 / (2.0 * sigma**2)
+    assert np.all(np.abs(got - want) <= 1e-12 + rounding)
+    equal = np.array([[np.array_equal(extract_part(a[0], scheme, a[1]),
+                                      extract_part(q[0], scheme, q[1])) for q in queries]
+                      for a in anchors])
+    assert equal.any()
+    assert np.all((np.abs(got - 1.0) <= 1e-15 + rounding)[equal])
 
 
 def test_gram_diagonal_within_kernel_sup():

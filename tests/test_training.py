@@ -576,14 +576,14 @@ class TestLambdaPath:
 
 
 class TestBlockedReadout:
-    """The dense readout in blocks of queries against one ``R.T @ cross``
-    over the distinct anchor parts. Integer parts and weights keep every sum
-    exact, so any summation order gives the same bits and the test sees
-    only the blocking."""
+    """The dense readout in blocks of queries, every block's cross matrix
+    written into one buffer, against ``R.T @ cross``."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_blocks_equal_one_product(self, data):
+    @staticmethod
+    def _case(data, kernel):
+        """A dense fit of integer inputs, weights ``R``, queries and a
+        readout budget of about a few inputs per block, with the cross calls
+        of ``readout`` recorded as (inputs, out) pairs."""
         m = data.draw(st.integers(1, 12))
         parts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
         ints = arrays(float, (6,), elements=st.integers(-3, 3))
@@ -591,7 +591,7 @@ class TestBlockedReadout:
         aux = [AuxiliarySample(data.draw(st.integers(0, len(inputs) - 1)),
                                data.draw(st.integers(0, 2)), np.zeros(2)) for _ in range(m)]
         # the dense path a linear kernel would skip
-        model = dense_fit(inputs, aux, LINEAR, 1.0, SCHEME)
+        model = dense_fit(inputs, aux, kernel, 1.0, SCHEME)
         # the budget counts one row per distinct anchor part, not per anchor
         u = model.prepared_anchors.rows
         per_input = 8 * u * len(parts)
@@ -606,18 +606,44 @@ class TestBlockedReadout:
         xs = data.draw(st.lists(ints, min_size=n, max_size=n))
 
         cross = PreparedAnchors.cross
-        widths = []
+        calls = []
 
-        def spy(self, block_xs, block_parts):
-            widths.append(len(block_xs))
-            return cross(self, block_xs, block_parts)
+        def spy(self, block_xs, block_parts, out=None):
+            calls.append((block_xs, out))
+            return cross(self, block_xs, block_parts, out=out)
 
         with mock.patch.object(training, "READOUT_BLOCK_BYTES", budget), \
                 mock.patch.object(PreparedAnchors, "cross", spy):
             got = model.readout(R, xs, parts)
-        assert np.array_equal(got, R.T @ model.prepared_anchors.cross(xs, parts))
+        widths = [len(block_xs) for block_xs, _ in calls]
         assert sum(widths) == n
         assert max(widths) == min(n, max(1, budget // per_input))
+        return model, R, xs, parts, got, calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_equal_one_product(self, data):
+        """Integer parts and weights keep every sum of the linear kernel
+        exact, so any summation order gives the same bits and the test sees
+        only the blocking."""
+        model, R, xs, parts, got, _ = self._case(data, LINEAR)
+        assert np.array_equal(got, R.T @ model.prepared_anchors.cross(xs, parts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gaussian_blocks_share_one_buffer(self, data):
+        """Every block of the Gaussian product path writes its cross matrix
+        into one buffer, and reads out as ``R.T @ cross`` of that block into
+        a fresh array: bitwise, so no block sees another's entries."""
+        model, R, xs, parts, got, calls = self._case(data, GAUSS)
+        prepared = model.prepared_anchors
+        base = calls[0][1].base
+        col = 0
+        for block_xs, out in calls:
+            assert out.base is base and out.flags.c_contiguous
+            want = R.T @ prepared.cross(block_xs, parts)
+            assert np.array_equal(got[:, col:col + want.shape[1]], want)
+            col += want.shape[1]
 
 
 class TestAlphaAt:
