@@ -66,6 +66,14 @@ class NumericalError(RuntimeError):
 # Configuration and results
 # ---------------------------------------------------------------------------
 
+def _check_grid(grid) -> None:
+    """A lambda grid holds at least one lambda, each positive and finite."""
+    if not grid:
+        raise ValueError("lambda grid must not be empty")
+    if not all(0 < l < math.inf for l in grid):
+        raise ValueError("lambda grid entries must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Configuration of the block-correlated regression study."""
@@ -87,8 +95,9 @@ class SyntheticConfig:
             raise ValueError("noise_std must be >= 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if not all(0 < l < math.inf for l in self.lambda_grid):
-            raise ValueError("lambda grid entries must be positive and finite")
+        _check_grid(self.lambda_grid)
+        if not self.estimators:
+            raise ValueError("estimators must not be empty")
         unknown = [e for e in self.estimators if e not in LS_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}")
@@ -113,8 +122,7 @@ class AngularConfig:
     def __post_init__(self):
         self.scheme()  # the patches must fit the grid
         GaussianParts(self.bandwidth)  # and the bandwidth be positive
-        if not all(0 < l < math.inf for l in self.lambda_grid):
-            raise ValueError("lambda grid entries must be positive and finite")
+        _check_grid(self.lambda_grid)
 
     def scheme(self) -> GridPatches:
         return GridPatches(

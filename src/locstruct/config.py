@@ -21,8 +21,8 @@ from .kernels import KernelSpec, PartKernel
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _integer, _real, _reals,
-                      kernel_from_json, pi_from_json, scheme_from_json)
+from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _integer, _lambda, _real,
+                      _reals, kernel_from_json, pi_from_json, scheme_from_json)
 from .parts import PartDistribution, PartScheme, Uniform, Weighted
 
 
@@ -81,10 +81,7 @@ def parse_train(doc: dict) -> TrainConfig:
     kernel = _decode(kernel_from_json, doc, "kernel", "train")
     if not isinstance(kernel, KernelSpec):
         raise ParseError("train.kernel: expected a restriction, gaussian_global or sum kernel")
-    with _at("train.lambda"):
-        lam = _real(doc["lambda"])
-    if not lam > 0:
-        raise ParseError("train.lambda: must be positive")
+    lam = _lambda(doc, "train.lambda")
     return TrainConfig(
         seed=_int(doc, "seed", "train", 0),
         dataset=str(doc["dataset"]),

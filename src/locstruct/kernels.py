@@ -32,9 +32,11 @@ Anchors drawn with replacement repeat, and a restriction kernel sees only
 the extracted part, so ``PreparedAnchors`` evaluates it once per distinct
 anchor part: its ``cross`` and ``gram`` have one row per distinct part,
 ``index`` maps each anchor to its row and ``counts`` counts the anchors on
-each row. ``gram_matrix`` expands the u x u matrix over the distinct parts
-into the m x m one with a gather of its columns and one of its rows; the
-fit does not need it.
+each row. It has one constructor, over inputs stacked once and each
+anchor's input row and part; ``gram_matrix`` and ``cross_matrix`` stack
+their ``(x, p)`` pairs through it. ``gram_matrix`` expands the u x u matrix
+over the distinct parts into the m x m one with a gather of its columns and
+one of its rows; no fit needs it.
 """
 
 from __future__ import annotations
@@ -211,14 +213,6 @@ def _stack(spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def _pair_stack(spec: KernelSpec, pairs, scheme: PartScheme):
-    """``_stack`` of ``(x, p)`` pairs, one stacked input per pair."""
-    pairs = list(pairs)
-    X = stack_objects([x for x, _ in pairs], scheme)
-    parts = check_parts(scheme, [p for _, p in pairs])
-    return _stack(spec, X, np.arange(len(pairs)), parts, scheme)
-
-
 def _code_matches(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matching positions between the rows of two string-code stacks: the
     inner products of their one-hot encodings, counted position by position
@@ -269,9 +263,12 @@ def _matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 
 class PreparedAnchors:
-    """A fixed anchor list with its stack cached, for repeated cross-kernel
-    evaluation against fresh queries. Queries are the product of some
-    inputs and some parts: every input with every part, input-major.
+    """A fixed anchor set with its stack cached, for repeated cross-kernel
+    evaluation against fresh queries. The anchors are ``(objects[rows[j]],
+    parts[j])`` for inputs ``objects`` stacked once into ``X`` by
+    ``stack_objects``: one gather, however often an input recurs. Queries
+    are the product of some inputs and some parts: every input with every
+    part, input-major.
 
     ``cross`` has one row per distinct anchor part for a restriction kernel,
     which sees nothing else of an anchor, and one row per anchor for the
@@ -284,24 +281,11 @@ class PreparedAnchors:
     part ``a`` (module docstring); a fit, which needs only the Gram, never
     does."""
 
-    def __init__(self, spec: KernelSpec, anchors, scheme: PartScheme):
-        anchors = list(anchors)
-        self.spec = spec
-        self.scheme = scheme
-        self.size = len(anchors)
-        self._stack = _pair_stack(spec, anchors, scheme)
-
-    @classmethod
-    def from_rows(cls, spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
-        """The anchors ``(objects[rows[j]], parts[j])`` of inputs stacked once
-        into ``X`` by ``stack_objects``: one gather, however often an input
-        recurs."""
-        self = cls.__new__(cls)
+    def __init__(self, spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
         self.spec = spec
         self.scheme = scheme
         self.size = len(rows)
         self._stack = _stack(spec, X, rows, check_parts(scheme, parts), scheme)
-        return self
 
     @property
     def features(self):
@@ -425,18 +409,26 @@ class PreparedAnchors:
         return np.exp(E, out=E)
 
 
+def _pair_anchors(spec: KernelSpec, pairs: list, scheme: PartScheme) -> PreparedAnchors:
+    """``PreparedAnchors`` of a list of ``(x, p)`` pairs, one stacked input
+    per pair."""
+    X = stack_objects([x for x, _ in pairs], scheme)
+    return PreparedAnchors(spec, X, np.arange(len(pairs)), [p for _, p in pairs], scheme)
+
+
 def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
     """Assemble the dense symmetric Gram matrix over ``anchors``.
 
-    The kernel is evaluated once per pair of rows of ``PreparedAnchors.cross``
-    (distinct parts, for a restriction kernel) and gathered into the m x m
-    matrix.
+    The pairs are stacked once (``PreparedAnchors``), the kernel is
+    evaluated once per pair of rows of ``PreparedAnchors.cross`` (distinct
+    parts, for a restriction kernel) and gathered into the m x m matrix.
+    No fit calls this: a fit factors the system over the distinct parts.
 
     Parameters
     ----------
     spec : KernelSpec
         Pair kernel to evaluate.
-    anchors : sequence of (input, part index) pairs, or PreparedAnchors
+    anchors : iterable of (input, part index) pairs, or PreparedAnchors
         Must be non-empty. Prepared anchors, made for ``spec`` and
         ``scheme``, are used as they are stacked.
     scheme : PartScheme
@@ -446,7 +438,7 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
         anchors = list(anchors)
         if not anchors:
             raise ValueError("anchors must be non-empty")
-        anchors = PreparedAnchors(spec, anchors, scheme)
+        anchors = _pair_anchors(spec, anchors, scheme)
     K = anchors.gram()
     if anchors.rows != anchors.size:
         # columns first: the per-entry gather runs over u x m entries, and
@@ -456,9 +448,11 @@ def gram_matrix(spec: KernelSpec, anchors, scheme: PartScheme) -> GramMatrix:
 
 
 def cross_matrix(spec: KernelSpec, anchors, queries, scheme: PartScheme) -> np.ndarray:
-    """Kernel matrix k(anchor_j, query_i) of shape (len(anchors), len(queries))."""
+    """Kernel matrix k(anchor_j, query_i) of shape (len(anchors), len(queries)),
+    one row per anchor; both iterables of pairs are stacked once."""
     anchors = list(anchors)
     queries = list(queries)
     if not anchors or not queries:
         raise ValueError("anchors and queries must be non-empty")
-    return _matrix(spec, _pair_stack(spec, anchors, scheme), _pair_stack(spec, queries, scheme))
+    return _matrix(spec, _pair_anchors(spec, anchors, scheme)._stack,
+                   _pair_anchors(spec, queries, scheme)._stack)

@@ -228,6 +228,15 @@ def _real(v) -> float:
     return x
 
 
+def _lambda(d, path) -> float:
+    """``d["lambda"]``, a ``_real`` that must be positive; ``path`` names it."""
+    with _at(path):
+        lam = _real(d["lambda"])
+    if not lam > 0:
+        raise ParseError(f"{path}: must be positive")
+    return lam
+
+
 def _reals(v) -> tuple:
     """A JSON list of ``_real`` values, as a tuple."""
     if not isinstance(v, list):
@@ -372,10 +381,7 @@ def load_model(path) -> AlphaModel:
         raise ParseError(f"{where}kernel: expected a restriction, gaussian_global or sum kernel")
     with _at(f"{where}scheme"):
         scheme = scheme_from_json(doc["scheme"], f"{where}scheme")
-    with _at(f"{where}lambda"):
-        lam = _real(doc["lambda"])
-    if not lam > 0:
-        raise ParseError(f"{where}lambda: must be positive")
+    lam = _lambda(doc, f"{where}lambda")
     with _at(f"{where}inputs"):
         inputs = [decode_value(v) for v in doc["inputs"]]
     samples = doc["samples"]

@@ -139,12 +139,18 @@ class AlphaModel:
     factor of ``K + m lam I`` needed on top. The dense inverse is never
     materialized. Immutable after fit, safe for concurrent queries.
 
-    Like ``prepared_anchors`` and ``etas``, readout weights are filled in
-    lazily: ``memo_readout_weights`` keeps the weights of each output table
-    it is asked for under the caller's key, so decoders built again on the
-    same model solve against the factor, and fold, once per table. Two
-    concurrent fills of one key compute the same array and the last store
-    wins, so a race costs a duplicate solve, never a wrong entry.
+    ``prepared_anchors`` holds the anchors ``(inputs[s.chi_ref], s.p)`` of
+    ``aux`` with the inputs stacked once, and ``etas`` their output parts
+    stacked row-wise (``_stack_etas``). ``_lambda_path``, the only code
+    that builds a model, makes both once per anchor set and shares them
+    between the models of its lambdas.
+
+    Readout weights are filled in lazily: ``memo_readout_weights`` keeps
+    the weights of each output table it is asked for under the caller's
+    key, so decoders built again on the same model solve against the
+    factor, and fold, once per table. Two concurrent fills of one key
+    compute the same array and the last store wins, so a race costs a
+    duplicate solve, never a wrong entry.
     """
 
     inputs: tuple
@@ -153,10 +159,10 @@ class AlphaModel:
     lam: float
     scheme: PartScheme
     factor: tuple = field(repr=False)
+    prepared_anchors: PreparedAnchors = field(repr=False)
+    etas: np.ndarray = field(repr=False)
     jitter: float = 0.0
     features: Optional[np.ndarray] = field(default=None, repr=False)
-    _prepared: Optional[PreparedAnchors] = field(default=None, repr=False)
-    _etas: Optional[np.ndarray] = field(default=None, repr=False)
     _readouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -170,17 +176,6 @@ class AlphaModel:
     @cached_property
     def anchors(self) -> tuple:
         return tuple((self.inputs[s.chi_ref], s.p) for s in self.aux)
-
-    @cached_property
-    def etas(self) -> np.ndarray:
-        """Anchor output parts stacked row-wise (``_stack_etas``)."""
-        return self._etas if self._etas is not None else _stack_etas(self.aux)
-
-    @cached_property
-    def prepared_anchors(self) -> PreparedAnchors:
-        if self._prepared is not None:
-            return self._prepared
-        return _prepare(self.kernel, self.inputs, self.aux, self.scheme)
 
     @cached_property
     def _roots(self) -> np.ndarray:
@@ -284,14 +279,6 @@ class AlphaModel:
 def _rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The vector ``v`` shaped to scale the rows of ``a``."""
     return v.reshape((-1,) + (1,) * (a.ndim - 1))
-
-
-def _prepare(kernel: KernelSpec, inputs: tuple, aux: tuple, scheme: PartScheme) -> PreparedAnchors:
-    """The anchors ``(inputs[s.chi_ref], s.p)`` of ``aux``, with the inputs
-    stacked once and indexed by ``chi_ref``."""
-    rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=len(aux))
-    parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=len(aux))
-    return PreparedAnchors.from_rows(kernel, stack_objects(inputs, scheme), rows, parts, scheme)
 
 
 def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
@@ -408,7 +395,9 @@ def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: Kerne
     inputs = tuple(inputs)
     m = len(aux)
     etas = _stack_etas(aux)
-    prepared = _prepare(kernel, inputs, aux, scheme)
+    rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m)
+    parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=m)
+    prepared = PreparedAnchors(kernel, stack_objects(inputs, scheme), rows, parts, scheme)
     F = prepared.features
     if F is not None and F.shape[1] < m:
         G = F.T @ F
@@ -430,7 +419,7 @@ def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: Kerne
             log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
         return AlphaModel(
             inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-            factor=factor, jitter=jitter, features=F, _prepared=prepared, _etas=etas,
+            factor=factor, prepared_anchors=prepared, etas=etas, jitter=jitter, features=F,
         )
     return path
 

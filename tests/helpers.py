@@ -2,9 +2,11 @@
 
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from locstruct.decoder import (
     SGM,
@@ -14,9 +16,11 @@ from locstruct.decoder import (
     _positive_weights,
     _project,
 )
-from locstruct.kernels import PreparedAnchors, kernel_sup
-from locstruct.parts import index_map
-from locstruct.training import alpha_at_parts, fit_alpha
+from locstruct.kernels import LinearParts, PreparedAnchors, Restriction, kernel_sup
+from locstruct.parts import VectorBlocks, index_map
+from locstruct.training import AuxiliarySample, alpha_at_parts, fit_alpha
+
+SCALAR = VectorBlocks(block_dim=1, num_blocks=1)
 
 
 def dense_fit(inputs, aux, kernel, lam, scheme):
@@ -25,6 +29,22 @@ def dense_fit(inputs, aux, kernel, lam, scheme):
     distinct anchor parts: the oracle of the feature-space solve."""
     with mock.patch.object(PreparedAnchors, "features", property(lambda self: None)):
         return fit_alpha(inputs, aux, kernel, lam, scheme)
+
+
+def unit_factor_model(inputs, etas, scheme=SCALAR, scale=1.0):
+    """Linear restriction model with anchor j at ``(inputs[j], part 0)`` and
+    output part ``etas[j]``, whose weights at any query are ``scale`` times
+    the raw linear kernel values: ``dense_fit`` with its u x u factor over
+    the distinct anchor parts swapped for that of ``I / scale``. Numbers
+    stand for one-element vectors, the inputs and outputs of ``SCALAR``;
+    strings are taken as they are."""
+    def value(v):
+        return v if isinstance(v, str) else np.array([float(v)])
+
+    aux = [AuxiliarySample(j, 0, value(e)) for j, e in enumerate(etas)]
+    model = dense_fit([value(x) for x in inputs], aux, Restriction(LinearParts()), 1.0, scheme)
+    factor = cho_factor(np.eye(model.prepared_anchors.rows) / scale, lower=True)
+    return replace(model, factor=factor)
 
 
 def sgm_loop(req):

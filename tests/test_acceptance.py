@@ -37,7 +37,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from locstruct.bench import (
     GLOBAL_LS,
@@ -69,13 +68,9 @@ from locstruct.locality import (
 )
 from locstruct.losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, part_loss
 from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, part_weights
-from locstruct.training import (
-    AlphaModel,
-    AuxiliarySample,
-    alpha_at,
-    fit_alpha,
-    generate_auxiliary,
-)
+from locstruct.training import alpha_at, fit_alpha, generate_auxiliary
+
+from helpers import unit_factor_model
 
 GAUSS = Restriction(GaussianParts(1.0))
 LAMBDA_GRID_5 = tuple(float(v) for v in np.logspace(-6, 1, 5))
@@ -83,17 +78,6 @@ LAMBDA_GRID_5 = tuple(float(v) for v in np.logspace(-6, 1, 5))
 
 def _report(criterion, ok, detail):
     print(f"\nCRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
-
-
-def controlled_model(anchor_vals, etas):
-    """Scalar one-part model whose weights at the query [1.0] equal
-    anchor_vals exactly (identity solve factor, linear restriction)."""
-    scheme = VectorBlocks(block_dim=1, num_blocks=1)
-    inputs = tuple(np.array([float(a)]) for a in anchor_vals)
-    aux = tuple(AuxiliarySample(i, 0, np.array([float(e)])) for i, e in enumerate(etas))
-    return AlphaModel(inputs=inputs, aux=aux, kernel=Restriction(LinearParts()),
-                      lam=1.0, scheme=scheme,
-                      factor=cho_factor(np.eye(len(aux)), lower=True))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +183,7 @@ def test_criterion_3_sgm_vs_closed_forms():
             vals = rng.uniform(-0.3, 1.0, m)
         if i < 25:
             etas = rng.uniform(-1.0, 1.0, m)
-            model = controlled_model(vals, etas)
+            model = unit_factor_model(vals, etas)
             z_star = decode_least_squares(
                 DecodeRequest(model, np.array([1.0]), SQUARED_VECTOR, Uniform(1), ClosedForm()))[0]
             method = SGM(iterations=20000, rng=np.random.default_rng(1000 + i), step_c=1.0)
@@ -208,7 +192,7 @@ def test_criterion_3_sgm_vs_closed_forms():
             err = abs(z - z_star)
         else:
             angles = rng.uniform(-np.pi, np.pi, m)
-            model = controlled_model(vals, angles)
+            model = unit_factor_model(vals, angles)
             z_star = decode_angular(
                 DecodeRequest(model, np.array([1.0]), ANGULAR_SIN_SQ, Uniform(1), ClosedForm()))[0]
             method = SGM(iterations=20000, rng=np.random.default_rng(2000 + i), step_c=1.0)

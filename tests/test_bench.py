@@ -181,6 +181,12 @@ class TestEstimatorComparison:
                 AngularConfig(lambda_grid=(1.0, bad))
         with pytest.raises(ValueError, match="glob_ls"):
             _cfg(estimators=("glob_ls",))
+        with pytest.raises(ValueError, match="empty"):
+            _cfg(estimators=())
+        with pytest.raises(ValueError, match="empty"):
+            _cfg(lambda_grid=())
+        with pytest.raises(ValueError, match="empty"):
+            AngularConfig(lambda_grid=())
         with pytest.raises(ValueError):
             run_estimator_comparison(_cfg(), repeats=0)
 

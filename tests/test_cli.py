@@ -283,6 +283,9 @@ BAD_INPUTS = {
                                                   "local": KERNEL_JSON}}),
     "bench_synthetic_local_readout": ("bench-synthetic", {"local_readout": "bogus"}),
     "bench_angular_patch_too_big": ("bench-angular", {"patch": 40}),
+    "bench_synthetic_empty_lambda_grid": ("bench-synthetic", {"lambda_grid": []}),
+    "bench_synthetic_no_estimators": ("bench-synthetic", {"estimators": []}),
+    "bench_angular_empty_lambda_grid": ("bench-angular", {"lambda_grid": []}),
     "bound_check_zero_gamma": ("bound-check", ["--gamma", "0", "--parts", "2"]),
     "bound_check_gamma_not_a_number": ("bound-check", ["--gamma", "abc", "--parts", "2"]),
     "bound_check_zero_parts": ("bound-check", ["--gamma", "1", "--parts", "0"]),

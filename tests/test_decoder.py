@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor
 
 from locstruct.bench import DEFAULT_LAMBDA_GRID
 
@@ -53,32 +52,15 @@ from locstruct.parts import (
     part_weights,
 )
 from locstruct.training import (
-    AlphaModel,
     AuxiliarySample,
     NonFiniteError,
-    _prepare,
     alpha_at,
     alpha_at_parts,
     fit_alpha,
     generate_auxiliary,
 )
 
-from helpers import dense_fit, sgm_loop
-
-
-def scalar_model(anchor_vals, etas, scale=1.0):
-    """Model over one scalar part whose weights at the query x=[1] equal
-    scale * anchor_vals: the solve factor, over the distinct anchor values,
-    is the identity (scaled), so the weights are the raw linear kernel
-    values."""
-    scheme = VectorBlocks(block_dim=1, num_blocks=1)
-    inputs = tuple(np.array([float(a)]) for a in anchor_vals)
-    aux = tuple(AuxiliarySample(i, 0, np.array([float(e)])) for i, e in enumerate(etas))
-    kernel = Restriction(LinearParts())
-    prepared = _prepare(kernel, inputs, aux, scheme)
-    factor = cho_factor(np.eye(prepared.rows) / scale, lower=True)
-    return AlphaModel(inputs=inputs, aux=aux, kernel=kernel, lam=1.0, scheme=scheme,
-                      factor=factor, _prepared=prepared)
+from helpers import dense_fit, sgm_loop, unit_factor_model
 
 
 QUERY = np.array([1.0])
@@ -99,14 +81,14 @@ class TestQueryEntry:
 
     @pytest.mark.parametrize("kind", ["least_squares", "angular", "sgm"])
     def test_non_finite_query_rejected(self, kind):
-        model = scalar_model([0.5, 0.5], [0.0, 1.0])
+        model = unit_factor_model([0.5, 0.5], [0.0, 1.0])
         for bad in (np.nan, np.inf):
             with pytest.raises(NonFiniteError):
                 self._decode(kind, model, np.array([bad]))
 
     @pytest.mark.parametrize("kind", ["least_squares", "angular", "sgm"])
     def test_wrong_shape_query_rejected(self, kind):
-        model = scalar_model([0.5, 0.5], [0.0, 1.0])
+        model = unit_factor_model([0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ShapeMismatchError):
             self._decode(kind, model, np.zeros(2))
 
@@ -120,25 +102,25 @@ class TestQueryEntry:
 
 class TestDecodeLeastSquares:
     def test_weighted_mean(self):
-        model = scalar_model([0.5, 0.5], [0.0, 2.0])
+        model = unit_factor_model([0.5, 0.5], [0.0, 2.0])
         req = DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, ClosedForm())
         assert decode_least_squares(req)[0] == pytest.approx(1.0)
 
     def test_signed_weights_solved_by_hand(self):
         # minimize 1*z^2 - 0.5*(z - 2)^2: derivative z + 2 = 0, so z = -2
-        model = scalar_model([1.0, -0.5], [0.0, 2.0])
+        model = unit_factor_model([1.0, -0.5], [0.0, 2.0])
         req = DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, ClosedForm())
         assert decode_least_squares(req)[0] == pytest.approx(-2.0)
 
     def test_degenerate_total_falls_back_to_weighted_sum(self):
-        model = scalar_model([1.0, -1.0], [0.0, 2.0])
+        model = unit_factor_model([1.0, -1.0], [0.0, 2.0])
         req = DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, ClosedForm())
         with pytest.warns(DegenerateDecodeWarning):
             z = decode_least_squares(req)
         assert z[0] == pytest.approx(-2.0)  # 1*0 + (-1)*2
 
     def test_wrong_loss_rejected(self):
-        model = scalar_model([1.0], [0.0])
+        model = unit_factor_model([1.0], [0.0])
         req = DecodeRequest(model, QUERY, ZERO_ONE_WINDOW, PI1, ClosedForm())
         with pytest.raises(ValueError):
             decode_least_squares(req)
@@ -202,13 +184,13 @@ class TestFeatureSpaceOracle:
 
 class TestDecodeAngular:
     def test_single_anchor_copies_the_angle(self):
-        model = scalar_model([0.7], [np.pi / 4])
+        model = unit_factor_model([0.7], [np.pi / 4])
         req = DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
         assert decode_angular(req)[0] == pytest.approx(np.pi / 4)
 
     def test_cancelled_resultant_is_degenerate(self):
         # opposite weights on one angle cancel the resultant exactly
-        model = scalar_model([0.5, -0.5], [np.pi / 3, np.pi / 3])
+        model = unit_factor_model([0.5, -0.5], [np.pi / 3, np.pi / 3])
         req = DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
         with pytest.warns(DegenerateDecodeWarning):
             z = decode_angular(req)
@@ -218,7 +200,7 @@ class TestDecodeAngular:
         # cos0 + cos(pi) cancels exactly; sin0 + sin(pi) only up to the
         # floating-point residue of sin(pi), so the objective is flat to
         # ~1e-16 and any output attains the minimum
-        model = scalar_model([0.5, 0.5], [0.0, np.pi / 2])
+        model = unit_factor_model([0.5, 0.5], [0.0, np.pi / 2])
         req = DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
         z = decode_angular(req)[0]
 
@@ -229,7 +211,7 @@ class TestDecodeAngular:
         assert objective(z) <= objective(grid).min() + 1e-12
 
     def test_two_anchor_bisector_against_grid_scan(self):
-        model = scalar_model([0.5, 0.5], [0.0, np.pi / 3])
+        model = unit_factor_model([0.5, 0.5], [0.0, np.pi / 3])
         req = DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
         z = decode_angular(req)[0]
         grid = np.arange(-np.pi, np.pi, 1e-4)
@@ -243,7 +225,7 @@ class TestDecodeAngular:
         rng = np.random.default_rng(1)
         for _ in range(30):
             m = int(rng.integers(1, 6))
-            model = scalar_model(rng.uniform(-1, 1, m), rng.uniform(-np.pi, np.pi, m))
+            model = unit_factor_model(rng.uniform(-1, 1, m), rng.uniform(-np.pi, np.pi, m))
             req = DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
             z = decode_angular(req)[0]
             assert -np.pi <= z < np.pi
@@ -300,12 +282,8 @@ class TestDecodeExact:
         assert decode_exact(req) == "b"
 
     def test_zero_weights_return_lexicographically_smallest(self):
-        model = scalar_model([0.0, 0.0], [0.0, 1.0])
-        scheme = SequenceWindows(3, 1)
-        aux = tuple(AuxiliarySample(0, 0, "b") for _ in range(2))
         # the two anchors share one part: the factor is over that one part
-        model = AlphaModel(inputs=("aaa",), aux=aux, kernel=Restriction(LinearParts()),
-                           lam=1.0, scheme=scheme, factor=cho_factor(np.eye(1), lower=True))
+        model = unit_factor_model(["aaa", "aaa"], ["b", "b"], SequenceWindows(3, 1))
         # query whose windows never match the anchors: all weights vanish
         req = DecodeRequest(model, "ccc", ZERO_ONE_WINDOW, Uniform(3),
                             ExactEnumeration(budget=10, alphabet=("b", "a")))
@@ -681,7 +659,7 @@ class TestSGMMethod:
 
     def test_numpy_integer_iterations_accepted(self):
         method = SGM(iterations=np.int64(3), rng=np.random.default_rng(0), step_c=0.5)
-        z = decode_sgm(DecodeRequest(scalar_model([0.5], [1.0]), QUERY, SQUARED_VECTOR, PI1,
+        z = decode_sgm(DecodeRequest(unit_factor_model([0.5], [1.0]), QUERY, SQUARED_VECTOR, PI1,
                                      method))
         assert np.isfinite(z).all()
 
@@ -704,15 +682,15 @@ class TestScaleInvariance:
         vals = rng.uniform(0.1, 1.0, 4)
         etas = rng.uniform(-1.0, 1.0, 4)
         for c in (0.25, 7.0):
-            base = scalar_model(vals, etas)
-            scaled = scalar_model(vals, etas, scale=c)
+            base = unit_factor_model(vals, etas)
+            scaled = unit_factor_model(vals, etas, scale=c)
             req_b = DecodeRequest(base, QUERY, SQUARED_VECTOR, PI1, ClosedForm())
             req_s = DecodeRequest(scaled, QUERY, SQUARED_VECTOR, PI1, ClosedForm())
             assert decode_least_squares(req_s)[0] == pytest.approx(
                 decode_least_squares(req_b)[0], rel=1e-12)
             angles = rng.uniform(-1.5, 1.5, 4)
-            base_a = scalar_model(vals, angles)
-            scaled_a = scalar_model(vals, angles, scale=c)
+            base_a = unit_factor_model(vals, angles)
+            scaled_a = unit_factor_model(vals, angles, scale=c)
             req_b = DecodeRequest(base_a, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
             req_s = DecodeRequest(scaled_a, QUERY, ANGULAR_SIN_SQ, PI1, ClosedForm())
             assert decode_angular(req_s)[0] == pytest.approx(
@@ -740,7 +718,7 @@ class TestDecodeSGM:
         for trial in range(3):
             vals = rng.uniform(0.05, 1.0, 5)
             etas = rng.uniform(-1.0, 1.0, 5)
-            model = scalar_model(vals, etas)
+            model = unit_factor_model(vals, etas)
             z_star = decode_least_squares(
                 DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, ClosedForm()))[0]
             method = SGM(iterations=20000, rng=np.random.default_rng(100 + trial), step_c=1.0)
@@ -748,20 +726,20 @@ class TestDecodeSGM:
             assert abs(z - z_star) <= 0.05 * (1.0 + abs(z_star))
 
     def test_angular_bisector(self):
-        model = scalar_model([0.5, 0.5], [0.0, np.pi / 3])
+        model = unit_factor_model([0.5, 0.5], [0.0, np.pi / 3])
         method = SGM(iterations=20000, rng=np.random.default_rng(7), step_c=1.0)
         z = decode_sgm(DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, method))[0]
         assert abs(z - np.pi / 6) <= 0.05
 
     def test_all_zero_weights_flagged(self):
-        model = scalar_model([0.0, 0.0], [1.0, 2.0])
+        model = unit_factor_model([0.0, 0.0], [1.0, 2.0])
         method = SGM(iterations=50, rng=np.random.default_rng(8))
         with pytest.warns(DegenerateDecodeWarning):
             z = decode_sgm(DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, method))
         assert z[0] == 0.0
 
     def test_deterministic_given_seed(self):
-        model = scalar_model([0.4, 0.8], [0.3, -0.5])
+        model = unit_factor_model([0.4, 0.8], [0.3, -0.5])
         out = []
         for _ in range(2):
             method = SGM(iterations=500, rng=np.random.default_rng(11), step_c=1.0)
@@ -769,20 +747,20 @@ class TestDecodeSGM:
         assert out[0] == out[1]
 
     def test_last_iterate_mode(self):
-        model = scalar_model([0.5, 0.5], [1.0, 1.0])
+        model = unit_factor_model([0.5, 0.5], [1.0, 1.0])
         method = SGM(iterations=2000, rng=np.random.default_rng(12), step_c=1.0,
                      average_tail=False)
         z = decode_sgm(DecodeRequest(model, QUERY, SQUARED_VECTOR, PI1, method))[0]
         assert z == pytest.approx(1.0, abs=0.1)
 
     def test_rejects_non_subdifferentiable_loss(self):
-        model = scalar_model([1.0], [0.0])
+        model = unit_factor_model([1.0], [0.0])
         method = SGM(iterations=10, rng=np.random.default_rng(13))
         with pytest.raises(ValueError):
             decode_sgm(DecodeRequest(model, QUERY, ZERO_ONE_WINDOW, PI1, method))
 
     def test_angle_projection_keeps_range(self):
-        model = scalar_model([0.9], [3.0])
+        model = unit_factor_model([0.9], [3.0])
         method = SGM(iterations=3000, rng=np.random.default_rng(14), step_c=1.0,
                      projection=AngleWrap())
         z = decode_sgm(DecodeRequest(model, QUERY, ANGULAR_SIN_SQ, PI1, method))[0]

@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from locstruct.kernels import (
     _matrix,
+    _pair_anchors,
     GaussianGlobal,
     GaussianParts,
     LinearParts,
@@ -178,7 +179,7 @@ class TestPreparedAnchors:
         queries = [(x, p) for x in xs for p in parts]
         for spec in (Restriction(GaussianParts(1.0)), GaussianGlobal(1.0),
                      SumKernel(GaussianGlobal(1.0), Restriction(LinearParts()))):
-            prepared = PreparedAnchors(spec, anchors, SCHEME)
+            prepared = _pair_anchors(spec, anchors, SCHEME)
             assert np.allclose(prepared.cross(xs, parts),
                                cross_matrix(spec, anchors, queries, SCHEME),
                                rtol=0, atol=1e-13)
@@ -188,7 +189,7 @@ class TestPreparedAnchors:
         ``cross``, never by the Gram a fit needs, and kept for later calls."""
         rng = np.random.default_rng(9)
         anchors = [(rng.standard_normal(6), int(rng.integers(3))) for _ in range(5)]
-        prepared = PreparedAnchors(Restriction(GaussianParts(1.0)), anchors, SCHEME)
+        prepared = _pair_anchors(Restriction(GaussianParts(1.0)), anchors, SCHEME)
         prepared.gram()
         assert "_exponent_rows" not in vars(prepared)
         prepared.cross([anchors[0][0]], [0])
@@ -201,21 +202,25 @@ class TestPreparedAnchors:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(6)
         anchors = [(x, 0), (x, 2), (rng.standard_normal(6), 1)]
+        queries = [(x, 0), (x, 1)]
         spec = Restriction(GaussianParts(1.0))
-        from_list = PreparedAnchors(spec, anchors, SCHEME).cross([x], [0, 1])
-        from_iter = PreparedAnchors(spec, iter(anchors), SCHEME).cross([x], [0, 1])
-        assert np.array_equal(from_iter, from_list)
+        assert np.array_equal(gram_matrix(spec, iter(anchors), SCHEME).entries,
+                              gram_matrix(spec, anchors, SCHEME).entries)
+        assert np.array_equal(cross_matrix(spec, iter(anchors), iter(queries), SCHEME),
+                              cross_matrix(spec, anchors, queries, SCHEME))
 
     def test_rows_of_one_stack_equal_pairs(self):
+        """Anchors of inputs stacked once are the anchors of their pairs."""
         rng = np.random.default_rng(8)
         inputs = [rng.standard_normal(6) for _ in range(3)]
         rows, parts = np.array([2, 0, 2, 1]), np.array([1, 1, 0, 2])
         anchors = [(inputs[r], p) for r, p in zip(rows, parts)]
+        queries = [(x, p) for x in inputs for p in [0, 2]]
         for spec in ORACLE_KERNELS.values():
-            prepared = PreparedAnchors.from_rows(spec, stack_objects(inputs, SCHEME), rows,
-                                                 parts, SCHEME)
-            assert np.array_equal(prepared.cross(inputs, [0, 2]),
-                                  PreparedAnchors(spec, anchors, SCHEME).cross(inputs, [0, 2]))
+            prepared = PreparedAnchors(spec, stack_objects(inputs, SCHEME), rows, parts, SCHEME)
+            assert np.array_equal(_matrix(spec, prepared._stack,
+                                          prepared._query_stack(inputs, [0, 2])),
+                                  cross_matrix(spec, anchors, queries, SCHEME))
             assert np.array_equal(gram_matrix(spec, prepared, SCHEME).entries,
                                   gram_matrix(spec, anchors, SCHEME).entries)
 
@@ -267,7 +272,7 @@ def test_kernel_matrices_match_scalar_oracle(kernel_name, scheme_name, data):
     assert_close(gram, oracle(anchors, anchors))
     want = oracle(anchors, queries)
     assert_close(cross_matrix(spec, anchors, queries, scheme), want)
-    prepared = PreparedAnchors(spec, anchors, scheme)
+    prepared = _pair_anchors(spec, anchors, scheme)
     assert_close(prepared.expand(prepared.cross(xs, parts)), want)
 
 
@@ -305,7 +310,7 @@ def test_restriction_kernels_are_local(kernel_name, scheme_name, data):
     for anchor in anchors:
         assert kernel_eval(spec, (x, p), anchor, scheme) == kernel_eval(spec, (y, p), anchor, scheme)
         assert kernel_eval(spec, anchor, (x, p), scheme) == kernel_eval(spec, anchor, (y, p), scheme)
-    prepared = PreparedAnchors(spec, anchors, scheme)
+    prepared = _pair_anchors(spec, anchors, scheme)
     assert np.array_equal(prepared.cross([x], [p]), prepared.cross([y], [p]))
 
 
@@ -354,7 +359,7 @@ class TestDistinctAnchorParts:
         anchors = data.draw(repeated_anchors(scheme, inputs))
         xs = data.draw(st.lists(inputs, min_size=1, max_size=2))
         parts = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-        prepared = PreparedAnchors(spec, anchors, scheme)
+        prepared = _pair_anchors(spec, anchors, scheme)
 
         keys = [_part_key(extract_part(x, scheme, p)) for x, p in anchors]
         distinct = list(dict.fromkeys(keys))  # in order of first appearance
@@ -380,7 +385,7 @@ class TestDistinctAnchorParts:
     @given(data=st.data())
     def test_fold_is_the_adjoint_of_expand(self, data):
         anchors = data.draw(repeated_anchors(*_REPEAT_SCHEMES["vector_blocks"]))
-        prepared = PreparedAnchors(ORACLE_KERNELS["gaussian"], anchors, SCHEME)
+        prepared = _pair_anchors(ORACLE_KERNELS["gaussian"], anchors, SCHEME)
         m, u = prepared.size, prepared.rows
         # integers keep every sum exact, whatever its order
         R = data.draw(arrays(float, (m, 3), elements=st.integers(-9, 9)))
@@ -393,7 +398,7 @@ class TestDistinctAnchorParts:
                                       SumKernel(GaussianGlobal(1.0), Restriction(LinearParts()))])
     def test_other_kernels_keep_one_row_per_anchor(self, spec):
         x = np.arange(6.0)
-        prepared = PreparedAnchors(spec, [(x, 1), (x, 1), (x, 0)], SCHEME)
+        prepared = _pair_anchors(spec, [(x, 1), (x, 1), (x, 0)], SCHEME)
         assert prepared.rows == 3 and prepared.index.tolist() == [0, 1, 2]
         assert prepared.cross([x], [0, 1]).shape == (3, 2)
 
@@ -484,7 +489,7 @@ def test_gaussian_product_matches_scalar_oracle(scheme_name, values, data, sigma
     parts = list(dict.fromkeys(data.draw(st.lists(part, max_size=2)) + [p0]))
     queries = [(x, p) for x in xs for p in parts]
 
-    prepared = PreparedAnchors(spec, anchors, scheme)
+    prepared = _pair_anchors(spec, anchors, scheme)
     got = prepared.expand(prepared.cross(xs, parts))
     assert np.all((got >= 0.0) & (got <= 1.0))
     want = np.array([[kernel_eval(spec, a, q, scheme) for q in queries] for a in anchors])
