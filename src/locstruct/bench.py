@@ -18,7 +18,12 @@ lay out the same data: the whole output vector regressed on the whole input
 one dual linear ridge, ``_ridge``, over a leading block axis), and every
 (input, part) pair pooled into one anchor set of the library estimator
 (``local_ls``). One hold-out selector, ``_select_lambda``, picks lambda for
-all of them and for the orientation-field estimator.
+all of them and for the orientation-field estimator. A regression split is
+scored at every lambda of the grid from one eigendecomposition: of the
+baselines' Gram (or its primal, whichever is smaller), or of the local
+estimator's lambda-free system, so each lambda is a diagonal rescale. The
+orientation-field estimator fits and scores one lambda at a time. The final
+fit at the chosen lambda factors its system (Cholesky) either way.
 
 Every cell of a sweep derives its generator from (master seed, cell
 coordinates) through ``numpy.random.SeedSequence``, so results are a pure
@@ -35,11 +40,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .decoder import AngularDecoder, LeastSquaresDecoder
+from .decoder import AngularDecoder, LeastSquaresDecoder, _least_squares_path
 from .kernels import GaussianParts, LinearParts, Restriction
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
-from .training import _lambda_path, enumerate_auxiliary, generate_auxiliary
+from .training import _LambdaPath, enumerate_auxiliary, generate_auxiliary
 
 log = logging.getLogger(__name__)
 
@@ -257,74 +262,130 @@ def _ridge(A: np.ndarray, B: np.ndarray, lam: float):
     return lambda At: np.stack([(at @ a.T) @ c for at, a, c in zip(At, A, coefs)])
 
 
-def _baseline_path(blocks: int):
-    """Hold-out path of a baseline: the input and output vectors cut into
-    ``blocks`` equal slices, each fitted by its own ridge. One block is the
-    global estimator, one block per part the independent-parts one."""
+def _ridge_path(A: np.ndarray, B: np.ndarray):
+    """Hold-out scores of ``_ridge(A, B, lam)`` at any lambda, from one
+    batched eigendecomposition over the blocks. For n <= d it is the dual
+    Gram's, ``A A^T = V diag(w) V^T``, and the predictions are ``(At A^T V)
+    diag(1 / (w + n lam)) V^T B``; otherwise the primal ``A^T A``'s, with
+    ``(At V) diag(1 / (w + n lam)) V^T A^T B``. The two outer factors are
+    formed once, so each lambda is a diagonal rescale and one product.
+    Returns ``score(At, Bt, grid)``: the mean squared error against ``Bt`` at
+    every lambda of ``grid``."""
+    n, d = A.shape[1:]
+    AT = A.transpose(0, 2, 1)
+    if n <= d:
+        w, V = np.linalg.eigh(A @ AT)
+        right = V.transpose(0, 2, 1) @ B
+        lift = lambda At: (At @ AT) @ V
+    else:
+        w, V = np.linalg.eigh(AT @ A)
+        right = V.transpose(0, 2, 1) @ (AT @ B)
+        lift = lambda At: At @ V
+    w = np.clip(w, 0.0, None)[:, :, None]  # a Gram is PSD: clip rounding below zero
+
+    def score(At, Bt, grid) -> np.ndarray:
+        left = lift(At)
+        return np.array([np.mean((left @ (right / (w + n * lam)) - Bt) ** 2) for lam in grid])
+    return score
+
+
+def _baseline(blocks: int):
+    """Final fit and hold-out path of a baseline: the input and output
+    vectors cut into ``blocks`` equal slices, each fitted by its own ridge.
+    One block is the global estimator, one block per part the
+    independent-parts one. The final fit factors (``_ridge``); the hold-out
+    scores its grid spectrally (``_ridge_path``)."""
     def layout(X):
         return X.reshape(X.shape[0], blocks, -1).transpose(1, 0, 2)
 
+    def fit(X, Y, lam):
+        predict = _ridge(layout(X), layout(Y), lam)
+        return lambda Xt: predict(layout(Xt)).transpose(1, 0, 2).reshape(Xt.shape[0], -1)
+
     def path(X, Y):
-        A, B = layout(X), layout(Y)
-
-        def fit(lam):
-            predict = _ridge(A, B, lam)
-            return lambda Xt: predict(layout(Xt)).transpose(1, 0, 2).reshape(Xt.shape[0], -1)
-        return fit
-    return path
+        score = _ridge_path(layout(X), layout(Y))
+        return lambda Xh, Yh, grid: score(layout(Xh), layout(Yh), grid)
+    return fit, path
 
 
-def _local_path(scheme: VectorBlocks):
-    """Hold-out path of the part-pooled estimator: every (input, part) pair of
-    the training set is an anchor of a linear restriction kernel, decoded with
-    the squared-loss closed form. The readout is the unnormalized weighted
-    sum, the ridge conditional mean of a linear kernel on centered data.
-    Every lambda factors a copy of one ``F^T F`` (``training._lambda_path``)."""
+def _local(scheme: VectorBlocks):
+    """Final fit and hold-out path of the part-pooled estimator: every
+    (input, part) pair of the training set is an anchor of a linear
+    restriction kernel, decoded with the squared-loss closed form. The
+    readout is the unnormalized weighted sum, the ridge conditional mean of
+    a linear kernel on centered data. The final fit factors
+    (``training._LambdaPath``); the hold-out reads its grid out of one
+    eigendecomposition of the same lambda-free system
+    (``decoder._least_squares_path``)."""
     kernel = Restriction(LinearParts())
     pi = Uniform(scheme.num_parts)
 
+    def lambda_path(X, Y):
+        return _LambdaPath(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme), kernel, scheme)
+
+    def fit(X, Y, lam):
+        return LeastSquaresDecoder(lambda_path(X, Y)(lam), pi, normalize=False).decode_batch
+
     def path(X, Y):
-        fit_at = _lambda_path(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme),
-                              kernel, scheme)
+        fits = lambda_path(X, Y)
 
-        def fit(lam):
-            return LeastSquaresDecoder(fit_at(lam), pi, normalize=False).decode_batch
-        return fit
-    return path
+        def score(Xh, Yh, grid) -> np.ndarray:
+            decode = _least_squares_path(fits, pi, Xh, normalize=False)
+            return np.array([np.mean((decode(lam) - Yh) ** 2) for lam in grid])
+        return score
+    return fit, path
 
 
-def _ls_path(name: str, cfg: SyntheticConfig):
+def _ls_estimator(name: str, cfg: SyntheticConfig):
+    """``(fit, path)`` of a regression estimator: ``fit(X, Y, lam)`` is the
+    final predictor and ``path`` the hold-out path of ``_select_lambda``."""
     if name == GLOBAL_LS:
-        return _baseline_path(1)
+        return _baseline(1)
     if name == INDEPENDENT_PARTS_LS:
-        return _baseline_path(cfg.num_parts)
-    return _local_path(VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts))
+        return _baseline(cfg.num_parts)
+    return _local(VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts))
 
 
 def _mse(predict, X, Y) -> float:
     return float(np.mean((predict(X) - Y) ** 2))
 
 
-def _select_lambda(path, loss, X, Y, grid) -> float:
+def _per_lambda(fits, loss):
+    """Hold-out path that fits and scores one lambda at a time: ``fits(X,
+    Y)`` does the per-training-set work once and returns ``lam ->
+    predictor``, and ``loss(predictor, X_ho, Y_ho)`` scores each."""
+    def path(X, Y):
+        fit = fits(X, Y)
+        return lambda Xh, Yh, grid: [loss(fit(lam), Xh, Yh) for lam in grid]
+    return path
+
+
+def _select_lambda(path, X, Y, grid, cell: str) -> float:
     """Hold-out selection shared by every estimator.
 
-    ``path(X_fit, Y_fit)`` does the per-training-set work once and returns
-    ``lam -> predictor``; ``loss(predictor, X_ho, Y_ho)`` scores it. The fit
-    takes the first 80% of the training set and the hold-out the rest. With
-    fewer than two training inputs nothing can be held out, so the middle
-    grid value is returned.
+    ``path(X_fit, Y_fit)`` does the per-training-set work once and returns a
+    scorer: ``score(X_ho, Y_ho, grid)`` gives the hold-out error at every
+    lambda of the grid. The fit takes the first 80% of the training set and
+    the hold-out the rest, and the first lambda of least error is chosen.
+    Every error and the choice are logged at INFO under ``cell``; a
+    non-finite error raises ``NumericalError``. With fewer than two training
+    inputs nothing can be held out, so the middle grid value is returned.
     """
     n = X.shape[0]
     if n < 2:
-        return grid[len(grid) // 2]
+        lam = grid[len(grid) // 2]
+        log.info("%s: nothing to hold out, lambda %g", cell, lam)
+        return lam
     n_fit = min(int(round(0.8 * n)), n - 1)
-    fit = path(X[:n_fit], Y[:n_fit])
-    best_lam, best = None, math.inf
-    for lam in grid:
-        err = loss(fit(lam), X[n_fit:], Y[n_fit:])
-        if err < best:
-            best, best_lam = err, lam
-    return best_lam
+    errors = path(X[:n_fit], Y[:n_fit])(X[n_fit:], Y[n_fit:], grid)
+    for lam, err in zip(grid, errors):
+        log.info("%s: hold-out error %.6g at lambda %g", cell, err, lam)
+    for lam, err in zip(grid, errors):
+        if not math.isfinite(err):
+            raise NumericalError(f"{cell}: hold-out error {err} at lambda {lam!r}")
+    lam = grid[int(np.argmin(errors))]
+    log.info("%s: chose lambda %g", cell, lam)
+    return lam
 
 
 def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) -> list[BenchRow]:
@@ -332,10 +393,11 @@ def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) ->
     target = noiseless_targets(Xte, w, cfg.num_parts, cfg.block_dim)
     rows = []
     for name in cfg.estimators:
-        path = _ls_path(name, cfg)
+        fit, path = _ls_estimator(name, cfg)
+        cell = f"{name} n={cfg.n_train} P={cfg.num_parts} gamma={cfg.gamma:g} repeat {repeat}"
         try:
-            lam = _select_lambda(path, _mse, Xtr, Ytr, cfg.lambda_grid)
-            err = _mse(path(Xtr, Ytr)(lam), Xte, target)
+            lam = _select_lambda(path, Xtr, Ytr, cfg.lambda_grid, cell)
+            err = _mse(fit(Xtr, Ytr, lam), Xte, target)
         except Exception:  # keep the sweep alive, mark the cell failed
             log.exception("estimator %s failed on repeat %d", name, repeat)
             lam, err = math.nan, math.nan
@@ -413,10 +475,12 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
 
 
 def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
-    """Hold-out path of the orientation-field estimator: ``cfg.m`` anchors
-    drawn once per training set from the cell's own stream, a Gaussian
-    restriction kernel, and the angular closed form. Every lambda factors a
-    copy of one Gram over the distinct anchor parts (``training._lambda_path``)."""
+    """Fits of the orientation-field estimator, ``path(X, Y)(lam)``: ``cfg.m``
+    anchors drawn once per training set from the cell's own stream, a
+    Gaussian restriction kernel, and the angular closed form. Every lambda
+    factors a copy of one Gram over the distinct anchor parts
+    (``training._LambdaPath``); the hold-out scores them one at a time
+    (``_per_lambda``)."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -426,7 +490,7 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
         m = min(cfg.m, len(train) * scheme.num_parts)
         aux = generate_auxiliary(train, m, scheme, pi,
                                  _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
-        fit_at = _lambda_path(list(X), aux, kernel, scheme)
+        fit_at = _LambdaPath(list(X), aux, kernel, scheme)
 
         def fit(lam):
             return AngularDecoder(fit_at(lam), pi).decode_batch
@@ -451,10 +515,11 @@ def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> Benc
                                               cfg.input_noise, rng)
             Xte, Yte = gen_orientation_fields(cfg.n_test, cfg.grid_size, cfg.freq_cutoff,
                                               cfg.input_noise, rng)
-            path = _angular_path(cfg, seed, n, rep)
+            fits = _angular_path(cfg, seed, n, rep)
             try:
-                lam = _select_lambda(path, loss, Xtr, Ytr, cfg.lambda_grid)
-                err = loss(path(Xtr, Ytr)(lam), Xte, Yte)
+                lam = _select_lambda(_per_lambda(fits, loss), Xtr, Ytr, cfg.lambda_grid,
+                                     f"{LOCAL_DELTA} n={n} repeat {rep}")
+                err = loss(fits(Xtr, Ytr)(lam), Xte, Yte)
             except Exception:
                 log.exception("angular cell failed at n=%d repeat %d", n, rep)
                 lam, err = math.nan, math.nan

@@ -36,7 +36,7 @@ from .parts import (
     scatter_parts,
     stack_objects,
 )
-from .training import AlphaModel, alpha_at_parts
+from .training import AlphaModel, _LambdaPath, alpha_at_parts
 
 
 class CapacityError(RuntimeError):
@@ -162,18 +162,18 @@ def _project(z: np.ndarray, proj: Projection, out: Optional[np.ndarray] = None) 
     raise TypeError(f"unknown projection {proj!r}")
 
 
-def _eta_matrix(model: AlphaModel) -> tuple[np.ndarray, tuple]:
-    """Anchor output parts stacked row-wise and flattened, plus the shape of
-    the output canvas: the parts' leading channel axes and the scheme's
-    object axes."""
-    E = model.etas
+def _eta_matrix(model: Union[AlphaModel, _LambdaPath]) -> tuple[np.ndarray, tuple]:
+    """Anchor output parts of a model or a lambda path, stacked row-wise and
+    flattened, plus the shape of the output canvas: the parts' leading
+    channel axes and the scheme's object axes."""
+    E, scheme = model.etas, model.scheme
     if E.dtype.kind != "f":
         raise ValueError("closed-form decoding needs numeric anchor output parts")
     shape = E.shape[1:]
-    lead = shape[: len(shape) - len(model.scheme.shape)]
-    if math.prod(shape) != math.prod(lead) * index_map(model.scheme).shape[1]:
+    lead = shape[: len(shape) - len(scheme.shape)]
+    if math.prod(shape) != math.prod(lead) * index_map(scheme).shape[1]:
         raise ValueError(f"anchor parts of shape {shape} do not fit the parts of the scheme")
-    return E.reshape(len(E), -1), lead + model.scheme.shape
+    return E.reshape(len(E), -1), lead + scheme.shape
 
 
 def _positive_weights(pi, num_parts: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def _read_parts(model: AlphaModel, R: np.ndarray, xs, active: np.ndarray) -> np.
     return S.reshape(S.shape[0], -1, len(active))
 
 
-def _scatter(model: AlphaModel, weights: np.ndarray, active: np.ndarray,
+def _scatter(model: Union[AlphaModel, _LambdaPath], weights: np.ndarray, active: np.ndarray,
              channel: np.ndarray, canvas: tuple) -> np.ndarray:
     """Sum one channel of flat part values, shape (d, n, len(active)),
     weighted by pi, into outputs of shape (n,) + ``canvas``."""
@@ -325,9 +325,8 @@ class LeastSquaresDecoder:
         self.weights = _positive_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
         H, self.canvas = _eta_matrix(model)
-        # the readout yields (sum_j alpha_j eta_j, sum_j alpha_j) per query
         self._readout = model.memo_readout_weights(
-            (SQUARED_VECTOR.kind,), lambda: np.hstack([H, np.ones((model.m, 1))]))
+            (SQUARED_VECTOR.kind,), lambda: _with_totals(H))
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
@@ -336,21 +335,53 @@ class LeastSquaresDecoder:
         """Decode several inputs with one batched kernel evaluation."""
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
-        wy, wsum = S[:-1], S[-1]
-        if self.normalize:
-            ok = wsum > 1e-10
-            if not np.all(ok):
-                warnings.warn(
-                    "near-zero weight total in a least-squares decode, using the "
-                    "unnormalized weighted sum",
-                    DegenerateDecodeWarning,
-                )
-            wy = wy / np.where(ok, wsum, 1.0)
-        num = _scatter(self.model, self.weights, active, wy, self.canvas)
-        den = _scatter(self.model, self.weights, active, np.ones(wy[:, :1].shape), self.canvas)
-        out = np.zeros_like(num)
-        np.divide(num, den, out=out, where=den > 0)
-        return out
+        return _finish_least_squares(self.model, S, self.weights, active, self.canvas,
+                                     self.normalize)
+
+
+def _with_totals(H: np.ndarray) -> np.ndarray:
+    """The output table ``[H, 1]``, whose readout yields ``(sum_j alpha_j
+    eta_j, sum_j alpha_j)`` per query."""
+    return np.hstack([H, np.ones((len(H), 1))])
+
+
+def _finish_least_squares(model: Union[AlphaModel, _LambdaPath], S: np.ndarray,
+                          weights: np.ndarray, active: np.ndarray, canvas: tuple,
+                          normalize: bool) -> np.ndarray:
+    """Least-squares outputs, shape (n,) + ``canvas``, from the readout ``S``
+    of ``_with_totals``, shape (channels + 1, n, len(active))."""
+    wy, wsum = S[:-1], S[-1]
+    if normalize:
+        ok = wsum > 1e-10
+        if not np.all(ok):
+            warnings.warn(
+                "near-zero weight total in a least-squares decode, using the "
+                "unnormalized weighted sum",
+                DegenerateDecodeWarning,
+            )
+        wy = wy / np.where(ok, wsum, 1.0)
+    num = _scatter(model, weights, active, wy, canvas)
+    den = _scatter(model, weights, active, np.ones(wy[:, :1].shape), canvas)
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):
+    """``lam -> LeastSquaresDecoder(path(lam), pi, normalize).decode_batch(xs)``
+    at any lambda of a lambda path, equal up to rounding: the weighted sums
+    are read out of one eigendecomposition of the path's lambda-free system
+    (``_LambdaPath.readouts``) and finished as ``decode_batch`` finishes."""
+    weights = _positive_weights(pi, path.scheme.num_parts)
+    active = _active_parts(weights)
+    H, canvas = _eta_matrix(path)
+    readout = path.readouts(_with_totals(H), xs, active)
+
+    def decode(lam: float) -> np.ndarray:
+        S = readout(lam)
+        return _finish_least_squares(path, S.reshape(S.shape[0], -1, len(active)), weights,
+                                     active, canvas, normalize)
+    return decode
 
 
 def decode_least_squares(req: DecodeRequest) -> np.ndarray:

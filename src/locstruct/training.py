@@ -26,10 +26,12 @@ the u-row cross matrix. The dense readout of a decode streams its queries
 in blocks of at most ``READOUT_BLOCK_BYTES`` of that matrix, all written
 into one buffer, so its memory does not grow with the number of queries.
 
-Every fit goes through one lambda path (``_lambda_path``): the anchors are
+Every fit goes through one lambda path (``_LambdaPath``): the anchors are
 prepared and the lambda-free system, ``F^T F`` or ``W K_u W``, built once,
-and each lambda factors a fresh copy of it. ``fit_alpha`` is that path at
-one lambda; the hold-out searches of ``bench`` walk their grids on one path.
+and each lambda factors a fresh copy of it (Cholesky). ``fit_alpha`` is
+that path at one lambda. A hold-out search of ``bench`` scores its whole
+grid from one eigendecomposition of the same system (``readouts``), and
+fits only the chosen lambda.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class AlphaModel:
 
     ``prepared_anchors`` holds the anchors ``(inputs[s.chi_ref], s.p)`` of
     ``aux`` with the inputs stacked once, and ``etas`` their output parts
-    stacked row-wise (``_stack_etas``). ``_lambda_path``, the only code
+    stacked row-wise (``_stack_etas``). ``_LambdaPath``, the only code
     that builds a model, makes both once per anchor set and shares them
     between the models of its lambdas.
 
@@ -378,50 +380,84 @@ def fit_alpha(
         one shape.
     """
     _check_lambda(lam)
-    return _lambda_path(inputs, aux, kernel, scheme)(lam)
+    return _LambdaPath(inputs, aux, kernel, scheme)(lam)
 
 
-def _lambda_path(inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
-                 scheme: PartScheme) -> Callable[[float], AlphaModel]:
+class _LambdaPath:
     """Fits of one anchor set at any lambda: ``path(lam)`` is
     ``fit_alpha(inputs, aux, kernel, lam, scheme)``. The anchors are
-    prepared, their output parts stacked and the lambda-free system built
-    once: ``F^T F`` with features ``F`` of width ``d < m``, else the
+    prepared, their output parts stacked and the lambda-free system ``G``
+    built once: ``F^T F`` with features ``F`` of width ``d < m``, else the
     count-weighted ``W K_u W`` over the distinct anchor parts. Every fit
-    factors a fresh copy of it."""
-    aux = tuple(aux)
-    if not aux:
-        raise ValueError("auxiliary set must be non-empty")
-    inputs = tuple(inputs)
-    m = len(aux)
-    etas = _stack_etas(aux)
-    rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m)
-    parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=m)
-    prepared = PreparedAnchors(kernel, stack_objects(inputs, scheme), rows, parts, scheme)
-    F = prepared.features
-    if F is not None and F.shape[1] < m:
-        G = F.T @ F
-        scale = np.trace(G) / m
-    else:
-        F = None
-        G = prepared.gram()
-        if not np.isfinite(G).all():
-            raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
-        c = prepared.counts
-        scale = (c * G.diagonal()).sum() / m  # trace(K) / m of the m x m Gram
-        w = np.sqrt(c)
-        G *= np.outer(w, w)  # one product per entry keeps the system exactly symmetric
+    factors a fresh copy of ``G`` (Cholesky); ``readouts`` reads a whole
+    lambda grid out of one eigendecomposition of it instead."""
 
-    def path(lam: float) -> AlphaModel:
+    def __init__(self, inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
+                 scheme: PartScheme):
+        aux = tuple(aux)
+        if not aux:
+            raise ValueError("auxiliary set must be non-empty")
+        self.inputs, self.aux, self.kernel, self.scheme = tuple(inputs), aux, kernel, scheme
+        m = self.m = len(aux)
+        self.etas = _stack_etas(aux)
+        rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m)
+        parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=m)
+        prepared = PreparedAnchors(kernel, stack_objects(self.inputs, scheme), rows, parts, scheme)
+        F = prepared.features
+        if F is not None and F.shape[1] < m:
+            G = F.T @ F
+            scale = np.trace(G) / m
+        else:
+            F = None
+            G = prepared.gram()
+            if not np.isfinite(G).all():
+                raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
+            c = prepared.counts
+            scale = (c * G.diagonal()).sum() / m  # trace(K) / m of the m x m Gram
+            w = np.sqrt(c)
+            G *= np.outer(w, w)  # one product per entry keeps the system exactly symmetric
+        self.prepared, self.features, self._system, self._scale = prepared, F, G, scale
+
+    def __call__(self, lam: float) -> AlphaModel:
         _check_lambda(lam)
-        factor, jitter = _factor_system(G.copy(), m * lam, scale)
+        factor, jitter = _factor_system(self._system.copy(), self.m * lam, self._scale)
         if jitter:
-            log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, m)
+            log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, self.m)
         return AlphaModel(
-            inputs=inputs, aux=aux, kernel=kernel, lam=float(lam), scheme=scheme,
-            factor=factor, prepared_anchors=prepared, etas=etas, jitter=jitter, features=F,
+            inputs=self.inputs, aux=self.aux, kernel=self.kernel, lam=float(lam),
+            scheme=self.scheme, factor=factor, prepared_anchors=self.prepared, etas=self.etas,
+            jitter=jitter, features=self.features,
         )
-    return path
+
+    def readouts(self, E: np.ndarray, xs, parts) -> Callable[[float], np.ndarray]:
+        """``lam -> model.readout(model.readout_weights(E), xs, parts)`` for
+        ``model = path(lam)``, equal up to rounding, from one
+        eigendecomposition ``G = Q diag(w) Q^T``. Both readouts are ``E_r^T
+        (G + m lam I)^{-1} C_r`` for an anchor side ``E_r`` and a query side
+        ``C_r``: ``F^T E`` and the query features transposed with features,
+        ``W^{-1} fold(E)`` and ``W C_u`` on the dense path. So ``Q^T E_r``
+        and ``Q^T C_r`` are formed once and each lambda is a diagonal
+        rescale and one product. ``G`` is PSD, so rounding below zero is
+        clipped from ``w``; no jitter is added. The queries are read out in
+        one block, which suits hold-out sets."""
+        w, Q = np.linalg.eigh(self._system)
+        w = np.clip(w, 0.0, None)
+        prepared = self.prepared
+        if self.features is not None:
+            anchor = self.features.T @ E
+            query = prepared.query_features(xs, parts).T
+        else:
+            roots = np.sqrt(prepared.counts)
+            f = prepared.fold(E)
+            anchor = f / _rows(roots, f)
+            query = prepared.cross(xs, parts)
+            query *= _rows(roots, query)
+        anchor, query = Q.T @ anchor, Q.T @ query
+
+        def readout(lam: float) -> np.ndarray:
+            _check_lambda(lam)
+            return (anchor / (w + self.m * lam)[:, None]).T @ query
+        return readout
 
 
 def alpha_at(model: AlphaModel, x, p: int) -> np.ndarray:

@@ -1,8 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from locstruct import bench
 from locstruct.bench import (
     BENCH_CSV_HEADER,
     GLOBAL_LS,
@@ -10,6 +13,7 @@ from locstruct.bench import (
     LOCAL_DELTA,
     LOCAL_LS,
     AngularConfig,
+    NumericalError,
     SyntheticConfig,
     block_correlation,
     gen_orientation_fields,
@@ -20,10 +24,13 @@ from locstruct.bench import (
     _TASK_ANGULAR_AUX,
     _angular_path,
     _cell_rng,
-    _local_path,
-    _ls_path,
+    _local,
+    _ls_estimator,
+    _mse,
+    _per_lambda,
     _psd_factor,
     _ridge,
+    _select_lambda,
 )
 from locstruct.decoder import AngularDecoder
 from locstruct.kernels import GaussianParts, Restriction
@@ -97,7 +104,8 @@ class TestEstimatorComparison:
         P, k, n, lam = 4, 3, 15, 1e-2
         cfg = _cfg(num_parts=P, block_dim=k, n_train=n, n_test=7, estimators=(estimator,))
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(9))
-        pred = _ls_path(estimator, cfg)(X, Y)(lam)(Xt)
+        fit, _ = _ls_estimator(estimator, cfg)
+        pred = fit(X, Y, lam)(Xt)
         width = P * k if estimator == GLOBAL_LS else k
         oracle = np.empty_like(pred)
         for start in range(0, P * k, width):
@@ -123,7 +131,8 @@ class TestEstimatorComparison:
         P, k, n = 5, 3, 12
         cfg = _cfg(gamma=0.0, num_parts=P, block_dim=k, n_train=n, n_test=9)
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(8))
-        local = _local_path(VectorBlocks(block_dim=k, num_blocks=P))(X, Y)(lam)(Xt)
+        fit, _ = _local(VectorBlocks(block_dim=k, num_blocks=P))
+        local = fit(X, Y, lam)(Xt)
         Ybar = Y.reshape(n, P, k).mean(axis=1)
         coef = np.linalg.solve(X @ X.T + n * (P * lam) * np.eye(n), Ybar)
         pooled = np.tile((Xt @ X.T) @ coef, P)
@@ -191,6 +200,130 @@ class TestEstimatorComparison:
             run_estimator_comparison(_cfg(), repeats=0)
 
 
+def _stub_path(errors):
+    """A hold-out path whose scorer returns ``errors`` whatever the data."""
+    return lambda X, Y: lambda Xh, Yh, grid: list(errors)
+
+
+class TestHoldOut:
+    GRID = (1.0, 1e-2, 1e-4)
+
+    def test_first_least_error_chosen(self):
+        X = np.zeros((10, 2))
+        assert _select_lambda(_stub_path([0.3, 0.1, 0.1]), X, X, self.GRID, "stub") == 1e-2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_raises_naming_the_lambda(self, bad):
+        # a NaN never compares below the best error so far: it must not be
+        # skipped, nor leave no lambda at all when every error is NaN
+        X = np.zeros((10, 2))
+        with pytest.raises(NumericalError, match=r"at lambda 0\.01"):
+            _select_lambda(_stub_path([0.3, bad, 0.1]), X, X, self.GRID, "stub")
+        with pytest.raises(NumericalError, match=r"at lambda 1\.0"):
+            _select_lambda(_stub_path([bad] * 3), X, X, self.GRID, "stub")
+
+    def test_non_finite_error_fails_only_its_cell(self, monkeypatch):
+        cfg = _cfg(n_train=15, n_test=20, lambda_grid=self.GRID)
+        real = bench._ls_estimator
+
+        def estimator(name, cfg):
+            fit, path = real(name, cfg)
+            return fit, (_stub_path([0.3, math.nan, 0.1]) if name == LOCAL_LS else path)
+
+        monkeypatch.setattr(bench, "_ls_estimator", estimator)
+        rows = run_estimator_comparison(cfg, repeats=2).rows
+        for row in rows:
+            failed = row.estimator == LOCAL_LS
+            assert math.isnan(row.lambda_chosen) == failed
+            assert math.isnan(row.test_error) == failed
+
+    def test_every_error_and_the_choice_logged_at_info(self, caplog):
+        cfg = _cfg(n_train=15, n_test=20, lambda_grid=self.GRID, estimators=(LOCAL_LS,))
+        with caplog.at_level(logging.INFO, logger="locstruct.bench"):
+            row, = run_estimator_comparison(cfg, repeats=1).rows
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        cell = "local_ls n=15 P=4 gamma=1 repeat 0: "
+        for lam in self.GRID:
+            assert sum(l.startswith(cell + "hold-out error ") and l.endswith(f" at lambda {lam:g}")
+                       for l in lines) == 1
+        assert lines[-1] == cell + f"chose lambda {row.lambda_chosen:g}"
+
+
+# (estimator, wide): for the baselines, whether the block width d is at
+# least n_fit (the dual is decomposed) or below it (the primal); for
+# local_ls, whether the anchor features are at least as wide as the
+# m = n_fit * P anchors (the dense fallback of the lambda path)
+SPECTRAL_CASES = [(e, wide) for e in (GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS)
+                  for wide in (False, True)]
+
+
+@st.composite
+def spectral_splits(draw, estimator, wide):
+    n = draw(st.integers(3, 14))
+    n_fit = min(int(round(0.8 * n)), n - 1)
+    if estimator == GLOBAL_LS:  # d = P k
+        if wide:
+            P = draw(st.integers(1, 4))
+            k = draw(st.integers(-(-n_fit // P), -(-n_fit // P) + 3))
+        else:
+            P = draw(st.integers(1, min(4, n_fit - 1)))
+            k = draw(st.integers(1, (n_fit - 1) // P))
+    elif estimator == INDEPENDENT_PARTS_LS:  # d = k
+        P = draw(st.integers(1, 4))
+        k = draw(st.integers(n_fit, n_fit + 3) if wide else st.integers(1, n_fit - 1))
+    else:  # d = k against m = n_fit P
+        P = draw(st.integers(1, 2) if wide else st.integers(1, 4))
+        k = draw(st.integers(n_fit * P, n_fit * P + 3) if wide
+                 else st.integers(1, n_fit * P - 1))
+    grid = draw(st.lists(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]),
+                         min_size=1, max_size=4, unique=True))
+    return dict(n=n, n_fit=n_fit, P=P, k=k, grid=tuple(grid),
+                noise=draw(st.sampled_from([0.0, 0.5])), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSpectralScores:
+    """The spectral hold-out scores against their slow oracle, a factored
+    fit per lambda (``_ridge`` for the baselines, ``training._LambdaPath``
+    for local_ls), scored with ``_mse``.
+
+    Tolerance, fixed from the conditioning before the first run. Both routes
+    are backward stable solves with the system S = G + s I, s = n_fit lam
+    (baselines) or m lam (local_ls), G the Gram of the fitted inputs (the
+    primal, the dual and the local system share its largest eigenvalue
+    w_max). So each prediction moves by at most a relative c k eps kappa,
+    kappa = (w_max + s) / s and k the largest dimension, and a squared
+    error of residual r and target Y moves by at most
+    2 |r| |dp| <= tol (err + mean Y^2) with tol = 2 c k eps kappa; c = 16.
+    """
+
+    @pytest.mark.parametrize("estimator,wide", SPECTRAL_CASES)
+    @pytest.mark.parametrize("gamma", [0.0, 10.0])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_scores_match_a_factored_fit_per_lambda(self, estimator, wide, gamma, data):
+        c = data.draw(spectral_splits(estimator, wide))
+        cfg = _cfg(num_parts=c["P"], block_dim=c["k"], gamma=gamma, n_train=c["n"], n_test=1,
+                   noise_std=c["noise"], lambda_grid=c["grid"], estimators=(estimator,))
+        (X, Y), _, _ = gen_synthetic_dataset(cfg, np.random.default_rng(c["seed"]))
+        n_fit = c["n_fit"]
+        Xf, Yf, Xh, Yh = X[:n_fit], Y[:n_fit], X[n_fit:], Y[n_fit:]
+        fit, path = _ls_estimator(estimator, cfg)
+        scores = path(Xf, Yf)(Xh, Yh, cfg.lambda_grid)
+
+        blocks = {GLOBAL_LS: 1, INDEPENDENT_PARTS_LS: c["P"]}.get(estimator)
+        if blocks is None:  # the anchors' features, one row per (input, part)
+            F, size = Xf.reshape(1, n_fit * c["P"], c["k"]), n_fit * c["P"]
+        else:
+            F, size = Xf.reshape(n_fit, blocks, -1).transpose(1, 0, 2), n_fit
+        w_max = np.linalg.norm(F, 2, axis=(1, 2)).max() ** 2
+        k = max(n_fit * c["P"], c["P"] * c["k"])
+        for lam, score in zip(cfg.lambda_grid, scores):
+            oracle = _mse(fit(Xf, Yf, lam), Xh, Yh)
+            s = size * lam
+            tol = 2 * 16 * k * np.finfo(float).eps * (w_max + s) / s
+            assert abs(score - oracle) <= tol * (oracle + np.mean(Yh ** 2))
+
+
 class TestLearningCurves:
     def test_ls_curve_runs_and_improves(self):
         cfg = _cfg(num_parts=6, block_dim=4, gamma=8.0, n_test=80,
@@ -229,17 +362,22 @@ class TestAngularTask:
     def test_shared_gram_path_equals_a_fit_per_lambda(self):
         """The path builds the anchors' Gram once and factors a copy of it
         at every lambda; each predictor decodes exactly as a fit that builds
-        its own Gram."""
+        its own Gram, and the hold-out adapter scores each such predictor."""
         X, Y = gen_orientation_fields(3, ANG.grid_size, ANG.freq_cutoff, ANG.input_noise,
                                       np.random.default_rng(2))
         scheme = ANG.scheme()
         pi = Uniform(scheme.num_parts)
         aux = generate_auxiliary(list(zip(X, Y)), min(ANG.m, 3 * scheme.num_parts), scheme, pi,
                                  _cell_rng(5, _TASK_ANGULAR_AUX, 3, 1))
-        fit = _angular_path(ANG, 5, 3, 1)(X, Y)
-        for lam in ANG.lambda_grid:
-            model = fit_alpha(list(X), aux, Restriction(GaussianParts(ANG.bandwidth)), lam, scheme)
-            assert np.array_equal(fit(lam)(X), AngularDecoder(model, pi).decode_batch(X))
+        kernel = Restriction(GaussianParts(ANG.bandwidth))
+        fits = _angular_path(ANG, 5, 3, 1)
+        fit = fits(X, Y)
+        decoders = [AngularDecoder(fit_alpha(list(X), aux, kernel, lam, scheme), pi).decode_batch
+                    for lam in ANG.lambda_grid]
+        for lam, decode in zip(ANG.lambda_grid, decoders):
+            assert np.array_equal(fit(lam)(X), decode(X))
+        scores = _per_lambda(fits, _mse)(X, Y)(X[:2], Y[:2], ANG.lambda_grid)
+        assert scores == [_mse(decode, X[:2], Y[:2]) for decode in decoders]
 
     def test_curve_monotone_in_n(self):
         res = run_learning_curve("synthetic_angular", [2, 10], ANG, repeats=20)

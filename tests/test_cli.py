@@ -578,6 +578,23 @@ class TestBenchCommands:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["kind"] == "failed_cells" and err["count"] == failed
 
+    def test_non_finite_hold_out_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a NaN hold-out error at one lambda fails the cell instead of being skipped
+        monkeypatch.setattr("locstruct.bench._ridge_path",
+                            lambda A, B: lambda At, Bt, grid: [1.0, float("nan")])
+        doc = dict(BENCH_JSON["bench-synthetic"], repeats=2, lambda_grid=[1e-3, 1e-1])
+        out = tmp_path / "out"
+        rc = run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                          "--out", str(out)])
+        assert rc == 3
+        rows = [line.split(",") for line in
+                (out / "bench_synthetic.csv").read_text().splitlines()[1:]]
+        failed = [r[0] for r in rows if r[5] == r[6] == "nan"]
+        assert sorted(failed) == ["global_ls", "global_ls",
+                                  "independent_parts_ls", "independent_parts_ls"]
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "failed_cells" and err["count"] == 4
+
     def test_unknown_estimator_rejected(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "b.json", {
             "seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": 12,

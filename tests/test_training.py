@@ -31,7 +31,7 @@ from locstruct.training import (
     FactorizationError,
     NonFiniteError,
     _factor_system,
-    _lambda_path,
+    _LambdaPath,
     alpha_at,
     alpha_at_parts,
     enumerate_auxiliary,
@@ -231,7 +231,7 @@ class TestFitAlpha:
     def test_lambda_must_be_positive(self):
         x = np.zeros(6)
         aux = [AuxiliarySample(0, 0, np.zeros(2))]
-        path = _lambda_path([x], aux, GAUSS, SCHEME)
+        path = _LambdaPath([x], aux, GAUSS, SCHEME)
         for lam in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 fit_alpha([x], aux, GAUSS, lam, SCHEME)
@@ -477,10 +477,10 @@ class TestDistinctPartSystem:
         close(model.readout_weights(E), model.prepared_anchors.fold(np.linalg.solve(A, E)))
         # one shared preparation gives the same fit at every lambda, on the
         # dense path and on the feature-space path of a linear kernel
-        assert np.array_equal(_lambda_path(inputs, aux, kernel, scheme)(lam).factor[0],
+        assert np.array_equal(_LambdaPath(inputs, aux, kernel, scheme)(lam).factor[0],
                               model.factor[0])
         linear = fit_alpha(inputs, aux, LINEAR, lam, scheme)
-        assert np.array_equal(_lambda_path(inputs, aux, LINEAR, scheme)(lam).factor[0],
+        assert np.array_equal(_LambdaPath(inputs, aux, LINEAR, scheme)(lam).factor[0],
                               linear.factor[0])
 
         if u == m:
@@ -501,7 +501,7 @@ class TestDistinctPartSystem:
         inputs = [x for x, _ in train]
         aux = enumerate_auxiliary(train, SCHEME)
         K = gram_matrix(GAUSS, [(inputs[s.chi_ref], s.p) for s in aux], SCHEME).entries
-        path = _lambda_path(inputs, aux, GAUSS, SCHEME)
+        path = _LambdaPath(inputs, aux, GAUSS, SCHEME)
         if after_another_lambda:
             path(10.0)
         model = path(1e-3)
@@ -564,7 +564,7 @@ class TestLambdaPath:
                 kernel = LINEAR
         inputs = [x for x, _ in train]
         parts = list(range(scheme.num_parts))
-        path = _lambda_path(inputs, aux, kernel, scheme)
+        path = _LambdaPath(inputs, aux, kernel, scheme)
         first, _, again = path(1e-3), path(10.0), path(1e-3)
         alone = fit_alpha(inputs, aux, kernel, 1e-3, scheme)
         assert (first.features is not None) == (case == "feature_space")
@@ -573,6 +573,36 @@ class TestLambdaPath:
             assert np.array_equal(model.factor[0], first.factor[0])
             assert np.array_equal(model.alphas(queries, parts), first.alphas(queries, parts))
             assert np.array_equal(model.readout_weights(E), first.readout_weights(E))
+
+    @pytest.mark.parametrize("case", ["feature_space", "dense", "string_windows"])
+    def test_readouts_equal_the_fitted_readout(self, case):
+        """The grid readout from one eigendecomposition agrees with each
+        lambda's factored fit within the rounding that the conditioning
+        kappa = (w_max + m lam) / (m lam) of the system allows."""
+        rng = np.random.default_rng(37)
+        scheme, kernel = SCHEME, GAUSS if case == "dense" else LINEAR
+        if case == "string_windows":
+            scheme, kernel = SequenceWindows(4, 2), GAUSS
+            train = [("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")]
+            queries = ["abba", "bbbb"]
+            aux = generate_auxiliary(train, 20, scheme, Uniform(scheme.num_parts), rng)
+        else:
+            train = _train_set(rng, 4)
+            queries = list(rng.standard_normal((2, 6)))
+            aux = generate_auxiliary(train, 20, scheme, Uniform(3), rng)
+        parts = list(range(scheme.num_parts))
+        path = _LambdaPath([x for x, _ in train], aux, kernel, scheme)
+        assert (path.features is not None) == (case == "feature_space")
+        assert case == "feature_space" or path.prepared.counts.max() > 1
+        E = rng.standard_normal((path.m, 3))
+        readouts = path.readouts(E, queries, parts)
+        w_max = np.linalg.eigvalsh(path._system)[-1]
+        for lam in (1e-4, 1e-2, 1.0):
+            model = path(lam)
+            slow = model.readout(model.readout_weights(E), queries, parts)
+            kappa = (w_max + model.shift) / model.shift
+            bound = 64 * len(path._system) * kappa * np.finfo(float).eps * np.abs(slow).max()
+            assert np.abs(readouts(lam) - slow).max() <= bound
 
 
 class TestBlockedReadout:
