@@ -96,10 +96,11 @@ class SyntheticConfig:
     def __post_init__(self):
         if min(self.num_parts, self.block_dim, self.n_train, self.n_test) < 1:
             raise ValueError("num_parts, block_dim, n_train and n_test must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        # written so that NaN fails: every comparison with it is false
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma!r}")
         _check_grid(self.lambda_grid)
         if not self.estimators:
             raise ValueError("estimators must not be empty")
@@ -115,7 +116,6 @@ class AngularConfig:
     grid_size: int = 16
     patch: int = 4
     stride: int = 2
-    n_train: int = 8
     n_test: int = 16
     m: int = 600
     bandwidth: float = 2.0
@@ -127,6 +127,12 @@ class AngularConfig:
     def __post_init__(self):
         self.scheme()  # the patches must fit the grid
         GaussianParts(self.bandwidth)  # and the bandwidth be positive
+        if min(self.m, self.n_test) < 1:
+            raise ValueError("m and n_test must be >= 1")
+        if not 0 <= self.input_noise < math.inf:
+            raise ValueError(f"input_noise must be >= 0 and finite, got {self.input_noise!r}")
+        if self.freq_cutoff < 0:
+            raise ValueError(f"freq_cutoff must be >= 0, got {self.freq_cutoff!r}")
         _check_grid(self.lambda_grid)
 
     def scheme(self) -> GridPatches:

@@ -210,14 +210,14 @@ def _cmd_bench_angular(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    gammas, parts = cfgmod.parse_bound_check(args.gamma, args.parts)
+    gammas, parts, r2 = cfgmod.parse_bound_check(args.gamma, args.parts, args.r2)
     lines = ["gamma,num_parts,r_sq,s_exact,s_bound,holds"]
     for g in gammas:
         for P in parts:
-            res = sequence_bound_check(args.r2, g, P)
+            res = sequence_bound_check(r2, g, P)
             print(f"gamma={g:g} parts={P} s_exact={res.s_exact:.6g} "
                   f"s_bound={res.s_bound:.6g} holds={str(res.holds).lower()}")
-            lines.append(f"{g!r},{P},{args.r2!r},{res.s_exact!r},{res.s_bound!r},"
+            lines.append(f"{g!r},{P},{r2!r},{res.s_exact!r},{res.s_bound!r},"
                          f"{str(res.holds).lower()}")
     if args.out is not None:
         out = _out_dir(args)

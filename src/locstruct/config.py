@@ -11,6 +11,7 @@ before the command reads a dataset or writes a file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
@@ -266,14 +267,17 @@ def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:
     return cfg, n_grid, _int(doc, "repeats", name)
 
 
-def parse_bound_check(gamma: str, parts: str) -> tuple[tuple, tuple]:
-    """The decay rates and part counts of ``bound-check``'s comma-separated flags."""
+def parse_bound_check(gamma: str, parts: str, r2: float) -> tuple[tuple, tuple, float]:
+    """The decay rates and part counts of ``bound-check``'s comma-separated
+    flags, and its similarity bound ``--r2``."""
     with _at("--gamma"):
         gammas = _values(gamma.split(","), float)
     with _at("--parts"):
         counts = _values(parts.split(","), int)
-    if not all(g > 0 for g in gammas):
-        raise ParseError(f"--gamma: decay rates must be positive, got {gamma}")
+    if not all(0 < g < math.inf for g in gammas):
+        raise ParseError(f"--gamma: decay rates must be positive and finite, got {gamma}")
     if min(counts) < 1:
         raise ParseError(f"--parts: part counts must be >= 1, got {parts}")
-    return gammas, counts
+    if not 0 <= r2 < math.inf:
+        raise ParseError(f"--r2: the similarity bound must be >= 0 and finite, got {r2}")
+    return gammas, counts, r2

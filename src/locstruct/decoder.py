@@ -29,6 +29,7 @@ import numpy as np
 from .kernels import kernel_sup
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, LossSpec, part_losses
 from .parts import (
+    PartScheme,
     SequenceWindows,
     ShapeMismatchError,
     index_map,
@@ -162,11 +163,11 @@ def _project(z: np.ndarray, proj: Projection, out: Optional[np.ndarray] = None) 
     raise TypeError(f"unknown projection {proj!r}")
 
 
-def _eta_matrix(model: Union[AlphaModel, _LambdaPath]) -> tuple[np.ndarray, tuple]:
-    """Anchor output parts of a model or a lambda path, stacked row-wise and
-    flattened, plus the shape of the output canvas: the parts' leading
-    channel axes and the scheme's object axes."""
-    E, scheme = model.etas, model.scheme
+def _eta_matrix(path: _LambdaPath) -> tuple[np.ndarray, tuple]:
+    """Anchor output parts of a lambda path (``model.path`` for a model),
+    stacked row-wise and flattened, plus the shape of the output canvas: the
+    parts' leading channel axes and the scheme's object axes."""
+    E, scheme = path.etas, path.scheme
     if E.dtype.kind != "f":
         raise ValueError("closed-form decoding needs numeric anchor output parts")
     shape = E.shape[1:]
@@ -179,7 +180,7 @@ def _eta_matrix(model: Union[AlphaModel, _LambdaPath]) -> tuple[np.ndarray, tupl
 def _positive_weights(pi, num_parts: int) -> np.ndarray:
     """``part_weights``, refused when their total is not positive."""
     weights = part_weights(pi, num_parts)
-    if weights.sum() <= 0:
+    if not weights.sum() > 0:  # NaN fails too
         raise ValueError("part weights must have positive total")
     return weights
 
@@ -195,12 +196,12 @@ def _read_parts(model: AlphaModel, R: np.ndarray, xs, active: np.ndarray) -> np.
     return S.reshape(S.shape[0], -1, len(active))
 
 
-def _scatter(model: Union[AlphaModel, _LambdaPath], weights: np.ndarray, active: np.ndarray,
-             channel: np.ndarray, canvas: tuple) -> np.ndarray:
+def _scatter(scheme: PartScheme, weights: np.ndarray, active: np.ndarray, channel: np.ndarray,
+             canvas: tuple) -> np.ndarray:
     """Sum one channel of flat part values, shape (d, n, len(active)),
     weighted by pi, into outputs of shape (n,) + ``canvas``."""
     V = np.multiply(np.moveaxis(channel, 0, -1), weights[active][:, None], order="C")
-    return scatter_parts(V, model.scheme, active).reshape((V.shape[0],) + canvas)
+    return scatter_parts(V, scheme, active).reshape((V.shape[0],) + canvas)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ class LeastSquaresDecoder:
         self.model = model
         self.weights = _positive_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
-        H, self.canvas = _eta_matrix(model)
+        H, self.canvas = _eta_matrix(model.path)
         self._readout = model.memo_readout_weights(
             (SQUARED_VECTOR.kind,), lambda: _with_totals(H))
 
@@ -335,7 +336,7 @@ class LeastSquaresDecoder:
         """Decode several inputs with one batched kernel evaluation."""
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
-        return _finish_least_squares(self.model, S, self.weights, active, self.canvas,
+        return _finish_least_squares(self.model.scheme, S, self.weights, active, self.canvas,
                                      self.normalize)
 
 
@@ -345,9 +346,8 @@ def _with_totals(H: np.ndarray) -> np.ndarray:
     return np.hstack([H, np.ones((len(H), 1))])
 
 
-def _finish_least_squares(model: Union[AlphaModel, _LambdaPath], S: np.ndarray,
-                          weights: np.ndarray, active: np.ndarray, canvas: tuple,
-                          normalize: bool) -> np.ndarray:
+def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray,
+                          active: np.ndarray, canvas: tuple, normalize: bool) -> np.ndarray:
     """Least-squares outputs, shape (n,) + ``canvas``, from the readout ``S``
     of ``_with_totals``, shape (channels + 1, n, len(active))."""
     wy, wsum = S[:-1], S[-1]
@@ -360,8 +360,8 @@ def _finish_least_squares(model: Union[AlphaModel, _LambdaPath], S: np.ndarray,
                 DegenerateDecodeWarning,
             )
         wy = wy / np.where(ok, wsum, 1.0)
-    num = _scatter(model, weights, active, wy, canvas)
-    den = _scatter(model, weights, active, np.ones(wy[:, :1].shape), canvas)
+    num = _scatter(scheme, weights, active, wy, canvas)
+    den = _scatter(scheme, weights, active, np.ones(wy[:, :1].shape), canvas)
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out
@@ -379,8 +379,8 @@ def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):
 
     def decode(lam: float) -> np.ndarray:
         S = readout(lam)
-        return _finish_least_squares(path, S.reshape(S.shape[0], -1, len(active)), weights,
-                                     active, canvas, normalize)
+        return _finish_least_squares(path.scheme, S.reshape(S.shape[0], -1, len(active)),
+                                     weights, active, canvas, normalize)
     return decode
 
 
@@ -405,7 +405,7 @@ class AngularDecoder:
     def __init__(self, model: AlphaModel, pi):
         self.model = model
         self.weights = _positive_weights(pi, model.scheme.num_parts)
-        H, self.canvas = _eta_matrix(model)
+        H, self.canvas = _eta_matrix(model.path)
         self._readout = model.memo_readout_weights(
             (ANGULAR_SIN_SQ.kind,), lambda: np.hstack([np.cos(2.0 * H), np.sin(2.0 * H)]))
 
@@ -416,8 +416,8 @@ class AngularDecoder:
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
         d = S.shape[0] // 2
-        c = _scatter(self.model, self.weights, active, S[:d], self.canvas)
-        s = _scatter(self.model, self.weights, active, S[d:], self.canvas)
+        c = _scatter(self.model.scheme, self.weights, active, S[:d], self.canvas)
+        s = _scatter(self.model.scheme, self.weights, active, S[d:], self.canvas)
         theta = 0.5 * np.arctan2(s, c)
         dead = (c == 0.0) & (s == 0.0)
         if np.any(dead):
@@ -518,7 +518,7 @@ def decode_sgm(req: DecodeRequest) -> np.ndarray:
         sup = kernel_sup(model.kernel)
         c = 1.0 / sup if sup else 1.0
 
-    etas, canvas = _eta_matrix(model)
+    etas, canvas = _eta_matrix(model.path)
     J = index_map(scheme, math.prod(canvas) // math.prod(scheme.shape))
     N, w = math.prod(canvas), J.shape[1]
     z = np.zeros(N)  # flat, shaped as the canvas on return

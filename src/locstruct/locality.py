@@ -223,10 +223,13 @@ def sequence_bound_check(r_sq: float, gamma: float, num_parts: int) -> SequenceB
     geometric-series bound.
 
     ``s_exact = (r^2 / |P|) sum_{p,q} exp(-gamma |p - q|)`` by direct
-    summation, ``s_bound = 2 r^2 / (1 - exp(-gamma))``. Requires gamma > 0.
+    summation, ``s_bound = 2 r^2 / (1 - exp(-gamma))``. Requires a finite
+    gamma > 0 and a finite r^2 >= 0; NaN fails both checks.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0 <= r_sq < math.inf:
+        raise ValueError(f"r_sq must be >= 0 and finite, got {r_sq}")
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
     idx = np.arange(num_parts)

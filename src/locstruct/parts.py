@@ -362,9 +362,9 @@ class Weighted:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty vector")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not np.all(p >= 0):  # NaN fails too
+            raise ValueError(f"probabilities must be nonnegative numbers, got {self.probs!r}")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
         object.__setattr__(self, "probs", tuple(float(v) for v in p))
 

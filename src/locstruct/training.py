@@ -28,10 +28,11 @@ into one buffer, so its memory does not grow with the number of queries.
 
 Every fit goes through one lambda path (``_LambdaPath``): the anchors are
 prepared and the lambda-free system, ``F^T F`` or ``W K_u W``, built once,
-and each lambda factors a fresh copy of it (Cholesky). ``fit_alpha`` is
-that path at one lambda. A hold-out search of ``bench`` scores its whole
-grid from one eigendecomposition of the same system (``readouts``), and
-fits only the chosen lambda.
+and each lambda factors a fresh copy of it (Cholesky): a fitted model
+(``AlphaModel``) is the path, which holds the solve basis, plus that
+factor. ``fit_alpha`` is the path at one lambda. A hold-out search of
+``bench`` scores its whole grid from one eigendecomposition of the same
+system (``readouts``), and fits only the chosen lambda.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -122,30 +123,29 @@ def _samples(train, scheme: PartScheme, rows: np.ndarray, parts: np.ndarray) -> 
 
 @dataclass(frozen=True, eq=False)
 class AlphaModel:
-    """Fitted estimator: anchors plus a factorization of ``K + m lambda I``.
+    """Fitted estimator: a lambda path at one lambda, plus one factor.
 
-    With ``features`` unset, ``factor`` is the Cholesky factor of the u x u
-    count-weighted system ``M = W K_u W + shift I`` over the u distinct
-    anchor parts (the rows of ``PreparedAnchors.cross``): ``K_u`` is their
-    Gram and ``W = diag(sqrt(c))`` for ``c`` the anchors per part. The m x m
-    system ``K + shift I`` is ``Q M Q^T`` on the span of ``Q = U W^{-1}``
-    (``U`` the m x u indicator of the anchors' parts, orthonormal columns)
-    and ``shift I`` on the vectors that sum to zero over each part's
-    anchors, so every solve with it is read out of ``M``. When no two
-    anchor parts are equal, ``W = I`` and ``M`` is ``K + shift I`` itself.
-    With ``features = F`` (m x d, ``K = F F^T``) ``factor`` is the factor of
-    the d x d system ``F^T F + shift I``: ``apply_inverse`` then uses the
-    Woodbury identity, and weights and readouts use the push-through
-    identity ``(F F^T + s I)^{-1} F = F (F^T F + s I)^{-1}``. ``shift`` is
-    ``m * lam + jitter`` either way, and ``jitter`` is the diagonal that the
-    factor of ``K + m lam I`` needed on top. The dense inverse is never
-    materialized. Immutable after fit, safe for concurrent queries.
+    ``path`` (``_LambdaPath``) holds the anchors, their output parts, the
+    lambda-free system and the solve basis; ``inputs``, ``aux``,
+    ``kernel``, ``scheme``, ``prepared_anchors``, ``etas``, ``features`` and
+    ``m`` are read from it, and the models of one path share them.
+    ``factor`` is the Cholesky factor of that system plus ``shift I``:
+    ``F^T F + shift I`` with features ``F`` (``K = F F^T``), else the
+    count-weighted ``M = W K_u W + shift I`` over the u distinct anchor
+    parts. ``shift`` is ``m * lam + jitter``, and ``jitter`` is the diagonal
+    that the factor of ``K + m lam I`` needed on top.
 
-    ``prepared_anchors`` holds the anchors ``(inputs[s.chi_ref], s.p)`` of
-    ``aux`` with the inputs stacked once, and ``etas`` their output parts
-    stacked row-wise (``_stack_etas``). ``_LambdaPath``, the only code
-    that builds a model, makes both once per anchor set and shares them
-    between the models of its lambdas.
+    Every solve is the path's ``lift`` of a solve with the factor against
+    an anchor side (``anchor_side``) or a query side (``query_side``). With
+    features these are the push-through identity ``(F F^T + s I)^{-1} F =
+    F (F^T F + s I)^{-1}`` and, in ``apply_inverse``, the Woodbury
+    identity. On the dense path the m x m system ``K + shift I`` is ``Q M
+    Q^T`` on the span of ``Q = U W^{-1}`` (``U`` the m x u indicator of the
+    anchors' parts, orthonormal columns) and ``shift I`` on the vectors
+    that sum to zero over each part's anchors, so every solve is read out of
+    ``M``; when no two anchor parts are equal, ``W = I`` and ``M`` is ``K +
+    shift I`` itself. The dense inverse is never materialized. Immutable
+    after fit, safe for concurrent queries.
 
     Readout weights are filled in lazily: ``memo_readout_weights`` keeps
     the weights of each output table it is asked for under the caller's
@@ -155,21 +155,20 @@ class AlphaModel:
     duplicate solve, never a wrong entry.
     """
 
-    inputs: tuple
-    aux: tuple
-    kernel: KernelSpec
+    path: _LambdaPath = field(repr=False)
     lam: float
-    scheme: PartScheme
     factor: tuple = field(repr=False)
-    prepared_anchors: PreparedAnchors = field(repr=False)
-    etas: np.ndarray = field(repr=False)
     jitter: float = 0.0
-    features: Optional[np.ndarray] = field(default=None, repr=False)
     _readouts: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def m(self) -> int:
-        return len(self.aux)
+    inputs = property(lambda self: self.path.inputs)
+    aux = property(lambda self: self.path.aux)
+    kernel = property(lambda self: self.path.kernel)
+    scheme = property(lambda self: self.path.scheme)
+    prepared_anchors = property(lambda self: self.path.prepared)
+    etas = property(lambda self: self.path.etas)
+    features = property(lambda self: self.path.features)
+    m = property(lambda self: self.path.m)
 
     @property
     def shift(self) -> float:
@@ -179,31 +178,21 @@ class AlphaModel:
     def anchors(self) -> tuple:
         return tuple((self.inputs[s.chi_ref], s.p) for s in self.aux)
 
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        """The diagonal of ``W``."""
-        return np.sqrt(self.prepared_anchors.counts)
-
-    def _solve_weighted(self, B: np.ndarray) -> np.ndarray:
-        """``W^{-1} M^{-1} B`` for u-row ``B``."""
-        w = _rows(self._roots, B)
-        return cho_solve(self.factor, B) / w
-
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns.
 
-        Dense form: ``(v - expand(fold(v) / c)) / s + expand(W^{-1} M^{-1}
-        W^{-1} fold(v))``, the part of ``v`` off the span of ``Q``, which
-        ``K`` maps to zero, divided by the shift, plus the solve on that
-        span. Nothing cancels as lambda goes to zero."""
-        if self.features is None:
-            prepared = self.prepared_anchors
-            f = prepared.fold(v)
-            means = f / _rows(prepared.counts, f)
-            inner = self._solve_weighted(f / _rows(self._roots, f))
-            return (v - prepared.expand(means)) / self.shift + prepared.expand(inner)
-        F = self.features
-        return (v - F @ cho_solve(self.factor, F.T @ v)) / self.shift
+        With features this is the Woodbury form ``(v - F (F^T F + s I)^{-1}
+        F^T v) / s``. Dense form: ``(v - expand(fold(v) / c)) / s +
+        expand(W^{-1} M^{-1} W^{-1} fold(v))``, the part of ``v`` off the
+        span of ``Q``, which ``K`` maps to zero, divided by the shift, plus
+        the solve on that span. Nothing cancels as lambda goes to zero."""
+        inner = self.path.lift(cho_solve(self.factor, self.path.anchor_side(v)))
+        if self.features is not None:  # Woodbury: (F F^T + s I)^{-1} v = (v - inner) / s
+            return (v - inner) / self.shift
+        # inner solves on the span of Q only; the part of v off it is just divided by s
+        prepared = self.prepared_anchors
+        f = prepared.fold(v)
+        return (v - prepared.expand(f / _rows(prepared.counts, f))) / self.shift + inner
 
     def alphas(self, xs, parts) -> np.ndarray:
         """Weight vectors ``alpha(x, p)`` for every ``x`` in ``xs`` and ``p``
@@ -214,13 +203,7 @@ class AlphaModel:
         for the query features ``B``, the push-through form of ``(K + s
         I)^{-1} F B^T``.
         """
-        if self.features is None:
-            prepared = self.prepared_anchors
-            C = prepared.cross(xs, parts)
-            C *= _rows(self._roots, C)
-            return prepared.expand(self._solve_weighted(C))
-        B = self.prepared_anchors.query_features(xs, parts)
-        return self.features @ cho_solve(self.factor, B.T)
+        return self.path.lift(cho_solve(self.factor, self.path.query_side(xs, parts)))
 
     def readout_weights(self, E: np.ndarray) -> np.ndarray:
         """Weights ``R`` such that ``readout(R, xs, parts)`` gives
@@ -234,11 +217,10 @@ class AlphaModel:
         gives ``R = (F^T F + s I)^{-1} F^T E``, shape (d, c); this also
         avoids the cancellation of a Woodbury solve contracted with F.
         """
-        if self.features is None:
-            f = self.prepared_anchors.fold(E)
-            w = _rows(self._roots, f)
-            return cho_solve(self.factor, f / w) * w
-        return cho_solve(self.factor, self.features.T @ E)
+        R = cho_solve(self.factor, self.path.anchor_side(E))
+        if self.features is None:  # W R: readouts take the plain cross matrix, not W C_u
+            R *= _rows(self.path.roots, R)
+        return R
 
     def memo_readout_weights(self, key, table: Callable[[], np.ndarray]) -> np.ndarray:
         """``readout_weights(table())``, computed on the first call with
@@ -262,9 +244,9 @@ class AlphaModel:
         once per call (``PreparedAnchors.cross(..., out=)``): the memory of a
         decode does not grow with the number of queries, and a decode
         allocates one block, not one per block."""
+        if self.features is not None:  # d < m query features: one product, no blocks
+            return R.T @ self.path.query_side(xs, parts)
         prepared = self.prepared_anchors
-        if self.features is not None:
-            return R.T @ prepared.query_features(xs, parts).T
         xs = list(xs)
         P, u = len(parts), prepared.rows
         block = max(1, READOUT_BLOCK_BYTES // (8 * u * P))
@@ -300,39 +282,32 @@ def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
     return E
 
 
-def _factor_system(K: np.ndarray, shift: float, scale: float):
-    """Cholesky of K + shift*I with diagonal jitter escalation on failure.
+def _factor_system(G: np.ndarray, shift: float, scale: float):
+    """Cholesky of G + shift*I with diagonal jitter escalation on failure.
 
     Jitter starts at ``1e-12 * scale`` and grows tenfold up to ``1e-6 *
     scale``; both paths pass ``trace(K) / m`` of the m x m kernel matrix, so
     a jitter means the same on each.
 
-    ``K`` must be a fresh, exactly symmetric array: the factor is computed
-    in its memory. ``K.T`` is factored, so LAPACK writes the factor over the
-    upper triangle of a row-major ``K`` and leaves its lower one intact. A
-    failed attempt is undone from that intact triangle and a saved diagonal,
-    so every attempt equals factoring a fresh copy of ``K``.
+    ``G`` must be exactly symmetric, and is left as it is: each attempt
+    factors a fresh column-major copy of it in place, so a retry starts
+    from the untouched system.
     """
-    m = K.shape[0]
+    m = G.shape[0]
     base = 1e-12 * scale
-    A = K.T
-    diag = K.diagonal().copy()
-    on_diag = np.diag_indices(m)
     jitter = 0.0
     while True:
-        A[on_diag] = diag + (shift + jitter)
+        A = np.array(G.T, order="F")  # G.T is column-major when G is row-major: a plain copy
+        A[np.diag_indices(m)] += shift + jitter
         try:
             return cho_factor(A, lower=True, overwrite_a=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
-            below = np.tril_indices(m, -1)
-            A[below] = K[below]  # never written by the factor
-            A[on_diag] = diag
             if jitter == 0.0:
                 jitter = base if base > 0 else 1e-12
             else:
                 jitter *= 10.0
             if jitter > 1e-6 * scale:
-                w = np.linalg.eigvalsh(K + shift * np.eye(m))
+                w = np.linalg.eigvalsh(G + shift * np.eye(m))
                 cond = abs(w[-1] / w[0]) if w[0] != 0 else np.inf
                 raise FactorizationError(
                     f"system of size {m} not factorizable after jitter escalation "
@@ -385,12 +360,16 @@ def fit_alpha(
 
 class _LambdaPath:
     """Fits of one anchor set at any lambda: ``path(lam)`` is
-    ``fit_alpha(inputs, aux, kernel, lam, scheme)``. The anchors are
-    prepared, their output parts stacked and the lambda-free system ``G``
-    built once: ``F^T F`` with features ``F`` of width ``d < m``, else the
-    count-weighted ``W K_u W`` over the distinct anchor parts. Every fit
-    factors a fresh copy of ``G`` (Cholesky); ``readouts`` reads a whole
-    lambda grid out of one eigendecomposition of it instead."""
+    ``fit_alpha(inputs, aux, kernel, lam, scheme)``, this path plus one
+    factor (``AlphaModel``). The anchors are prepared, their output parts
+    stacked and the lambda-free system ``G`` built once: ``F^T F`` with
+    features ``F`` of width ``d < m``, else the count-weighted ``W K_u W``
+    over the distinct anchor parts. That choice of solve basis is made here
+    only: every solve with ``G + s I`` takes ``anchor_side`` or
+    ``query_side`` and maps its result back to one row per anchor with
+    ``lift``. Every fit factors a fresh copy of ``G`` (Cholesky);
+    ``readouts`` reads a whole lambda grid out of one eigendecomposition of
+    it instead."""
 
     def __init__(self, inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
                  scheme: PartScheme):
@@ -403,7 +382,7 @@ class _LambdaPath:
         rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m)
         parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=m)
         prepared = PreparedAnchors(kernel, stack_objects(self.inputs, scheme), rows, parts, scheme)
-        F = prepared.features
+        F, roots = prepared.features, None
         if F is not None and F.shape[1] < m:
             G = F.T @ F
             scale = np.trace(G) / m
@@ -414,45 +393,52 @@ class _LambdaPath:
                 raise NonFiniteError("non-finite values in the kernel matrix; check the inputs")
             c = prepared.counts
             scale = (c * G.diagonal()).sum() / m  # trace(K) / m of the m x m Gram
-            w = np.sqrt(c)
-            G *= np.outer(w, w)  # one product per entry keeps the system exactly symmetric
-        self.prepared, self.features, self._system, self._scale = prepared, F, G, scale
+            roots = np.sqrt(c)
+            G *= np.outer(roots, roots)  # one product per entry keeps the system exactly symmetric
+        self.prepared, self.features, self.roots = prepared, F, roots  # roots: W's diagonal
+        self._system, self._scale = G, scale
+
+    def anchor_side(self, E: np.ndarray) -> np.ndarray:
+        """``F^T E``, or ``W^{-1} fold(E)``, for ``E`` with one row per anchor."""
+        if self.features is not None:
+            return self.features.T @ E
+        f = self.prepared.fold(E)
+        return f / _rows(self.roots, f)
+
+    def query_side(self, xs, parts) -> np.ndarray:
+        """The query features transposed, or ``W C_u`` for the u-row cross
+        matrix ``C_u``: one column per query, input-major."""
+        if self.features is not None:
+            return self.prepared.query_features(xs, parts).T
+        C = self.prepared.cross(xs, parts)
+        C *= _rows(self.roots, C)
+        return C
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        """``F Z``, or ``expand(W^{-1} Z)``: a solve's result, one row per anchor."""
+        if self.features is not None:
+            return self.features @ Z
+        return self.prepared.expand(Z / _rows(self.roots, Z))
 
     def __call__(self, lam: float) -> AlphaModel:
         _check_lambda(lam)
-        factor, jitter = _factor_system(self._system.copy(), self.m * lam, self._scale)
+        factor, jitter = _factor_system(self._system, self.m * lam, self._scale)
         if jitter:
             log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, self.m)
-        return AlphaModel(
-            inputs=self.inputs, aux=self.aux, kernel=self.kernel, lam=float(lam),
-            scheme=self.scheme, factor=factor, prepared_anchors=self.prepared, etas=self.etas,
-            jitter=jitter, features=self.features,
-        )
+        return AlphaModel(path=self, lam=float(lam), factor=factor, jitter=jitter)
 
     def readouts(self, E: np.ndarray, xs, parts) -> Callable[[float], np.ndarray]:
         """``lam -> model.readout(model.readout_weights(E), xs, parts)`` for
         ``model = path(lam)``, equal up to rounding, from one
-        eigendecomposition ``G = Q diag(w) Q^T``. Both readouts are ``E_r^T
-        (G + m lam I)^{-1} C_r`` for an anchor side ``E_r`` and a query side
-        ``C_r``: ``F^T E`` and the query features transposed with features,
-        ``W^{-1} fold(E)`` and ``W C_u`` on the dense path. So ``Q^T E_r``
-        and ``Q^T C_r`` are formed once and each lambda is a diagonal
+        eigendecomposition ``G = Q diag(w) Q^T``. Both readouts are
+        ``anchor_side(E)^T (G + m lam I)^{-1} query_side(xs, parts)``, so
+        ``Q^T`` times each side is formed once and each lambda is a diagonal
         rescale and one product. ``G`` is PSD, so rounding below zero is
         clipped from ``w``; no jitter is added. The queries are read out in
         one block, which suits hold-out sets."""
         w, Q = np.linalg.eigh(self._system)
         w = np.clip(w, 0.0, None)
-        prepared = self.prepared
-        if self.features is not None:
-            anchor = self.features.T @ E
-            query = prepared.query_features(xs, parts).T
-        else:
-            roots = np.sqrt(prepared.counts)
-            f = prepared.fold(E)
-            anchor = f / _rows(roots, f)
-            query = prepared.cross(xs, parts)
-            query *= _rows(roots, query)
-        anchor, query = Q.T @ anchor, Q.T @ query
+        anchor, query = Q.T @ self.anchor_side(E), Q.T @ self.query_side(xs, parts)
 
         def readout(lam: float) -> np.ndarray:
             _check_lambda(lam)

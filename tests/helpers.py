@@ -70,7 +70,7 @@ def sgm_loop(req):
         sup = kernel_sup(model.kernel)
         c = 1.0 / sup if sup else 1.0
 
-    etas, canvas = _eta_matrix(model)
+    etas, canvas = _eta_matrix(model.path)
     J = index_map(scheme, math.prod(canvas) // math.prod(scheme.shape))
     z = np.zeros(math.prod(canvas))
 

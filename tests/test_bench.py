@@ -183,6 +183,20 @@ class TestEstimatorComparison:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             _cfg(noise_std=-1.0)
+        for bad in (math.nan, math.inf):  # NaN fails every comparison, so every check
+            with pytest.raises(ValueError, match="noise_std"):
+                _cfg(noise_std=bad)
+            with pytest.raises(ValueError, match="gamma"):
+                _cfg(gamma=bad)
+        with pytest.raises(ValueError, match="gamma"):
+            _cfg(gamma=-1.0)
+        for field, bad in (("m", 0), ("n_test", 0), ("input_noise", -0.1),
+                           ("input_noise", math.nan), ("input_noise", math.inf),
+                           ("freq_cutoff", -1)):
+            with pytest.raises(ValueError, match=field):
+                AngularConfig(**{field: bad})
+        with pytest.raises(TypeError):  # the curve's grid is the only training size
+            AngularConfig(n_train=8)
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 _cfg(lambda_grid=(bad, 1.0))

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from locstruct import config
 from locstruct.cli import run_command
 from locstruct.modelio import read_dataset, write_dataset
 
@@ -289,6 +292,15 @@ BAD_INPUTS = {
     "bound_check_zero_gamma": ("bound-check", ["--gamma", "0", "--parts", "2"]),
     "bound_check_gamma_not_a_number": ("bound-check", ["--gamma", "abc", "--parts", "2"]),
     "bound_check_zero_parts": ("bound-check", ["--gamma", "1", "--parts", "0"]),
+    "bound_check_infinite_gamma": ("bound-check", ["--gamma", "inf", "--parts", "2"]),
+    "bound_check_nan_gamma_in_grid": ("bound-check", ["--gamma", "1,nan", "--parts", "2"]),
+    "bound_check_nan_r2": ("bound-check", ["--gamma", "1", "--parts", "2", "--r2", "nan"]),
+    "bound_check_negative_r2": ("bound-check", ["--gamma", "1", "--parts", "2", "--r2=-1"]),
+    "bound_check_infinite_r2": ("bound-check", ["--gamma", "1", "--parts", "2", "--r2", "inf"]),
+    "bench_angular_zero_m": ("bench-angular", {"m": 0}),
+    "bench_angular_zero_n_test": ("bench-angular", {"n_test": 0}),
+    "bench_angular_negative_freq_cutoff": ("bench-angular", {"freq_cutoff": -1}),
+    "bench_angular_negative_input_noise": ("bench-angular", {"input_noise": -0.5}),
 }
 
 # counts must be JSON integers and flags JSON booleans: a value that would
@@ -656,3 +668,33 @@ class TestParserCache:
         assert run_command(["predict", "--help"]) == 0
         assert "usage: locstruct predict" in capsys.readouterr().out
         assert len(seen) == 3
+
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the config file each README example is named after, and its parser
+README_PARSERS = {"train.json": config.parse_train, "predict.json": config.parse_predict,
+                  "diagnose.json": config.parse_diagnose,
+                  "bench.json": config.parse_bench_synthetic,
+                  "angular.json": config.parse_bench_angular}
+
+
+def _readme_configs():
+    """Every JSON block of README.md under an ``Example `<name>.json`:``
+    line, as (name, text)."""
+    return re.findall(r"^Example `([\w-]+\.json)`:\n\n```json\n(.*?)^```", README.read_text(),
+                      re.M | re.S)
+
+
+class TestReadmeExamples:
+    """The config examples of README.md parse, so a renamed or removed key
+    fails here instead of leaving the docs stale."""
+
+    def test_every_json_block_is_a_named_config(self):
+        names = [name for name, _ in _readme_configs()]
+        assert len(names) == len(re.findall(r"^```json$", README.read_text(), re.M))
+        assert {"train.json", "predict.json"} <= set(names) <= README_PARSERS.keys()
+
+    @pytest.mark.parametrize("name,text", [pytest.param(n, t, id=n) for n, t in _readme_configs()])
+    def test_config_example_parses(self, name, text):
+        README_PARSERS[name](json.loads(text))

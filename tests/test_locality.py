@@ -306,3 +306,17 @@ class TestSequenceBound:
             sequence_bound_check(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             sequence_bound_check(1.0, -1.0, 4)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sequence_bound_check(1.0, gamma, 4)
+
+    @pytest.mark.parametrize("r_sq", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_similarity_bound_rejected(self, r_sq):
+        with pytest.raises(ValueError, match="r_sq"):
+            sequence_bound_check(r_sq, 1.0, 4)
+
+    def test_zero_similarity_bound_gives_zero_constants(self):
+        res = sequence_bound_check(0.0, 1.0, 4)
+        assert (res.s_exact, res.s_bound, res.holds) == (0.0, 0.0, True)

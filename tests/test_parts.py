@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +199,14 @@ class TestPartDistribution:
             Weighted((0.5, -0.1, 0.6))
         with pytest.raises(ValueError):
             Weighted((0.5, 0.6))
+
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+                                       (math.inf, 1.0), (0.5, 0.5, math.nan)])
+    def test_non_finite_weights_rejected(self, probs):
+        """A NaN fails a check written as ``p < 0`` or ``|sum - 1| > tol``;
+        before it was refused, ``Weighted((nan, 1.0))`` gave an all-NaN CDF."""
+        with pytest.raises(ValueError):
+            Weighted(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -328,14 +329,14 @@ class TestFitAlpha:
         before = K.copy()
         with pytest.raises(FactorizationError, match="condition"):
             _factor_system(K, 0.0, np.trace(K) / 3)
-        assert np.array_equal(K, before)  # every failed attempt is undone
+        assert np.array_equal(K, before)  # the shared system is never written
 
     @settings(max_examples=50, deadline=None)
     @given(m=st.integers(2, 12), dip=st.floats(1e-14, 1e-10), seed=st.integers(0, 2**16))
     def test_retries_equal_fresh_copies(self, m, dip, seed):
         """An exactly symmetric K with a slightly negative eigenvalue needs
-        one or more jitter retries. Factored in place, the factor and the
-        jitter are those of factoring a fresh copy at each attempt."""
+        one or more jitter retries. The factor and the jitter are those of
+        factoring ``K + (shift + jitter) I`` afresh at each attempt."""
         Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
         w = np.linspace(1.0, 2.0, m)
         w[0] = -dip
@@ -603,6 +604,42 @@ class TestLambdaPath:
             kappa = (w_max + model.shift) / model.shift
             bound = 64 * len(path._system) * kappa * np.finfo(float).eps * np.abs(slow).max()
             assert np.abs(readouts(lam) - slow).max() <= bound
+
+    @pytest.mark.parametrize("case", ["feature_space", "dense", "string_windows"])
+    def test_solve_basis_sides(self, case):
+        """The two sides of the solve basis meet in the plain cross kernel,
+        ``anchor_side(E)^T query_side(xs, parts) = E^T k(anchors, queries)``,
+        and ``lift`` is the adjoint of ``anchor_side``: ``E^T lift(Z) =
+        anchor_side(E)^T Z``. Every model of the path reads its anchors
+        from it, also after its factor is replaced."""
+        rng = np.random.default_rng(41)
+        if case == "string_windows":
+            scheme, kernel = SequenceWindows(4, 2), GAUSS
+            train = [("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")]
+            queries = ["abba", "bbbb"]
+        else:
+            scheme, kernel = SCHEME, LINEAR if case == "feature_space" else GAUSS
+            train = _train_set(rng, 4)
+            queries = list(rng.standard_normal((2, 6)))
+        aux = generate_auxiliary(train, 20, scheme, Uniform(scheme.num_parts), rng)
+        parts = list(range(scheme.num_parts))
+        path = _LambdaPath([x for x, _ in train], aux, kernel, scheme)
+        assert (path.features is not None) == (case == "feature_space")
+        assert case == "feature_space" or path.prepared.counts.max() > 1
+        model = path(1e-2)
+        E = rng.standard_normal((path.m, 3))
+        C = cross_matrix(kernel, model.anchors, [(x, p) for x in queries for p in parts], scheme)
+        met = path.anchor_side(E).T @ path.query_side(queries, parts)
+        assert np.allclose(met, E.T @ C, rtol=1e-12, atol=1e-12 * np.abs(E.T @ C).max())
+        Z = rng.standard_normal((len(path._system), 2))
+        got, want = E.T @ path.lift(Z), path.anchor_side(E).T @ Z
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        other = dataclasses.replace(model, factor=path(1.0).factor)
+        for name in ("inputs", "aux", "kernel", "scheme", "etas", "features", "m"):
+            assert getattr(model, name) is getattr(path, name) is getattr(other, name)
+        assert model.prepared_anchors is path.prepared is other.prepared_anchors
+        assert (other.path, other.lam, other.jitter) == (path, model.lam, model.jitter)
 
 
 class TestBlockedReadout:
