@@ -15,15 +15,17 @@ Two task families:
 The regression study compares three estimators that differ only in how they
 lay out the same data: the whole output vector regressed on the whole input
 (``global_ls``), each block on its own block (``independent_parts_ls``, both
-one dual linear ridge, ``_ridge``, over a leading block axis), and every
+one dual linear ridge, ``_ridge_path``, over a leading block axis), and every
 (input, part) pair pooled into one anchor set of the library estimator
-(``local_ls``). One hold-out selector, ``_select_lambda``, picks lambda for
-all of them and for the orientation-field estimator. A regression split is
-scored at every lambda of the grid from one eigendecomposition: of the
-baselines' Gram (or its primal, whichever is smaller), or of the local
-estimator's lambda-free system, so each lambda is a diagonal rescale. The
-orientation-field estimator fits and scores one lambda at a time. The final
-fit at the chosen lambda factors its system (Cholesky) either way.
+(``local_ls``). Every estimator of both studies is one lambda path,
+``path(X, Y)`` returning ``score(X_t, Y_t, grid)``. One hold-out selector,
+``_select_lambda``, picks lambda with it, and a cell's test error is the same
+path fitted on the whole training set and scored on the test set at the
+chosen lambda (``_run_cell``). A regression path scores every lambda of a
+grid from one eigendecomposition: of the baselines' Gram (or its primal,
+whichever is smaller), or of the local estimator's lambda-free system, so
+each lambda is a diagonal rescale. The orientation-field path fits and
+scores one lambda at a time (``_per_lambda``).
 
 Every cell of a sweep derives its generator from (master seed, cell
 coordinates) through ``numpy.random.SeedSequence``, so results are a pure
@@ -38,9 +40,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .decoder import AngularDecoder, LeastSquaresDecoder, _least_squares_path
+from .decoder import AngularDecoder, _least_squares_path
 from .kernels import GaussianParts, LinearParts, Restriction
 from .losses import ANGULAR_SIN_SQ, structured_loss
 from .parts import GridPatches, Uniform, VectorBlocks
@@ -256,27 +257,16 @@ def noiseless_targets(X: np.ndarray, w: np.ndarray, num_parts: int, block_dim: i
 # Estimators for the regression study
 # ---------------------------------------------------------------------------
 
-def _ridge(A: np.ndarray, B: np.ndarray, lam: float):
-    """Dual linear ridge regression, one independent fit per leading block.
-
-    ``A`` is (blocks, n, d) inputs and ``B`` is (blocks, n, c) targets.
-    Returns ``predict(At)`` mapping (blocks, t, d) to (blocks, t, c).
-    """
-    n = A.shape[1]
-    coefs = [cho_solve(cho_factor(a @ a.T + n * lam * np.eye(n), lower=True), b)
-             for a, b in zip(A, B)]
-    return lambda At: np.stack([(at @ a.T) @ c for at, a, c in zip(At, A, coefs)])
-
-
 def _ridge_path(A: np.ndarray, B: np.ndarray):
-    """Hold-out scores of ``_ridge(A, B, lam)`` at any lambda, from one
-    batched eigendecomposition over the blocks. For n <= d it is the dual
-    Gram's, ``A A^T = V diag(w) V^T``, and the predictions are ``(At A^T V)
-    diag(1 / (w + n lam)) V^T B``; otherwise the primal ``A^T A``'s, with
-    ``(At V) diag(1 / (w + n lam)) V^T A^T B``. The two outer factors are
-    formed once, so each lambda is a diagonal rescale and one product.
-    Returns ``score(At, Bt, grid)``: the mean squared error against ``Bt`` at
-    every lambda of ``grid``."""
+    """Linear ridge regression, one independent fit per leading block,
+    scored at any lambda from one batched eigendecomposition over the
+    blocks. ``A`` is (blocks, n, d) inputs and ``B`` is (blocks, n, c)
+    targets. For n <= d it is the dual Gram's, ``A A^T = V diag(w) V^T``,
+    and the predictions at ``At`` are ``(At A^T V) diag(1 / (w + n lam))
+    V^T B``; otherwise the primal ``A^T A``'s, with ``(At V) diag(1 / (w + n
+    lam)) V^T A^T B``. The two outer factors are formed once, so each lambda
+    is a diagonal rescale and one product. Returns ``score(At, Bt, grid)``:
+    the mean squared error against ``Bt`` at every lambda of ``grid``."""
     n, d = A.shape[1:]
     AT = A.transpose(0, 2, 1)
     if n <= d:
@@ -296,55 +286,41 @@ def _ridge_path(A: np.ndarray, B: np.ndarray):
 
 
 def _baseline(blocks: int):
-    """Final fit and hold-out path of a baseline: the input and output
-    vectors cut into ``blocks`` equal slices, each fitted by its own ridge.
+    """Lambda path of a baseline: the input and output vectors cut into
+    ``blocks`` equal slices, each fitted by its own ridge (``_ridge_path``).
     One block is the global estimator, one block per part the
-    independent-parts one. The final fit factors (``_ridge``); the hold-out
-    scores its grid spectrally (``_ridge_path``)."""
+    independent-parts one."""
     def layout(X):
         return X.reshape(X.shape[0], blocks, -1).transpose(1, 0, 2)
 
-    def fit(X, Y, lam):
-        predict = _ridge(layout(X), layout(Y), lam)
-        return lambda Xt: predict(layout(Xt)).transpose(1, 0, 2).reshape(Xt.shape[0], -1)
-
     def path(X, Y):
         score = _ridge_path(layout(X), layout(Y))
-        return lambda Xh, Yh, grid: score(layout(Xh), layout(Yh), grid)
-    return fit, path
+        return lambda Xt, Yt, grid: score(layout(Xt), layout(Yt), grid)
+    return path
 
 
 def _local(scheme: VectorBlocks):
-    """Final fit and hold-out path of the part-pooled estimator: every
-    (input, part) pair of the training set is an anchor of a linear
-    restriction kernel, decoded with the squared-loss closed form. The
-    readout is the unnormalized weighted sum, the ridge conditional mean of
-    a linear kernel on centered data. The final fit factors
-    (``training._LambdaPath``); the hold-out reads its grid out of one
-    eigendecomposition of the same lambda-free system
-    (``decoder._least_squares_path``)."""
+    """Lambda path of the part-pooled estimator: every (input, part) pair of
+    the training set is an anchor of a linear restriction kernel, decoded
+    with the squared-loss closed form. The readout is the unnormalized
+    weighted sum, the ridge conditional mean of a linear kernel on centered
+    data. Every lambda is read out of one eigendecomposition of the
+    anchors' lambda-free system (``decoder._least_squares_path``)."""
     kernel = Restriction(LinearParts())
     pi = Uniform(scheme.num_parts)
 
-    def lambda_path(X, Y):
-        return _LambdaPath(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme), kernel, scheme)
-
-    def fit(X, Y, lam):
-        return LeastSquaresDecoder(lambda_path(X, Y)(lam), pi, normalize=False).decode_batch
-
     def path(X, Y):
-        fits = lambda_path(X, Y)
+        fits = _LambdaPath(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme), kernel, scheme)
 
-        def score(Xh, Yh, grid) -> np.ndarray:
-            decode = _least_squares_path(fits, pi, Xh, normalize=False)
-            return np.array([np.mean((decode(lam) - Yh) ** 2) for lam in grid])
+        def score(Xt, Yt, grid) -> np.ndarray:
+            decode = _least_squares_path(fits, pi, Xt, normalize=False)
+            return np.array([np.mean((decode(lam) - Yt) ** 2) for lam in grid])
         return score
-    return fit, path
+    return path
 
 
 def _ls_estimator(name: str, cfg: SyntheticConfig):
-    """``(fit, path)`` of a regression estimator: ``fit(X, Y, lam)`` is the
-    final predictor and ``path`` the hold-out path of ``_select_lambda``."""
+    """The lambda path of a regression estimator (see ``_select_lambda``)."""
     if name == GLOBAL_LS:
         return _baseline(1)
     if name == INDEPENDENT_PARTS_LS:
@@ -352,17 +328,13 @@ def _ls_estimator(name: str, cfg: SyntheticConfig):
     return _local(VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts))
 
 
-def _mse(predict, X, Y) -> float:
-    return float(np.mean((predict(X) - Y) ** 2))
-
-
 def _per_lambda(fits, loss):
-    """Hold-out path that fits and scores one lambda at a time: ``fits(X,
+    """Lambda path that fits and scores one lambda at a time: ``fits(X,
     Y)`` does the per-training-set work once and returns ``lam ->
-    predictor``, and ``loss(predictor, X_ho, Y_ho)`` scores each."""
+    predictor``, and ``loss(predictor, X_t, Y_t)`` scores each."""
     def path(X, Y):
         fit = fits(X, Y)
-        return lambda Xh, Yh, grid: [loss(fit(lam), Xh, Yh) for lam in grid]
+        return lambda Xt, Yt, grid: [loss(fit(lam), Xt, Yt) for lam in grid]
     return path
 
 
@@ -394,23 +366,31 @@ def _select_lambda(path, X, Y, grid, cell: str) -> float:
     return lam
 
 
+def _run_cell(path, train, test, grid, cell: str) -> tuple[float, float]:
+    """``(lambda, test error)`` of one cell: the lambda ``_select_lambda``
+    chooses on ``train``, and the error of the same path fitted on the whole
+    of ``train`` and scored on ``test`` at that lambda. A failure is logged
+    and gives ``(nan, nan)``, so the sweep goes on and marks the cell
+    failed."""
+    X, Y = train
+    try:
+        lam = _select_lambda(path, X, Y, grid, cell)
+        return float(lam), float(path(X, Y)(*test, [lam])[0])
+    except Exception:
+        log.exception("%s failed", cell)
+        return math.nan, math.nan
+
+
 def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) -> list[BenchRow]:
     (Xtr, Ytr), (Xte, _), w = gen_synthetic_dataset(cfg, rng)
-    target = noiseless_targets(Xte, w, cfg.num_parts, cfg.block_dim)
+    test = (Xte, noiseless_targets(Xte, w, cfg.num_parts, cfg.block_dim))
     rows = []
     for name in cfg.estimators:
-        fit, path = _ls_estimator(name, cfg)
         cell = f"{name} n={cfg.n_train} P={cfg.num_parts} gamma={cfg.gamma:g} repeat {repeat}"
-        try:
-            lam = _select_lambda(path, Xtr, Ytr, cfg.lambda_grid, cell)
-            err = _mse(fit(Xtr, Ytr, lam), Xte, target)
-        except Exception:  # keep the sweep alive, mark the cell failed
-            log.exception("estimator %s failed on repeat %d", name, repeat)
-            lam, err = math.nan, math.nan
+        lam, err = _run_cell(_ls_estimator(name, cfg), (Xtr, Ytr), test, cfg.lambda_grid, cell)
         rows.append(BenchRow(
             estimator=name, n=cfg.n_train, num_parts=cfg.num_parts,
-            gamma=cfg.gamma, repeat=repeat, lambda_chosen=float(lam),
-            test_error=err,
+            gamma=cfg.gamma, repeat=repeat, lambda_chosen=lam, test_error=err,
         ))
     return rows
 
@@ -485,8 +465,7 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     anchors drawn once per training set from the cell's own stream, a
     Gaussian restriction kernel, and the angular closed form. Every lambda
     factors a copy of one Gram over the distinct anchor parts
-    (``training._LambdaPath``); the hold-out scores them one at a time
-    (``_per_lambda``)."""
+    (``training._LambdaPath``); ``_per_lambda`` scores them one at a time."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -521,16 +500,11 @@ def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> Benc
                                               cfg.input_noise, rng)
             Xte, Yte = gen_orientation_fields(cfg.n_test, cfg.grid_size, cfg.freq_cutoff,
                                               cfg.input_noise, rng)
-            fits = _angular_path(cfg, seed, n, rep)
-            try:
-                lam = _select_lambda(_per_lambda(fits, loss), Xtr, Ytr, cfg.lambda_grid,
-                                     f"{LOCAL_DELTA} n={n} repeat {rep}")
-                err = loss(fits(Xtr, Ytr)(lam), Xte, Yte)
-            except Exception:
-                log.exception("angular cell failed at n=%d repeat %d", n, rep)
-                lam, err = math.nan, math.nan
+            lam, err = _run_cell(_per_lambda(_angular_path(cfg, seed, n, rep), loss),
+                                 (Xtr, Ytr), (Xte, Yte), cfg.lambda_grid,
+                                 f"{LOCAL_DELTA} n={n} repeat {rep}")
             rows.append(BenchRow(
                 estimator=LOCAL_DELTA, n=n, num_parts=scheme.num_parts,
-                gamma=math.nan, repeat=rep, lambda_chosen=float(lam), test_error=err,
+                gamma=math.nan, repeat=rep, lambda_chosen=lam, test_error=err,
             ))
     return BenchResult(rows=tuple(rows))

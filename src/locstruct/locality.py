@@ -74,20 +74,30 @@ def _similarity_matrix(sim: Similarity, A: np.ndarray, B: np.ndarray) -> np.ndar
     raise TypeError(f"unknown similarity {sim!r}")
 
 
+def _jackknife(diag: np.ndarray, t2: float, pair_count, rest: np.ndarray,
+               rest_count) -> tuple[float, float]:
+    """Covariance estimate and jackknife standard error of one cell from
+    each sample's similarity with itself (``diag``), the cross sum ``t2``
+    over ``pair_count`` ordered pairs of distinct samples and, per sample,
+    the cross sum ``rest`` over the ``rest_count`` of those pairs that do
+    not touch it."""
+    n = diag.size
+    t1 = diag.sum()
+    est = t1 / n - t2 / pair_count
+    loo = (t1 - diag) / (n - 1) - rest / rest_count  # the leave-one-out estimates
+    se = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
+    return float(est), se
+
+
 def _cell_estimate(S: np.ndarray) -> tuple[float, float]:
     """Covariance estimate and jackknife standard error from one n x n
     similarity matrix (rows: first argument's sample, cols: second's)."""
     n = S.shape[0]
     diag = np.diag(S)
-    t1 = diag.sum()
     row = S.sum(axis=1) - diag
     col = S.sum(axis=0) - diag
     t2 = row.sum()
-    est = t1 / n - t2 / (n * (n - 1))
-    # leave-one-out estimates from the same sums
-    loo = (t1 - diag) / (n - 1) - (t2 - row - col) / ((n - 1) * (n - 2))
-    se = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
-    return float(est), se
+    return _jackknife(diag, t2, n * (n - 1), t2 - row - col, (n - 1) * (n - 2))
 
 
 def _cell_estimate_subsampled(S: np.ndarray, pairs: tuple) -> tuple[float, float]:
@@ -96,11 +106,9 @@ def _cell_estimate_subsampled(S: np.ndarray, pairs: tuple) -> tuple[float, float
     n = S.shape[0]
     rows_idx, cols_idx = pairs
     diag = np.diag(S)
-    t1 = diag.sum()
     vals = S[rows_idx, cols_idx]
     t2 = vals.sum()
     M = vals.size
-    est = t1 / n - t2 / M
     # per sample, the drawn pairs it is in: row ends first, then column ends
     touch = np.concatenate([rows_idx, cols_idx])
     touch_sum = np.bincount(touch, weights=np.concatenate([vals, vals]), minlength=n)
@@ -108,10 +116,9 @@ def _cell_estimate_subsampled(S: np.ndarray, pairs: tuple) -> tuple[float, float
     cnt_left = M - touch_cnt
     if np.any(cnt_left <= 0):
         # a sample touches every drawn pair; fall back to a crude error bar
+        est = diag.sum() / n - t2 / M
         return float(est), float(abs(est))
-    loo = (t1 - diag) / (n - 1) - (t2 - touch_sum) / cnt_left
-    se = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
-    return float(est), se
+    return _jackknife(diag, t2, M, t2 - touch_sum, cnt_left)
 
 
 def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
@@ -128,8 +135,9 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     The pair loop is O(n^2) per cell; for data beyond desk scale pass
     ``pair_subsample`` to average the cross term over that many randomly
     drawn ordered pairs instead (one shared draw for all cells, so the map
-    stays symmetric), with ``rng`` owning the draw. Parts must be fixed-shape
-    numeric arrays; strings raise ``UnsupportedConfigurationError``.
+    stays symmetric), with ``rng`` owning the draw; fewer pairs than samples
+    raise ``UnsupportedConfigurationError``. Parts must be fixed-shape
+    numeric arrays; strings raise ``UnsupportedConfigurationError`` too.
     """
     samples = list(samples)
     n = len(samples)
@@ -138,7 +146,8 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     pairs = None
     if pair_subsample is not None and pair_subsample < n * (n - 1):
         if pair_subsample < n:
-            raise ValueError("pair_subsample must be at least the sample count")
+            raise UnsupportedConfigurationError(
+                f"pair_subsample must be at least the sample count {n}, got {pair_subsample}")
         if rng is None:
             raise ValueError("pair subsampling needs an rng")
         flat = rng.choice(n * (n - 1), size=pair_subsample, replace=False)

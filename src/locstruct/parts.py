@@ -385,7 +385,8 @@ def uniform_for(scheme: PartScheme) -> Uniform:
 
 def part_weights(pi, num_parts: int) -> np.ndarray:
     """Weight vector of a part distribution, or a raw (possibly unnormalized)
-    nonnegative weight array of the right length."""
+    weight array of the right length, refused unless every entry is
+    nonnegative and finite."""
     if isinstance(pi, (Uniform, Weighted)):
         if pi.num_parts != num_parts:
             raise ShapeMismatchError(
@@ -395,6 +396,8 @@ def part_weights(pi, num_parts: int) -> np.ndarray:
     w = np.asarray(pi, dtype=float)
     if w.shape != (num_parts,):
         raise ShapeMismatchError(f"weight vector of shape {w.shape}, expected ({num_parts},)")
+    if not np.all((w >= 0) & (w < np.inf)):  # NaN fails too
+        raise ValueError(f"part weights must be nonnegative and finite, got {w.tolist()!r}")
     return w
 
 

@@ -30,9 +30,10 @@ Every fit goes through one lambda path (``_LambdaPath``): the anchors are
 prepared and the lambda-free system, ``F^T F`` or ``W K_u W``, built once,
 and each lambda factors a fresh copy of it (Cholesky): a fitted model
 (``AlphaModel``) is the path, which holds the solve basis, plus that
-factor. ``fit_alpha`` is the path at one lambda. A hold-out search of
-``bench`` scores its whole grid from one eigendecomposition of the same
-system (``readouts``), and fits only the chosen lambda.
+factor. ``fit_alpha`` is the path at one lambda. The regression study of
+``bench`` reads every lambda it scores, on the hold-out and on the test
+set, out of one eigendecomposition of the same system (``readouts``) and
+factors none.
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ class _LambdaPath:
         ``Q^T`` times each side is formed once and each lambda is a diagonal
         rescale and one product. ``G`` is PSD, so rounding below zero is
         clipped from ``w``; no jitter is added. The queries are read out in
-        one block, which suits hold-out sets."""
+        one block, which suits the hold-out and test sets of ``bench``."""
         w, Q = np.linalg.eigh(self._system)
         w = np.clip(w, 0.0, None)
         anchor, query = Q.T @ self.anchor_side(E), Q.T @ self.query_side(xs, parts)

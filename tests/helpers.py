@@ -31,6 +31,16 @@ def dense_fit(inputs, aux, kernel, lam, scheme):
         return fit_alpha(inputs, aux, kernel, lam, scheme)
 
 
+def block_ridge(X, Y, Xt, lam, blocks):
+    """Predictions at ``Xt`` of a dual linear ridge regression at ``lam``
+    fitted on ``(X, Y)``, with the inputs and targets cut into ``blocks``
+    equal column slices and one plain ``np.linalg.solve`` per slice: the
+    oracle of the baselines of ``bench``."""
+    n = X.shape[0]
+    return np.hstack([(xt @ x.T) @ np.linalg.solve(x @ x.T + n * lam * np.eye(n), y)
+                      for x, y, xt in zip(*(np.hsplit(a, blocks) for a in (X, Y, Xt)))])
+
+
 def unit_factor_model(inputs, etas, scheme=SCALAR, scale=1.0):
     """Linear restriction model with anchor j at ``(inputs[j], part 0)`` and
     output part ``etas[j]``, whose weights at any query are ``scale`` times

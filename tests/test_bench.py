@@ -22,21 +22,22 @@ from locstruct.bench import (
     run_estimator_comparison,
     run_learning_curve,
     _TASK_ANGULAR_AUX,
+    _TASK_LS,
     _angular_path,
     _cell_rng,
     _local,
     _ls_estimator,
-    _mse,
     _per_lambda,
     _psd_factor,
-    _ridge,
     _select_lambda,
 )
-from locstruct.decoder import AngularDecoder
-from locstruct.kernels import GaussianParts, Restriction
+from locstruct.decoder import AngularDecoder, LeastSquaresDecoder
+from locstruct.kernels import GaussianParts, LinearParts, Restriction
 from locstruct.losses import ANGULAR_SIN_SQ, structured_loss
 from locstruct.parts import Uniform, VectorBlocks
-from locstruct.training import fit_alpha, generate_auxiliary
+from locstruct.training import enumerate_auxiliary, fit_alpha, generate_auxiliary
+
+from helpers import block_ridge
 
 
 def _cfg(**kw):
@@ -44,6 +45,22 @@ def _cfg(**kw):
                 noise_std=0.5, seed=0)
     base.update(kw)
     return SyntheticConfig(**base)
+
+
+def _oracle(estimator, cfg, X, Y, Xt, lam):
+    """Predictions at ``Xt`` of the estimator fitted on ``(X, Y)`` at
+    ``lam`` the slow way: a plain solve per block for the baselines, a
+    factored fit and the closed-form decoder for local_ls."""
+    if estimator != LOCAL_LS:
+        return block_ridge(X, Y, Xt, lam, 1 if estimator == GLOBAL_LS else cfg.num_parts)
+    scheme = VectorBlocks(block_dim=cfg.block_dim, num_blocks=cfg.num_parts)
+    model = fit_alpha(list(X), enumerate_auxiliary(list(zip(X, Y)), scheme),
+                      Restriction(LinearParts()), lam, scheme)
+    return LeastSquaresDecoder(model, Uniform(cfg.num_parts), normalize=False).decode_batch(Xt)
+
+
+def _mse(predict, X, Y) -> float:
+    return float(np.mean((predict(X) - Y) ** 2))
 
 
 class TestSyntheticData:
@@ -94,25 +111,19 @@ class TestEstimatorComparison:
     def test_noiseless_global_train_error_interpolates(self):
         cfg = _cfg(num_parts=2, block_dim=3, noise_std=0.0, n_train=50, n_test=4)
         (X, Y), _, _ = gen_synthetic_dataset(cfg, np.random.default_rng(6))
-        pred = _ridge(X[None], Y[None], 1e-10)(X[None])[0]
-        assert np.mean((pred - Y) ** 2) <= 1e-8
+        assert _ls_estimator(GLOBAL_LS, cfg)(X, Y)(X, Y, [1e-10])[0] <= 1e-8
 
     @pytest.mark.parametrize("estimator", [GLOBAL_LS, INDEPENDENT_PARTS_LS])
     def test_baseline_ridge_matches_plain_solve(self, estimator):
         # oracle: the estimator's layout of the data, one np.linalg.solve
-        # ridge per block in the dual
+        # ridge per block in the dual; the path's error against its
+        # predictions is their mean squared difference
         P, k, n, lam = 4, 3, 15, 1e-2
         cfg = _cfg(num_parts=P, block_dim=k, n_train=n, n_test=7, estimators=(estimator,))
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(9))
-        fit, _ = _ls_estimator(estimator, cfg)
-        pred = fit(X, Y, lam)(Xt)
-        width = P * k if estimator == GLOBAL_LS else k
-        oracle = np.empty_like(pred)
-        for start in range(0, P * k, width):
-            sl = slice(start, start + width)
-            coef = np.linalg.solve(X[:, sl] @ X[:, sl].T + n * lam * np.eye(n), Y[:, sl])
-            oracle[:, sl] = (Xt[:, sl] @ X[:, sl].T) @ coef
-        assert np.linalg.norm(pred - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        oracle = _oracle(estimator, cfg, X, Y, Xt, lam)
+        diff = _ls_estimator(estimator, cfg)(X, Y)(Xt, oracle, [lam])[0]
+        assert diff <= 1e-20 * np.mean(oracle ** 2)
 
     def test_single_part_local_equals_global(self):
         cfg = _cfg(num_parts=1, block_dim=6, n_train=30, n_test=40,
@@ -131,12 +142,11 @@ class TestEstimatorComparison:
         P, k, n = 5, 3, 12
         cfg = _cfg(gamma=0.0, num_parts=P, block_dim=k, n_train=n, n_test=9)
         (X, Y), (Xt, _), _ = gen_synthetic_dataset(cfg, np.random.default_rng(8))
-        fit, _ = _local(VectorBlocks(block_dim=k, num_blocks=P))
-        local = fit(X, Y, lam)(Xt)
         Ybar = Y.reshape(n, P, k).mean(axis=1)
         coef = np.linalg.solve(X @ X.T + n * (P * lam) * np.eye(n), Ybar)
         pooled = np.tile((Xt @ X.T) @ coef, P)
-        assert np.linalg.norm(local - pooled) <= 1e-6 * np.linalg.norm(pooled)
+        diff = _local(VectorBlocks(block_dim=k, num_blocks=P))(X, Y)(Xt, pooled, [lam])[0]
+        assert diff <= 1e-12 * np.mean(pooled ** 2)
 
     def test_local_wins_when_parts_decorrelated(self):
         cfg = _cfg(num_parts=8, block_dim=8, gamma=8.0, n_train=30, n_test=100)
@@ -241,8 +251,7 @@ class TestHoldOut:
         real = bench._ls_estimator
 
         def estimator(name, cfg):
-            fit, path = real(name, cfg)
-            return fit, (_stub_path([0.3, math.nan, 0.1]) if name == LOCAL_LS else path)
+            return _stub_path([0.3, math.nan, 0.1]) if name == LOCAL_LS else real(name, cfg)
 
         monkeypatch.setattr(bench, "_ls_estimator", estimator)
         rows = run_estimator_comparison(cfg, repeats=2).rows
@@ -295,10 +304,24 @@ def spectral_splits(draw, estimator, wide):
                 noise=draw(st.sampled_from([0.0, 0.5])), seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def _spectral_tol(estimator, X, P, k, lam):
+    """Relative tolerance of a spectral score of a fit on ``X`` at ``lam``
+    against its oracle (see ``TestSpectralScores``)."""
+    n = X.shape[0]
+    blocks = {GLOBAL_LS: 1, INDEPENDENT_PARTS_LS: P}.get(estimator)
+    if blocks is None:  # the anchors' features, one row per (input, part)
+        F, size = X.reshape(1, n * P, k), n * P
+    else:
+        F, size = X.reshape(n, blocks, -1).transpose(1, 0, 2), n
+    w_max = np.linalg.norm(F, 2, axis=(1, 2)).max() ** 2
+    s = size * lam
+    return 2 * 16 * max(n * P, P * k) * np.finfo(float).eps * (w_max + s) / s
+
+
 class TestSpectralScores:
-    """The spectral hold-out scores against their slow oracle, a factored
-    fit per lambda (``_ridge`` for the baselines, ``training._LambdaPath``
-    for local_ls), scored with ``_mse``.
+    """The spectral scores against their slow oracle (``_oracle``), a plain
+    solve per block for the baselines and a factored fit with the
+    closed-form decoder for local_ls, at every lambda.
 
     Tolerance, fixed from the conditioning before the first run. Both routes
     are backward stable solves with the system S = G + s I, s = n_fit lam
@@ -321,21 +344,26 @@ class TestSpectralScores:
         (X, Y), _, _ = gen_synthetic_dataset(cfg, np.random.default_rng(c["seed"]))
         n_fit = c["n_fit"]
         Xf, Yf, Xh, Yh = X[:n_fit], Y[:n_fit], X[n_fit:], Y[n_fit:]
-        fit, path = _ls_estimator(estimator, cfg)
-        scores = path(Xf, Yf)(Xh, Yh, cfg.lambda_grid)
-
-        blocks = {GLOBAL_LS: 1, INDEPENDENT_PARTS_LS: c["P"]}.get(estimator)
-        if blocks is None:  # the anchors' features, one row per (input, part)
-            F, size = Xf.reshape(1, n_fit * c["P"], c["k"]), n_fit * c["P"]
-        else:
-            F, size = Xf.reshape(n_fit, blocks, -1).transpose(1, 0, 2), n_fit
-        w_max = np.linalg.norm(F, 2, axis=(1, 2)).max() ** 2
-        k = max(n_fit * c["P"], c["P"] * c["k"])
+        scores = _ls_estimator(estimator, cfg)(Xf, Yf)(Xh, Yh, cfg.lambda_grid)
         for lam, score in zip(cfg.lambda_grid, scores):
-            oracle = _mse(fit(Xf, Yf, lam), Xh, Yh)
-            s = size * lam
-            tol = 2 * 16 * k * np.finfo(float).eps * (w_max + s) / s
+            oracle = np.mean((_oracle(estimator, cfg, Xf, Yf, Xh, lam) - Yh) ** 2)
+            tol = _spectral_tol(estimator, Xf, c["P"], c["k"], lam)
             assert abs(score - oracle) <= tol * (oracle + np.mean(Yh ** 2))
+
+    # n_train = 1 holds nothing out, so the middle of the grid is scored;
+    # the cases cover the dual and primal baselines and both local solves
+    @pytest.mark.parametrize("n_train,block_dim", [(1, 3), (1, 8), (4, 20), (15, 3)])
+    def test_cell_error_is_the_oracle_error_at_the_chosen_lambda(self, n_train, block_dim):
+        cfg = _cfg(n_train=n_train, block_dim=block_dim, n_test=30)
+        (X, Y), (Xt, _), w = gen_synthetic_dataset(cfg, _cell_rng(cfg.seed, _TASK_LS, n_train, 0))
+        target = noiseless_targets(Xt, w, cfg.num_parts, cfg.block_dim)
+        rows = run_estimator_comparison(cfg, repeats=1).rows
+        assert [r.estimator for r in rows] == [GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS]
+        for row in rows:
+            lam = row.lambda_chosen
+            oracle = np.mean((_oracle(row.estimator, cfg, X, Y, Xt, lam) - target) ** 2)
+            tol = _spectral_tol(row.estimator, X, cfg.num_parts, cfg.block_dim, lam)
+            assert abs(row.test_error - oracle) <= tol * (oracle + np.mean(target ** 2))
 
 
 class TestLearningCurves:

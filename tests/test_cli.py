@@ -511,17 +511,19 @@ class TestDiagnose:
         assert "s_hat" not in text
 
 
-    @pytest.mark.parametrize("pairs,scheme,kind", [
-        ([(np.zeros(6), np.zeros(6)), (np.ones(6), np.ones(6))], SCHEME_JSON,
+    @pytest.mark.parametrize("pairs,scheme,extra,kind", [
+        ([(np.zeros(6), np.zeros(6)), (np.ones(6), np.ones(6))], SCHEME_JSON, {},
          "insufficient_data"),
         ([("abab", "baba"), ("aabb", "bbaa"), ("abba", "baab")],
-         {"kind": "sequence_windows", "k": 4, "l": 2}, "unsupported"),
-    ], ids=["two_records", "strings"])
-    def test_locality_errors_have_a_kind(self, tmp_path, capsys, pairs, scheme, kind):
+         {"kind": "sequence_windows", "k": 4, "l": 2}, {}, "unsupported"),
+        ([(np.full(6, float(i)), np.zeros(6)) for i in range(10)], SCHEME_JSON,
+         {"subsample_pairs": 5, "seed": 0}, "unsupported"),
+    ], ids=["two_records", "strings", "fewer_pairs_than_samples"])
+    def test_locality_errors_have_a_kind(self, tmp_path, capsys, pairs, scheme, extra, kind):
         ds = tmp_path / "d.jsonl"
         write_dataset(ds, pairs)
         cfg = _write_json(tmp_path / "diag.json", {
-            "dataset": str(ds), "scheme": scheme, "similarity": {"kind": "raw_inner"}})
+            "dataset": str(ds), "scheme": scheme, "similarity": {"kind": "raw_inner"}, **extra})
         out = tmp_path / "out"
         capsys.readouterr()
         assert run_command(["diagnose", "--config", cfg, "--out", str(out)]) == 2
@@ -570,12 +572,14 @@ class TestBenchCommands:
         def broken(*args, **kwargs):
             raise RuntimeError("solver down")
 
-        monkeypatch.setattr("locstruct.training._factor_system", broken)
         if command == "bench-synthetic":
+            # local_ls reads every lambda out of the lambda path's readouts
+            monkeypatch.setattr("locstruct.training._LambdaPath.readouts", broken)
             doc = {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0,
                    "n_train": 12, "n_test": 20, "repeats": 2, "lambda_grid": [1e-3]}
-            failed = 2  # local_ls on each repeat; the baselines do not use the fit
+            failed = 2  # local_ls on each repeat; the baselines do not use the path
         else:
+            monkeypatch.setattr("locstruct.training._factor_system", broken)
             doc = {"seed": 4, "n_train": [2, 4], "repeats": 2, "grid_size": 8,
                    "patch": 4, "stride": 2, "m": 64, "n_test": 3, "lambda_grid": [1e-3]}
             failed = 4

@@ -189,6 +189,12 @@ class TestEmpiricalCovMap:
             want = (est, math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
         assert _cell_estimate_subsampled(S, (rows_idx, cols_idx)) == want
 
+    def test_fewer_pairs_than_samples_unsupported(self):
+        rng = np.random.default_rng(13)
+        samples = [rng.standard_normal(4) for _ in range(10)]
+        with pytest.raises(UnsupportedConfigurationError, match="sample count"):
+            empirical_cov_map(samples, VectorBlocks(2, 2), RawInner(), pair_subsample=5, rng=rng)
+
     def test_pair_subsampling_needs_rng(self):
         rng = np.random.default_rng(13)
         samples = [rng.standard_normal(4) for _ in range(10)]

@@ -22,6 +22,7 @@ from locstruct.parts import (
     part_cdf,
     part_distance,
     part_values,
+    part_weights,
     sample_part,
     scatter_parts,
     stack_objects,
@@ -207,6 +208,14 @@ class TestPartDistribution:
         before it was refused, ``Weighted((nan, 1.0))`` gave an all-NaN CDF."""
         with pytest.raises(ValueError):
             Weighted(probs)
+
+    @pytest.mark.parametrize("weights", [(1.0, -0.5, 1.0), (1.0, math.inf, 1.0),
+                                         (1.0, math.nan, 1.0)])
+    def test_bad_raw_weights_rejected(self, weights):
+        """A raw weight array gets the checks of ``Weighted``; before, a
+        negative or infinite entry was returned as given and decoded."""
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            part_weights(np.array(weights), 3)
 
 
 # ---------------------------------------------------------------------------
