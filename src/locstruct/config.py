@@ -82,14 +82,15 @@ def parse_train(doc: dict) -> TrainConfig:
     kernel = _decode(kernel_from_json, doc, "kernel", "train")
     if not isinstance(kernel, KernelSpec):
         raise ParseError("train.kernel: expected a restriction, gaussian_global or sum kernel")
-    lam = _lambda(doc, "train.lambda")
+    m = _int(doc, "m", "train")
+    lam = _lambda(doc, "train.lambda", m)
     return TrainConfig(
         seed=_int(doc, "seed", "train", 0),
         dataset=str(doc["dataset"]),
         scheme=scheme,
         kernel=kernel,
         lam=lam,
-        m=_int(doc, "m", "train"),
+        m=m,
         pi=(_decode(pi_from_json, doc, "pi", "train", scheme.num_parts) if "pi" in doc
             else Uniform(scheme.num_parts)),
     )

@@ -362,9 +362,8 @@ def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray
         wy = wy / np.where(ok, wsum, 1.0)
     num = _scatter(scheme, weights, active, wy, canvas)
     den = _scatter(scheme, weights, active, np.ones(wy[:, :1].shape), canvas)
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+    # a coordinate that no active part covers sums to +0.0 in both and stays 0
+    return np.divide(num, den, out=num, where=den > 0)
 
 
 def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):

@@ -61,6 +61,15 @@ from .parts import (
 # Part kernels
 # ---------------------------------------------------------------------------
 
+def _check_bandwidth(sigma: float) -> None:
+    """Refuse a Gaussian bandwidth that is not positive, or whose ``2 *
+    sigma**2``, the kernel's divisor, overflows or underflows to zero."""
+    if not sigma > 0:
+        raise ValueError("bandwidth must be strictly positive")
+    if not 0 < 2.0 * sigma * sigma < np.inf:
+        raise ValueError(f"bandwidth {sigma!r} is out of range: 2 sigma^2 is not a positive float")
+
+
 @dataclass(frozen=True)
 class LinearParts:
     """Inner product between two parts."""
@@ -73,8 +82,7 @@ class GaussianParts:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("bandwidth must be strictly positive")
+        _check_bandwidth(self.sigma)
 
 
 PartKernel = Union[LinearParts, GaussianParts]
@@ -128,8 +136,7 @@ class GaussianGlobal:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("bandwidth must be strictly positive")
+        _check_bandwidth(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -202,10 +209,14 @@ class GramMatrix:
 def _stack(spec: KernelSpec, X: np.ndarray, rows, parts, scheme: PartScheme):
     """The form of the pairs ``(X[rows_i], parts_i)`` that ``_matrix``
     works on: their gathered parts for a restriction kernel, their whole
-    inputs plus part ids for the global Gaussian, one per child for a sum."""
+    inputs plus part ids for the global Gaussian, one per child for a sum.
+    ``rows=None`` pairs every row of ``X`` with every part, row-major."""
     if isinstance(spec, Restriction):
-        return gather_parts(X, scheme, rows, parts)
+        V = gather_parts(X, scheme, rows, parts)
+        return V.reshape(-1, V.shape[-1])
     if isinstance(spec, GaussianGlobal):
+        if rows is None:
+            return np.repeat(X, len(parts), axis=0), np.tile(parts, len(X))
         return X[rows], parts
     if isinstance(spec, SumKernel):
         return (_stack(spec.universal, X, rows, parts, scheme),
@@ -351,9 +362,7 @@ class PreparedAnchors:
 
     def _query_stack(self, xs, parts):
         X = stack_objects(xs, self.scheme)
-        parts = check_parts(self.scheme, parts)
-        rows = np.repeat(np.arange(len(X)), len(parts))
-        return _stack(self.spec, X, rows, np.tile(parts, len(X)), self.scheme)
+        return _stack(self.spec, X, None, check_parts(self.scheme, parts), self.scheme)
 
     def query_features(self, xs, parts) -> np.ndarray:
         """Queries in the anchors' feature space, shape (len(xs) * len(parts),

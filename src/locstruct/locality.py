@@ -159,7 +159,8 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
     X = stack_objects(samples, scheme)
     if X.dtype.kind != "f":
         raise UnsupportedConfigurationError("the covariance map needs fixed-shape numeric parts")
-    mats = gather_parts(X, scheme, np.arange(n)[None, :], np.arange(P)[:, None])  # (P, n, d)
+    # (P, n, d): one column gather, made part-major
+    mats = np.ascontiguousarray(gather_parts(X, scheme, None, np.arange(P)).transpose(1, 0, 2))
     cov = np.zeros((P, P))
     se = np.zeros((P, P))
     r_sq = 0.0

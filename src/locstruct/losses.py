@@ -75,7 +75,7 @@ def structured_loss(spec: LossSpec, z, y, x, scheme: PartScheme, pi) -> float:
     if x is not None:
         stack_objects([x], scheme)
     active = np.flatnonzero(w != 0.0)
-    Z, Y = gather_parts(stack_objects([z, y], scheme), scheme, [[0], [1]], active)
+    Z, Y = gather_parts(stack_objects([z, y], scheme), scheme, None, active)
     losses = part_losses(spec, Z, Y)
     # a running sum adds the parts in order, as a loop over part_loss would
     return float(np.cumsum(w[active] * losses)[-1]) if active.size else 0.0

@@ -228,12 +228,15 @@ def _real(v) -> float:
     return x
 
 
-def _lambda(d, path) -> float:
-    """``d["lambda"]``, a ``_real`` that must be positive; ``path`` names it."""
+def _lambda(d, path, m: int) -> float:
+    """``d["lambda"]``, a ``_real`` that must be positive, with a finite
+    shift ``m * lambda`` for a fit on ``m`` anchors; ``path`` names it."""
     with _at(path):
         lam = _real(d["lambda"])
     if not lam > 0:
         raise ParseError(f"{path}: must be positive")
+    if not m * lam < math.inf:
+        raise ParseError(f"{path}: m * lambda overflows for m={m}")
     return lam
 
 
@@ -381,7 +384,6 @@ def load_model(path) -> AlphaModel:
         raise ParseError(f"{where}kernel: expected a restriction, gaussian_global or sum kernel")
     with _at(f"{where}scheme"):
         scheme = scheme_from_json(doc["scheme"], f"{where}scheme")
-    lam = _lambda(doc, f"{where}lambda")
     with _at(f"{where}inputs"):
         inputs = [decode_value(v) for v in doc["inputs"]]
     samples = doc["samples"]
@@ -396,4 +398,5 @@ def load_model(path) -> AlphaModel:
                 raise ParseError(f"{key}.{name}: expected an integer in [0, {bound})")
     with _at(f"{where}samples"):
         aux = [AuxiliarySample(s["chi"], s["p"], decode_value(s["eta"])) for s in samples]
+    lam = _lambda(doc, f"{where}lambda", len(aux))
     return fit_alpha(inputs, aux, kernel, lam, scheme)

@@ -6,9 +6,13 @@ sampling distribution used to draw parts. Inputs and outputs of a prediction
 problem share the same scheme, so the same object describes both sides.
 
 Where each part sits is decided once per scheme (``index_map``), so a gather
-from objects stacked by ``stack_objects`` is one fancy index and a scatter
-back is one fancy-index add per part; ``extract_part`` is the scalar
-selection and ``part_values`` its batched form.
+from objects stacked by ``stack_objects`` is one ``take`` of columns (every
+object with every part) or of flat positions (pairs of an object and a
+part). A scatter back sums columns in layers: layer ``r`` of a cached plan
+holds, per output coordinate, the column of its ``r``-th covering part, so
+the sum is one ``take`` and one add per layer, not per part.
+``extract_part`` is the scalar selection and ``part_values`` its batched
+form.
 """
 
 from __future__ import annotations
@@ -233,10 +237,20 @@ def stack_objects(objs, scheme: PartScheme) -> np.ndarray:
 
 
 def gather_parts(X: np.ndarray, scheme: PartScheme, rows, parts) -> np.ndarray:
-    """Part ``parts[i]`` of object ``rows[i]`` of a stack, flattened, for
-    ``rows`` and ``parts`` broadcast together: one fancy index."""
-    J = index_map(scheme, X.shape[1] // math.prod(scheme.shape))
-    return X[np.asarray(rows)[..., None], J[check_parts(scheme, parts)]]
+    """Flat parts of the objects stacked in ``X``.
+
+    With ``rows=None``, every object with every part of ``parts``, shape
+    (len(X), len(parts), width): one ``take`` of columns. Otherwise part
+    ``parts[i]`` of object ``rows[i]``, for ``rows`` and ``parts``
+    broadcast together, with the shape of the broadcast plus (width,): one
+    ``take`` of flat positions. Rows index as ``X[rows]`` does, so one out
+    of range raises ``IndexError``; a part out of range raises
+    ``PartIndexError``."""
+    J = index_map(scheme, X.shape[1] // math.prod(scheme.shape))[check_parts(scheme, parts)]
+    if rows is None:
+        return X.take(J.ravel(), axis=1).reshape((len(X),) + J.shape)
+    flat = np.multiply(np.asarray(rows)[..., None], X.shape[1], dtype=np.intp)
+    return X.ravel().take(flat + J)
 
 
 def part_values(objs, scheme: PartScheme, rows, parts) -> list:
@@ -259,18 +273,48 @@ def part_values(objs, scheme: PartScheme, rows, parts) -> list:
     return list(V.reshape(V.shape[:1] + lead + scheme.part_shape))
 
 
+@lru_cache(maxsize=128)
+def _scatter_plan(scheme: PartScheme, channels: int, parts: tuple) -> tuple[np.ndarray, bool]:
+    """Where ``scatter_parts`` reads each output coordinate: an array of
+    shape (layers, channels * size), and whether it reads the zero column.
+    Layer ``r`` holds, per coordinate, the column of its ``r``-th covering
+    part, counted in the order of ``parts``, among the ``len(parts) *
+    width`` columns of the part values, or the zero column ``len(parts) *
+    width`` past its last cover. Computed once per (scheme, channels,
+    parts); read-only."""
+    J = index_map(scheme, channels)[list(parts)]
+    coords = J.ravel()
+    counts = np.bincount(coords, minlength=channels * math.prod(scheme.shape))
+    order = np.argsort(coords, kind="stable")  # each coordinate's covers in order of parts
+    layer = np.arange(coords.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    plan = np.full((max(1, counts.max()), counts.size), coords.size)
+    plan[layer, coords[order]] = order
+    plan.setflags(write=False)
+    return plan, bool(counts.min() < len(plan))
+
+
 def scatter_parts(V: np.ndarray, scheme: PartScheme, parts) -> np.ndarray:
     """Sum flat part values ``V`` of shape (n, len(parts), width) into
-    (n, channels * size) objects, the adjoint of ``gather_parts``. One
-    fancy-index add per part through the index map, whose row for a part
-    never repeats a position, so every coordinate adds its parts in the
-    order of ``parts``, starting from zero."""
-    n, _, width = V.shape
+    (n, channels * size) objects, the adjoint of ``gather_parts``.
+
+    One column ``take`` per layer of the plan (``_scatter_plan``): the
+    first plus 0.0, then each further layer added through one reused
+    array. Every coordinate adds the values of its parts in the order of
+    ``parts``, starting from +0.0, as a loop of one add per part would;
+    that running sum is never -0.0 under round-to-nearest, so the +0.0 a
+    coordinate adds past its last cover leaves it as it is."""
+    n, k, width = V.shape
     channels = width // index_map(scheme).shape[1]
-    J = index_map(scheme, channels)
-    out = np.zeros((n, channels * math.prod(scheme.shape)))
-    for k, p in enumerate(check_parts(scheme, parts).tolist()):
-        out[:, J[p]] += V[:, k]
+    plan, padded = _scatter_plan(scheme, channels, tuple(check_parts(scheme, parts).tolist()))
+    src = V.reshape(n, k * width)
+    if padded:  # some coordinate reads the zero column
+        src = np.concatenate([src, np.zeros((n, 1))], axis=1)
+    out = src.take(plan[0], axis=1)
+    out += 0.0
+    tmp = np.empty_like(out) if len(plan) > 1 else None
+    for layer in plan[1:]:
+        # the plan's columns are in range: "clip" skips the copy of ``out=`` that "raise" makes
+        out += src.take(layer, axis=1, out=tmp, mode="clip")
     return out
 
 

@@ -44,7 +44,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import KernelSpec, PreparedAnchors
 from .parts import (
@@ -64,6 +63,19 @@ log = logging.getLogger(__name__)
 
 # bytes of one block of the dense readout's cross matrix: about one core's L2
 READOUT_BLOCK_BYTES = 2 << 20
+
+
+def cho_factor(a, **kwargs):
+    """``scipy.linalg.cho_factor``. scipy is imported at the first factor or
+    solve, not with this module, so commands that fit nothing never load it."""
+    from scipy.linalg import cho_factor
+    return cho_factor(a, **kwargs)
+
+
+def cho_solve(c_and_lower, b, **kwargs):
+    """``scipy.linalg.cho_solve``, imported as ``cho_factor`` is."""
+    from scipy.linalg import cho_solve
+    return cho_solve(c_and_lower, b, **kwargs)
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -317,9 +329,13 @@ def _factor_system(G: np.ndarray, shift: float, scale: float):
             log.debug("factorization retry with jitter %.3e", jitter)
 
 
-def _check_lambda(lam: float) -> None:
+def _check_lambda(lam: float, m: int) -> None:
+    """Refuse a ``lam`` that is not positive and finite, or whose shift ``m
+    * lam`` overflows."""
     if not 0 < lam < np.inf:
         raise ValueError(f"lambda must be strictly positive and finite, got {lam!r}")
+    if not m * lam < np.inf:
+        raise ValueError(f"m * lambda overflows for m={m} and lambda={lam!r}")
 
 
 def fit_alpha(
@@ -342,12 +358,13 @@ def fit_alpha(
         Pair kernel used for the Gram and all queries.
     lam : float
         Regularization, strictly positive and finite; the system matrix is
-        ``K + len(aux) * lam * I``.
+        ``K + len(aux) * lam * I``, so ``len(aux) * lam`` must be finite too.
 
     Raises
     ------
     ValueError
-        If ``lam`` is not positive and finite or ``aux`` is empty.
+        If ``lam`` or ``len(aux) * lam`` is not positive and finite, or
+        ``aux`` is empty.
     NonFiniteError
         If an input, a kernel value or a numeric anchor output part is NaN
         or infinite.
@@ -355,7 +372,7 @@ def fit_alpha(
         If the inputs do not stack or the anchor output parts do not share
         one shape.
     """
-    _check_lambda(lam)
+    _check_lambda(lam, len(aux))
     return _LambdaPath(inputs, aux, kernel, scheme)(lam)
 
 
@@ -422,7 +439,7 @@ class _LambdaPath:
         return self.prepared.expand(Z / _rows(self.roots, Z))
 
     def __call__(self, lam: float) -> AlphaModel:
-        _check_lambda(lam)
+        _check_lambda(lam, self.m)
         factor, jitter = _factor_system(self._system, self.m * lam, self._scale)
         if jitter:
             log.info("fit used diagonal jitter %.3e on a system of size %d", jitter, self.m)
@@ -442,7 +459,7 @@ class _LambdaPath:
         anchor, query = Q.T @ self.anchor_side(E), Q.T @ self.query_side(xs, parts)
 
         def readout(lam: float) -> np.ndarray:
-            _check_lambda(lam)
+            _check_lambda(lam, self.m)
             return (anchor / (w + self.m * lam)[:, None]).T @ query
         return readout
 

@@ -57,6 +57,19 @@ def unit_factor_model(inputs, etas, scheme=SCALAR, scale=1.0):
     return replace(model, factor=factor)
 
 
+def scatter_loop(V, scheme, parts):
+    """``parts.scatter_parts`` one part at a time: a zero array, then one
+    fancy-index add per part through the index map, in the order of
+    ``parts``: the oracle of the layered column takes."""
+    n, _, width = V.shape
+    channels = width // index_map(scheme).shape[1]
+    J = index_map(scheme, channels)
+    out = np.zeros((n, channels * math.prod(scheme.shape)))
+    for k, p in enumerate(parts):
+        out[:, J[p]] += V[:, k]
+    return out
+
+
 def sgm_loop(req):
     """The subgradient decode one iteration at a time, on any scheme: the
     oracle of ``decode_sgm``'s per-coordinate sweep.

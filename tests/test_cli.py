@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +347,15 @@ STRICT_NUMBERS = {
     "sigma_infinite": ("train", {"kernel": {"kind": "restriction",
                                             "base": {"kind": "gaussian", "sigma": INF}}},
                        "train.kernel.base.sigma"),
+    # finite values whose use overflows: the fit's shift m * lambda, the
+    # Gaussian's 2 sigma^2
+    "lambda_times_m_overflows": ("train", {"lambda": 1e308}, "train.lambda"),
+    "sigma_squared_overflows": ("train", {"kernel": {"kind": "restriction",
+                                                     "base": {"kind": "gaussian", "sigma": 1e308}}},
+                                "train.kernel.base.sigma"),
+    "global_sigma_squared_overflows": ("train", {"kernel": {"kind": "gaussian_global",
+                                                            "sigma": 1e308}},
+                                       "train.kernel.sigma"),
     "pi_probs_strings": ("train", {"pi": {"kind": "weighted", "probs": ["0.5", "0.25", "0.25"]}},
                          "train.pi.probs"),
     "bench_synthetic_gamma_true": ("bench-synthetic", {"gamma": True}, "bench-synthetic.gamma"),
@@ -395,6 +407,8 @@ BAD_MODELS = {
     "lambda_nan": (_set("lambda", value=float("nan")), "parse"),
     "sigma_infinite": (_set("kernel", "base", "sigma", value=float("inf")), "parse"),
     "sigma_string": (_set("kernel", "base", "sigma", value="1.0"), "parse"),
+    "sigma_squared_overflows": (_set("kernel", "base", "sigma", value=1e308), "parse"),
+    "lambda_times_m_overflows": (_set("lambda", value=1e308), "parse"),
     "version_99": (_set("version", value=99), "unsupported_version"),
 }
 
@@ -702,3 +716,14 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("name,text", [pytest.param(n, t, id=n) for n, t in _readme_configs()])
     def test_config_example_parses(self, name, text):
         README_PARSERS[name](json.loads(text))
+
+
+def test_cli_import_leaves_scipy_out():
+    """``locstruct.training`` imports ``scipy.linalg`` at the first factor or
+    solve, so a command that fits nothing never loads it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, locstruct.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -67,6 +67,17 @@ class TestKernelEval:
         k = kernel_eval(Restriction(LinearParts()), ("abcd", 0), ("abcd", 1), seq)
         assert k == 0.0  # "ab" vs "bc": no matching positions
 
+    @pytest.mark.parametrize("kernel", [GaussianParts, GaussianGlobal])
+    def test_bandwidth_whose_square_leaves_the_floats_rejected(self, kernel):
+        """``2 sigma^2`` divides every squared distance: at 1e308 it
+        overflowed (``OverflowError`` at ``sigma**2``), at 1e-200 it is 0
+        and the diagonal 0 / 0."""
+        for sigma in (0.0, -1.0, float("nan"), 1e308, 1e-200):
+            with pytest.raises(ValueError, match="bandwidth"):
+                kernel(sigma)
+        for sigma in (1e150, 1e-150):
+            assert kernel(sigma).sigma == sigma
+
     def test_string_kernels_via_one_hot(self):
         assert part_kernel_eval(LinearParts(), "abc", "abd") == 2.0
         g = part_kernel_eval(GaussianParts(1.0), "abc", "abd")

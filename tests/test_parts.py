@@ -27,6 +27,9 @@ from locstruct.parts import (
     scatter_parts,
     stack_objects,
 )
+from locstruct.parts import _scatter_plan
+
+from helpers import scatter_loop
 
 
 class TestSequenceWindows:
@@ -226,19 +229,26 @@ _VALUE = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 1))
 _SYMBOLS = "ab\u03b2\x00"  # a non-ASCII symbol and a NUL, which numpy pads with
 
 
+# values whose bits a reordered sum would change: signed zeros, NaNs of any
+# sign and payload, infinities, and magnitudes whose sum rounds (1e16 + 0.1)
+_ODD_VALUE = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1.5, 0.1, 1e16, -1e16]),
+                       st.floats())
+
+
 @st.composite
-def scheme_inputs(draw, kinds=("blocks", "clipped", "circular", "strings", "windows")):
+def scheme_inputs(draw, kinds=("blocks", "clipped", "circular", "strings", "windows"),
+                  elements=_VALUE):
     """A scheme with a strategy for its objects and the objects' leading axes."""
     kind = draw(st.sampled_from(kinds))
     if kind == "blocks":
         scheme = VectorBlocks(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-        return scheme, arrays(float, scheme.shape, elements=_VALUE), ()
+        return scheme, arrays(float, scheme.shape, elements=elements), ()
     if kind in ("strings", "windows"):
         n = draw(st.integers(1, 6))
         scheme = SequenceWindows(n, draw(st.integers(1, n)))
         if kind == "strings":
             return scheme, st.text(alphabet=_SYMBOLS, min_size=n, max_size=n), ()
-        return scheme, arrays(float, scheme.shape, elements=_VALUE), ()
+        return scheme, arrays(float, scheme.shape, elements=elements), ()
     stride = draw(st.integers(1, 3))
     if kind == "clipped":
         height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -249,7 +259,16 @@ def scheme_inputs(draw, kinds=("blocks", "clipped", "circular", "strings", "wind
     scheme = GridPatches(width=width, height=height, patch_w=draw(st.integers(1, width)),
                          patch_h=draw(st.integers(1, height)), stride=stride,
                          circular=kind == "circular")
-    return scheme, arrays(float, lead + scheme.shape, elements=_VALUE), lead
+    return scheme, arrays(float, lead + scheme.shape, elements=elements), lead
+
+
+@st.composite
+def part_lists(draw, num_parts):
+    """Parts in the order a caller may pass them: a shuffled subset, or a
+    list with repeats."""
+    perm = draw(st.permutations(range(num_parts)))
+    return draw(st.one_of(st.integers(0, num_parts).map(lambda k: perm[:k]),
+                          st.lists(st.integers(0, num_parts - 1), max_size=8)))
 
 
 def _flat(part):
@@ -338,6 +357,69 @@ class TestIndexMap:
         want = np.zeros((3, channels * int(np.prod(scheme.shape))))
         np.add.at(want, (slice(None), J[parts]), V)
         assert np.array_equal(scatter_parts(V, scheme, parts), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_gather_bytes_equal_extract_part_loop(self, data):
+        """Both forms of the gather, every object with every part and
+        pairs, copy ``extract_part``'s values bit for bit, NaN payloads and
+        signed zeros included; strings gather as their character codes."""
+        scheme, objects, lead = data.draw(scheme_inputs(elements=_ODD_VALUE))
+        xs = data.draw(st.lists(objects, min_size=1, max_size=3))
+        if isinstance(xs[0], str):
+            X, width = stack_objects(xs, scheme), scheme.window_len
+        else:  # stacked by hand: ``stack_objects`` refuses NaN and inf
+            X, width = np.stack([np.ravel(x) for x in xs]), math.prod(lead + scheme.part_shape)
+        parts = data.draw(part_lists(scheme.num_parts))
+        every = gather_parts(X, scheme, None, parts)
+        assert every.shape == (len(xs), len(parts), width)
+        assert every.tobytes() == b"".join(_flat(extract_part(x, scheme, p)).tobytes()
+                                           for x in xs for p in parts)
+        rows = np.array(data.draw(st.lists(st.integers(-len(xs), len(xs) - 1),
+                                           min_size=len(parts), max_size=len(parts))), dtype=np.intp)
+        pairs = gather_parts(X, scheme, rows, parts)
+        assert pairs.shape == (len(parts), width)
+        assert pairs.tobytes() == b"".join(_flat(extract_part(xs[r], scheme, p)).tobytes()
+                                           for r, p in zip(rows, parts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scatter_bytes_equal_part_loop(self, data):
+        """The layered takes add each coordinate's parts in the order of
+        ``parts`` from +0.0, as the per-part loop does, so the bytes agree
+        for signed zeros, NaNs, infinities, repeats and uncovered
+        coordinates."""
+        scheme, _, lead = data.draw(scheme_inputs(("blocks", "clipped", "circular", "windows")))
+        parts = data.draw(part_lists(scheme.num_parts))
+        width = math.prod(lead + scheme.part_shape)
+        V = data.draw(arrays(float, (data.draw(st.integers(0, 3)), len(parts), width),
+                             elements=_ODD_VALUE))
+        got = scatter_parts(V, scheme, parts)
+        assert got.tobytes() == scatter_loop(V, scheme, parts).tobytes()
+
+    def test_scatter_plan_is_cached_and_read_only(self):
+        scheme = GridPatches(4, 4, 2, 2, 1)
+        plan, padded = _scatter_plan(scheme, 2, (3, 0))
+        assert _scatter_plan(scheme, 2, (3, 0))[0] is plan
+        # the two patches share grid row 1; rows 2 and 3 are uncovered
+        assert plan.shape == (2, 32) and padded
+        with pytest.raises(ValueError):
+            plan[0, 0] = 0
+        # a cover that reaches every coordinate equally often needs no zero column
+        assert not _scatter_plan(VectorBlocks(2, 3), 1, (2, 0, 1))[1]
+        assert not _scatter_plan(GridPatches(4, 4, 2, 2, 2, circular=True), 1, (0, 1, 2, 3))[1]
+
+    def test_gather_keeps_its_errors(self):
+        scheme = VectorBlocks(2, 3)
+        X = stack_objects([np.arange(6.0)], scheme)
+        for rows in ([1], [-2]):
+            with pytest.raises(IndexError) as err:
+                gather_parts(X, scheme, rows, [0])
+            assert not isinstance(err.value, PartIndexError)
+        assert np.array_equal(gather_parts(X, scheme, [-1], [2]), [[4.0, 5.0]])
+        for rows in (None, [0]):
+            with pytest.raises(PartIndexError):
+                gather_parts(X, scheme, rows, [-1])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

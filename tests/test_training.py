@@ -239,6 +239,19 @@ class TestFitAlpha:
             with pytest.raises(ValueError, match="finite"):
                 path(lam)
 
+    def test_lambda_whose_shift_overflows_rejected(self):
+        """A finite lambda with ``m * lambda`` infinite would factor an
+        infinite system; before it was refused, the fit kept it and the
+        model's later refit failed."""
+        x = np.zeros(6)
+        aux = [AuxiliarySample(0, 0, np.zeros(2)), AuxiliarySample(0, 1, np.zeros(2))]
+        path = _LambdaPath([x], aux, GAUSS, SCHEME)
+        readout = path.readouts(path.etas.reshape(2, -1), [x], [0])
+        for fit in (lambda lam: fit_alpha([x], aux, GAUSS, lam, SCHEME), path, readout):
+            with pytest.raises(ValueError, match="overflows"):
+                fit(1e308)
+        fit_alpha([x], aux, GAUSS, 1e307, SCHEME)  # 2e307 is finite
+
     def test_empty_aux_rejected(self):
         with pytest.raises(ValueError):
             fit_alpha([np.zeros(6)], [], GAUSS, 1.0, SCHEME)
