@@ -369,13 +369,16 @@ def _select_lambda(path, X, Y, grid, cell: str) -> float:
 def _run_cell(path, train, test, grid, cell: str) -> tuple[float, float]:
     """``(lambda, test error)`` of one cell: the lambda ``_select_lambda``
     chooses on ``train``, and the error of the same path fitted on the whole
-    of ``train`` and scored on ``test`` at that lambda. A failure is logged
-    and gives ``(nan, nan)``, so the sweep goes on and marks the cell
-    failed."""
+    of ``train`` and scored on ``test`` at that lambda. A failure, a
+    non-finite test error included, is logged and gives ``(nan, nan)``, so
+    the sweep goes on and marks the cell failed."""
     X, Y = train
     try:
         lam = _select_lambda(path, X, Y, grid, cell)
-        return float(lam), float(path(X, Y)(*test, [lam])[0])
+        err = float(path(X, Y)(*test, [lam])[0])
+        if not math.isfinite(err):
+            raise NumericalError(f"{cell}: test error {err} at lambda {lam!r}")
+        return float(lam), err
     except Exception:
         log.exception("%s failed", cell)
         return math.nan, math.nan

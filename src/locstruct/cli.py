@@ -107,7 +107,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = _config(args, cfgmod.parse_predict)
     model = load_model(cfg.model)
-    method = cfg.method
+    method = cfg.decoder
     if isinstance(method, ExactEnumeration):
         scheme = model.scheme
         if not isinstance(scheme, SequenceWindows):

@@ -2,62 +2,74 @@
 
 Each command's JSON document becomes finished library objects when it is
 parsed: the scheme, kernel, part distribution, loss and decoder method, or a
-study's configuration, so a command only runs them. Unknown keys are rejected
-with the offending key path, required keys are checked up front, the decoder
-is checked against the loss, and every stochastic command must carry a
-master seed. Every bad value is a ``ParseError`` naming its key path, raised
-before the command reads a dataset or writes a file.
+study's configuration, so a command only runs them. A command's config is one
+field table read by ``modelio._read``, which refuses unknown and missing keys
+and names the key path of every bad value, plus its cross-field checks: the
+lambda shift against ``m``, the decoder against the loss, the seed rules and
+the size grids. Every error is a ``ParseError``, raised before the command
+reads a dataset or writes a file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Optional
 
 from .bench import AngularConfig, SyntheticConfig
 from .decoder import SGM, AngleWrap, BoxProjection, ClosedForm, ExactEnumeration
-from .kernels import KernelSpec, PartKernel
+from .kernels import KernelSpec
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
-from .modelio import (ParseError, _at, _check_keys, _flag, _get, _int, _integer, _lambda, _real,
-                      _reals, kernel_from_json, pi_from_json, scheme_from_json)
-from .parts import PartDistribution, PartScheme, Uniform, Weighted
+from .modelio import (_PAIR_KERNELS, _PART_DISTRIBUTIONS, _PART_KERNELS, _SCHEMES, ParseError,
+                      _at, _at_least, _bool, _check_lambda, _count, _Kinds, _pi_over,
+                      _read, _real, _reals, _seed, _string)
+from .parts import PartDistribution, PartScheme, Weighted
 
 
-def _decode(codec, doc, key, name, *args):
-    """``codec(doc[key], *args, path)``: a stanza read by a ``modelio`` codec."""
-    path = f"{name}.{key}"
-    with _at(path):
-        return codec(doc[key], *args, path)
-
-
-def _values(v, kind) -> tuple:
-    """A grid: a list, or one scalar, of ``kind`` values."""
-    vals = tuple(kind(x) for x in (v if isinstance(v, list) else [v]))
-    if not vals:
-        raise ValueError("must not be empty")
-    return vals
-
-
-def _fields(doc, convs, name) -> dict:
-    """The optional keys of ``convs`` present in ``doc``, each converted."""
-    out = {}
-    for key, conv in convs.items():
-        if key in doc:
-            with _at(f"{name}.{key}"):
-                out[key] = conv(doc[key])
-    return out
-
-
-def _n_grid(doc, name) -> tuple:
-    with _at(f"{name}.n_train"):
-        grid = _values(doc["n_train"], _integer)
-    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParseError(f"{name}.n_train: expected ascending sizes >= 1")
+def _grid(read):
+    """A reader of a grid: a JSON list, or one scalar, of ``read`` values."""
+    def grid(v) -> tuple:
+        vals = tuple(read(x) for x in (v if isinstance(v, list) else [v]))
+        if not vals:
+            raise ValueError("must not be empty")
+        return vals
     return grid
+
+
+def _sizes(v) -> tuple:
+    """A grid of training-set sizes: ascending counts."""
+    grid = _grid(_count)(v)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"expected ascending sizes, got {grid}")
+    return grid
+
+
+def _strings(v) -> tuple:
+    """A JSON list of strings, as a tuple."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of strings, got {v!r}")
+    return tuple(_string(x) for x in v)
+
+
+def _loss(v) -> LossSpec:
+    if not (isinstance(v, str) and v in LOSSES_BY_NAME):
+        raise ValueError(f"unknown loss {v!r}, expected one of {list(LOSSES_BY_NAME)}")
+    return LOSSES_BY_NAME[v]
+
+
+def _alphabet(v) -> tuple:
+    """An exact decoder's symbols: a JSON list of symbols (single characters
+    or finite numbers), or a JSON string of single characters."""
+    if not isinstance(v, (str, list)):
+        raise ValueError(f"expected a list of symbols or a string, got {v!r}")
+    for a in v:
+        if not isinstance(a, str):
+            _real(a)
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -75,25 +87,16 @@ class TrainConfig:
     pi: PartDistribution
 
 
+_TRAIN = {"seed": _seed, "dataset": _string, "scheme": _SCHEMES, "kernel": _PAIR_KERNELS,
+          "lambda": _real, "m": _count, "pi": _PART_DISTRIBUTIONS}
+
+
 def parse_train(doc: dict) -> TrainConfig:
-    _check_keys(doc, {"seed", "dataset", "scheme", "kernel", "lambda", "m", "pi"}, "train",
-                optional={"pi"})
-    scheme = _decode(scheme_from_json, doc, "scheme", "train")
-    kernel = _decode(kernel_from_json, doc, "kernel", "train")
-    if not isinstance(kernel, KernelSpec):
-        raise ParseError("train.kernel: expected a restriction, gaussian_global or sum kernel")
-    m = _int(doc, "m", "train")
-    lam = _lambda(doc, "train.lambda", m)
-    return TrainConfig(
-        seed=_int(doc, "seed", "train", 0),
-        dataset=str(doc["dataset"]),
-        scheme=scheme,
-        kernel=kernel,
-        lam=lam,
-        m=m,
-        pi=(_decode(pi_from_json, doc, "pi", "train", scheme.num_parts) if "pi" in doc
-            else Uniform(scheme.num_parts)),
-    )
+    f = _read(doc, "train", _TRAIN, optional={"pi"})
+    lam = f.pop("lambda")
+    _check_lambda(lam, f["m"], "train.lambda")
+    pi = _pi_over(f.pop("pi", None), f["scheme"].num_parts, "train.pi")
+    return TrainConfig(lam=lam, pi=pi, **f)
 
 
 @dataclass(frozen=True)
@@ -101,86 +104,42 @@ class PredictConfig:
     model: str
     dataset: str
     loss: LossSpec
-    method: object  # ClosedForm, ExactEnumeration, or SGM without its rng
-    seed: Optional[int]
-    pi: Optional[Weighted]  # None: uniform over the model's parts
+    decoder: object  # ClosedForm, ExactEnumeration, or SGM without its rng
+    seed: Optional[int] = None
+    pi: Optional[Weighted] = None  # None: uniform over the model's parts
+
+
+_PROJECTIONS = _Kinds({"box": (BoxProjection, {"lo": _real, "hi": _real}),
+                       "angle_wrap": (AngleWrap, {})})
+_DECODERS = _Kinds({
+    "least_squares": (ClosedForm, {"normalize": _bool}, {"normalize"}),
+    "angular": (ClosedForm, {}),
+    "exact": (ExactEnumeration, {"budget": _count, "alphabet": _alphabet}),
+    "sgm": (partial(SGM, rng=None), {"iterations": _count, "step_c": _real,
+                                     "projection": _PROJECTIONS, "average_tail": _bool},
+            {"step_c", "projection", "average_tail"}),
+}, tag="method")
+_PREDICT = {"model": _string, "dataset": _string, "loss": _loss, "decoder": _DECODERS,
+            "seed": _seed, "pi": _PART_DISTRIBUTIONS}
+# the loss each closed-form decoder needs
+_CLOSED_FORM_LOSS = {"least_squares": SQUARED_VECTOR, "angular": ANGULAR_SIN_SQ}
 
 
 def parse_predict(doc: dict) -> PredictConfig:
-    _check_keys(doc, {"model", "dataset", "loss", "decoder", "seed", "pi"}, "predict",
-                optional={"seed", "pi"})
-    loss = LOSSES_BY_NAME.get(doc["loss"]) if isinstance(doc["loss"], str) else None
-    if loss is None:
-        raise ParseError(f"predict.loss: unknown loss {doc['loss']!r}")
-    method = _method(doc["decoder"], loss, "predict.decoder")
-    seed = _int(doc, "seed", "predict", 0) if "seed" in doc else None
-    if isinstance(method, SGM) and seed is None:
+    cfg = PredictConfig(**_read(doc, "predict", _PREDICT, optional={"seed", "pi"}))
+    kind, loss, decoder = doc["decoder"]["method"], cfg.loss, cfg.decoder
+    need = _CLOSED_FORM_LOSS.get(kind)
+    if need is not None and loss != need:
+        raise ParseError(f"predict.loss: the {kind} decoder needs the {need.kind} loss")
+    if isinstance(decoder, ExactEnumeration) and isinstance(decoder.alphabet[0], str) \
+            and loss != ZERO_ONE_WINDOW:
+        raise ParseError("predict.loss: a string alphabet needs the zero_one_window loss")
+    if isinstance(decoder, SGM) and not loss.is_subdifferentiable:
+        raise ParseError(f"predict.loss: the sgm decoder needs a subdifferentiable loss, "
+                         f"not {loss.kind}")
+    if isinstance(decoder, SGM) and cfg.seed is None:
         raise ParseError("predict.seed: required for the sgm decoder")
-    return PredictConfig(
-        model=str(doc["model"]),
-        dataset=str(doc["dataset"]),
-        loss=loss,
-        method=method,
-        seed=seed,
-        pi=_decode(pi_from_json, doc, "pi", "predict", None) if "pi" in doc else None,
-    )
-
-
-def _method(spec, loss: LossSpec, path: str):
-    """Decoder method of a ``decoder`` stanza, checked against ``loss``."""
-    kind = _get(spec, "method", path)
-    if kind in ("least_squares", "angular"):
-        _check_keys(spec, {"method", "normalize"} if kind == "least_squares" else {"method"},
-                    path, optional={"normalize"})
-        need = SQUARED_VECTOR if kind == "least_squares" else ANGULAR_SIN_SQ
-        if loss != need:
-            raise ParseError(f"predict.loss: the {kind} decoder needs the {need.kind} loss")
-        return ClosedForm(normalize=_flag(spec, "normalize", path, True))
-    if kind == "exact":
-        _check_keys(spec, {"method", "budget", "alphabet"}, path)
-        with _at(path):
-            method = ExactEnumeration(budget=_int(spec, "budget", path),
-                                      alphabet=tuple(spec["alphabet"]))
-        if isinstance(method.alphabet[0], str) and loss != ZERO_ONE_WINDOW:
-            raise ParseError("predict.loss: a string alphabet needs the zero_one_window loss")
-        return method
-    if kind == "sgm":
-        _check_keys(spec, {"method", "iterations", "step_c", "projection", "average_tail"}, path,
-                    optional={"step_c", "projection", "average_tail"})
-        if not loss.is_subdifferentiable:
-            raise ParseError(f"predict.loss: the sgm decoder needs a subdifferentiable loss, "
-                             f"not {loss.kind}")
-        pspec = spec.get("projection")
-        projection = None if pspec is None else _projection(pspec, f"{path}.projection")
-        step_c = None
-        if "step_c" in spec:
-            with _at(f"{path}.step_c"):
-                step_c = _real(spec["step_c"])
-        with _at(path):
-            return SGM(
-                iterations=_int(spec, "iterations", path),
-                rng=None,
-                step_c=step_c,
-                projection=projection,
-                average_tail=_flag(spec, "average_tail", path, True),
-            )
-    raise ParseError(f"{path}.method: unknown method {kind!r}")
-
-
-def _projection(spec, path: str):
-    kind = _get(spec, "kind", path)
-    if kind == "box":
-        _check_keys(spec, {"kind", "lo", "hi"}, path)
-        bounds = {}
-        for key in ("lo", "hi"):
-            with _at(f"{path}.{key}"):
-                bounds[key] = _real(spec[key])
-        with _at(path):
-            return BoxProjection(**bounds)
-    if kind == "angle_wrap":
-        _check_keys(spec, {"kind"}, path)
-        return AngleWrap()
-    raise ParseError(f"{path}.kind: unknown kind {kind!r}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -188,44 +147,28 @@ class DiagnoseConfig:
     dataset: str
     scheme: PartScheme
     similarity: object
-    annotate: bool
+    annotate: bool = False
     subsample_pairs: Optional[int] = None
     seed: Optional[int] = None
 
 
+_SIMILARITIES = _Kinds({"raw_inner": (RawInner, {}),
+                        "squared_kernel": (SquaredKernel, {"base": _PART_KERNELS})})
+_DIAGNOSE = {"dataset": _string, "scheme": _SCHEMES, "similarity": _SIMILARITIES,
+             "annotate": _bool, "subsample_pairs": _count, "seed": _seed}
+
+
 def parse_diagnose(doc: dict) -> DiagnoseConfig:
-    _check_keys(doc, {"dataset", "scheme", "similarity", "annotate", "subsample_pairs", "seed"},
-                "diagnose", optional={"annotate", "subsample_pairs", "seed"})
-    subsample = doc.get("subsample_pairs")
-    if subsample is not None:
-        subsample = _int(doc, "subsample_pairs", "diagnose")
-        if "seed" not in doc:
-            raise ParseError("diagnose.seed: required when subsample_pairs is set")
-    path = "diagnose.similarity"
-    sim = doc["similarity"]
-    kind = _get(sim, "kind", path)
-    if kind == "raw_inner":
-        _check_keys(sim, {"kind"}, path)
-        similarity = RawInner()
-    elif kind == "squared_kernel":
-        _check_keys(sim, {"kind", "base"}, path)
-        base = _decode(kernel_from_json, sim, "base", path)
-        if not isinstance(base, PartKernel):
-            raise ParseError(f"{path}.base: must be a part kernel")
-        similarity = SquaredKernel(base)
-    else:
-        raise ParseError(f"{path}.kind: unknown kind {kind!r}")
-    return DiagnoseConfig(
-        dataset=str(doc["dataset"]),
-        scheme=_decode(scheme_from_json, doc, "scheme", "diagnose"),
-        similarity=similarity,
-        annotate=_flag(doc, "annotate", "diagnose", False),
-        subsample_pairs=subsample,
-        seed=_int(doc, "seed", "diagnose", 0) if "seed" in doc else None,
-    )
+    cfg = DiagnoseConfig(**_read(doc, "diagnose", _DIAGNOSE,
+                                 optional={"annotate", "subsample_pairs", "seed"}))
+    if cfg.subsample_pairs is not None and cfg.seed is None:
+        raise ParseError("diagnose.seed: required when subsample_pairs is set")
+    return cfg
 
 
-_SYNTHETIC_FIELDS = {"noise_std": _real, "lambda_grid": _reals, "estimators": tuple}
+_SYNTHETIC = {"seed": _seed, "block_dim": _count, "num_parts": _grid(_count),
+              "gamma": _grid(_real), "n_train": _sizes, "n_test": _count, "repeats": _count,
+              "noise_std": _real, "lambda_grid": _reals, "estimators": _strings}
 
 
 def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
@@ -233,48 +176,40 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
     repeat count. ``n_grid`` is None unless ``n_train`` is a list, which asks
     for a learning curve."""
     name = "bench-synthetic"
-    _check_keys(doc, {"seed", "block_dim", "num_parts", "gamma", "n_train", "n_test", "repeats",
-                      *_SYNTHETIC_FIELDS}, name, optional=_SYNTHETIC_FIELDS.keys())
-    n_grid = _n_grid(doc, name)
+    f = _read(doc, name, _SYNTHETIC, optional={"noise_std", "lambda_grid", "estimators"})
+    parts, gammas, n_grid, repeats = (f.pop(k) for k in ("num_parts", "gamma", "n_train",
+                                                         "repeats"))
     curve = isinstance(doc["n_train"], list)
-    with _at(f"{name}.num_parts"):
-        parts = _values(doc["num_parts"], _integer)
-    with _at(f"{name}.gamma"):
-        gammas = _values(doc["gamma"], _real)
     with _at(name):
         if curve and (len(parts) > 1 or len(gammas) > 1):
             raise ParseError(f"{name}: an n_train grid needs scalar num_parts and gamma")
-        cfg = SyntheticConfig(num_parts=parts[0], block_dim=_int(doc, "block_dim", name),
-                              gamma=gammas[0], n_train=n_grid[0], n_test=_int(doc, "n_test", name),
-                              seed=_int(doc, "seed", name, 0),
-                              **_fields(doc, _SYNTHETIC_FIELDS, name))
+        cfg = SyntheticConfig(num_parts=parts[0], gamma=gammas[0], n_train=n_grid[0], **f)
         for P, g in product(parts, gammas):  # every cell of the grid must be valid
             replace(cfg, num_parts=P, gamma=g)
-    return cfg, (parts, gammas, n_grid if curve else None), _int(doc, "repeats", name)
+    return cfg, (parts, gammas, n_grid if curve else None), repeats
 
 
-_ANGULAR_FIELDS = {"grid_size": _integer, "patch": _integer, "stride": _integer,
-                   "bandwidth": _real, "m": _integer, "n_test": _integer, "input_noise": _real,
-                   "freq_cutoff": _integer, "lambda_grid": _reals}
+_ANGULAR_FIELDS = {"grid_size": _count, "patch": _count, "stride": _count, "bandwidth": _real,
+                   "m": _count, "n_test": _count, "input_noise": _real,
+                   "freq_cutoff": _at_least(0), "lambda_grid": _reals}
 
 
 def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:
     name = "bench-angular"
-    _check_keys(doc, {"seed", "n_train", "repeats", *_ANGULAR_FIELDS}, name,
-                optional=_ANGULAR_FIELDS.keys())
-    n_grid = _n_grid(doc, name)
+    f = _read(doc, name, {"seed": _seed, "n_train": _sizes, "repeats": _count,
+                          **_ANGULAR_FIELDS}, optional=_ANGULAR_FIELDS.keys())
+    n_grid, repeats = f.pop("n_train"), f.pop("repeats")
     with _at(name):
-        cfg = AngularConfig(seed=_int(doc, "seed", name, 0), **_fields(doc, _ANGULAR_FIELDS, name))
-    return cfg, n_grid, _int(doc, "repeats", name)
+        return AngularConfig(**f), n_grid, repeats
 
 
 def parse_bound_check(gamma: str, parts: str, r2: float) -> tuple[tuple, tuple, float]:
     """The decay rates and part counts of ``bound-check``'s comma-separated
     flags, and its similarity bound ``--r2``."""
     with _at("--gamma"):
-        gammas = _values(gamma.split(","), float)
+        gammas = _grid(float)(gamma.split(","))
     with _at("--parts"):
-        counts = _values(parts.split(","), int)
+        counts = _grid(int)(parts.split(","))
     if not all(0 < g < math.inf for g in gammas):
         raise ParseError(f"--gamma: decay rates must be positive and finite, got {gamma}")
     if min(counts) < 1:

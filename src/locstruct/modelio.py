@@ -1,6 +1,7 @@
-"""Persistence: JSON-lines datasets, model documents, the JSON codecs for
-schemes, kernels, and part distributions, and the strict-JSON layer (one
-reader, one key checker, ``ParseError``) that command configs share.
+"""Persistence and the strict reader: JSON-lines datasets, model documents,
+the JSON codecs for schemes, kernels and part distributions, and ``_read``,
+the one reader of every config and model stanza: a field table (key ->
+reader) per object, a ``_Kinds`` table per family of tagged stanzas.
 
 Structured values travel as JSON strings (sequences) or nested float lists
 (arrays); floats serialize through ``repr`` so round-trips are exact. Model
@@ -24,6 +25,7 @@ from .kernels import (
     LinearParts,
     Restriction,
     SumKernel,
+    _check_bandwidth,
 )
 from .parts import (
     GridPatches,
@@ -65,98 +67,9 @@ def decode_value(v):
     return np.asarray(v, dtype=float)
 
 
-def scheme_to_json(scheme) -> dict:
-    if isinstance(scheme, SequenceWindows):
-        return {"kind": "sequence_windows", "k": scheme.seq_len, "l": scheme.window_len}
-    if isinstance(scheme, VectorBlocks):
-        return {"kind": "vector_blocks", "block_dim": scheme.block_dim,
-                "num_blocks": scheme.num_blocks}
-    if isinstance(scheme, GridPatches):
-        return {"kind": "grid_patches", "width": scheme.width, "height": scheme.height,
-                "patch_w": scheme.patch_w, "patch_h": scheme.patch_h,
-                "stride": scheme.stride, "circular": scheme.circular}
-    raise TypeError(f"unknown scheme {scheme!r}")
-
-
-def scheme_from_json(d: dict, path="scheme"):
-    kind = _get(d, "kind", path)
-    if kind == "sequence_windows":
-        _check_keys(d, {"kind", "k", "l"}, path)
-        return SequenceWindows(seq_len=_int(d, "k", path), window_len=_int(d, "l", path))
-    if kind == "vector_blocks":
-        _check_keys(d, {"kind", "block_dim", "num_blocks"}, path)
-        return VectorBlocks(block_dim=_int(d, "block_dim", path),
-                            num_blocks=_int(d, "num_blocks", path))
-    if kind == "grid_patches":
-        _check_keys(d, {"kind", "width", "height", "patch_w", "patch_h", "stride", "circular"},
-                    path, optional={"circular"})
-        size = {k: _int(d, k, path) for k in ("width", "height", "patch_w", "patch_h", "stride")}
-        return GridPatches(**size, circular=_flag(d, "circular", path, False))
-    raise ParseError(f"{path}.kind: unknown scheme kind {kind!r}")
-
-
-def kernel_to_json(spec: KernelSpec) -> dict:
-    if isinstance(spec, LinearParts):
-        return {"kind": "linear"}
-    if isinstance(spec, GaussianParts):
-        return {"kind": "gaussian", "sigma": spec.sigma}
-    if isinstance(spec, Restriction):
-        return {"kind": "restriction", "base": kernel_to_json(spec.base)}
-    if isinstance(spec, GaussianGlobal):
-        return {"kind": "gaussian_global", "sigma": spec.sigma}
-    if isinstance(spec, SumKernel):
-        return {"kind": "sum", "universal": kernel_to_json(spec.universal),
-                "local": kernel_to_json(spec.local)}
-    raise TypeError(f"unknown kernel {spec!r}")
-
-
-def kernel_from_json(d: dict, path="kernel"):
-    kind = _get(d, "kind", path)
-    if kind == "linear":
-        _check_keys(d, {"kind"}, path)
-        return LinearParts()
-    if kind == "gaussian":
-        _check_keys(d, {"kind", "sigma"}, path)
-        with _at(f"{path}.sigma"):
-            return GaussianParts(sigma=_real(d["sigma"]))
-    if kind == "restriction":
-        _check_keys(d, {"kind", "base"}, path)
-        return Restriction(base=kernel_from_json(d["base"], f"{path}.base"))
-    if kind == "gaussian_global":
-        _check_keys(d, {"kind", "sigma"}, path)
-        with _at(f"{path}.sigma"):
-            return GaussianGlobal(sigma=_real(d["sigma"]))
-    if kind == "sum":
-        _check_keys(d, {"kind", "universal", "local"}, path)
-        return SumKernel(universal=kernel_from_json(d["universal"], f"{path}.universal"),
-                         local=kernel_from_json(d["local"], f"{path}.local"))
-    raise ParseError(f"{path}.kind: unknown kernel kind {kind!r}")
-
-
-def pi_to_json(pi) -> dict:
-    if isinstance(pi, Uniform):
-        return {"kind": "uniform"}
-    if isinstance(pi, Weighted):
-        return {"kind": "weighted", "probs": list(pi.probs)}
-    raise TypeError(f"unknown part distribution {pi!r}")
-
-
-def pi_from_json(d: dict, num_parts, path="pi"):
-    """Part distribution over ``num_parts`` parts. With ``num_parts`` None,
-    when the part count is not known yet, a uniform one reads as None."""
-    kind = _get(d, "kind", path)
-    if kind == "uniform":
-        _check_keys(d, {"kind"}, path)
-        return None if num_parts is None else Uniform(num_parts)
-    if kind == "weighted":
-        _check_keys(d, {"kind", "probs"}, path)
-        with _at(f"{path}.probs"):
-            pi = Weighted(probs=_reals(d["probs"]))
-        if num_parts is not None and pi.num_parts != num_parts:
-            raise ParseError(f"{path}.probs: {pi.num_parts} probabilities for {num_parts} parts")
-        return pi
-    raise ParseError(f"{path}.kind: unknown part distribution kind {kind!r}")
-
+# ---------------------------------------------------------------------------
+# The strict reader: every config and model stanza is read through _read
+# ---------------------------------------------------------------------------
 
 def read_json(path) -> dict:
     """The JSON object in file ``path``, the one reader of configs and
@@ -183,12 +96,58 @@ def _at(path: str):
         raise ParseError(f"{path}: {e}") from None
 
 
-def _get(d, key, path):
-    if not isinstance(d, dict):
+class _Kinds(dict):
+    """A family's table of kinds for ``_tagged``: kind -> ``(constructor,
+    fields)`` or ``(constructor, fields, optional keys)``, with ``fields`` a
+    field table; a stanza names its kind under the key ``tag``."""
+
+    def __init__(self, entries, tag="kind"):
+        super().__init__(entries)
+        self.tag = tag
+
+
+def _read(doc, path, fields, optional=frozenset()) -> dict:
+    """The keys of object ``doc`` read by the table ``fields``, key -> reader,
+    refusing unknown keys and missing ones not in ``optional``. A reader is a
+    ``_Kinds`` table or a value -> value function raising ``ValueError``,
+    run inside ``_at`` so that its error names the key path ``path.key``."""
+    if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected an object")
-    if key not in d:
-        raise ParseError(f"{path}.{key}: missing required key")
-    return d[key]
+    unknown = doc.keys() - fields.keys()
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
+    missing = fields.keys() - optional - doc.keys()
+    if missing:
+        raise ParseError(f"{path}: missing keys {sorted(missing)}")
+    out = {}
+    for key, read in fields.items():
+        if key in doc:
+            at = f"{path}.{key}"
+            if isinstance(read, _Kinds):
+                out[key] = _tagged(doc[key], at, read)
+            else:
+                with _at(at):
+                    out[key] = read(doc[key])
+    return out
+
+
+def _tagged(doc, path, kinds: _Kinds):
+    """The entry of ``kinds`` named by ``doc[kinds.tag]``, its constructor
+    called inside ``_at(path)`` on the other keys of ``doc`` read by its
+    fields; an unknown kind is refused with the accepted ones listed."""
+    tag = kinds.tag
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object")
+    if tag not in doc:
+        raise ParseError(f"{path}.{tag}: missing required key")
+    kind = doc[tag]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ParseError(f"{path}.{tag}: unknown {tag} {kind!r}, expected one of {list(kinds)}")
+    make, fields, *optional = kinds[kind]
+    args = _read(doc, path, {tag: _string, **fields}, *optional)
+    del args[tag]
+    with _at(path):
+        return make(**args)
 
 
 def _is_integer(v) -> bool:
@@ -197,26 +156,21 @@ def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _integer(v) -> int:
-    """``v`` if ``_is_integer``, else a ``ValueError``; read it inside
-    ``_at``, which names the key."""
-    if not _is_integer(v):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
+def _at_least(low: int):
+    """A reader of a JSON integer that is at least ``low``."""
+    def read(v) -> int:
+        if not _is_integer(v) or v < low:
+            raise ValueError(f"expected an integer >= {low}, got {v!r}")
+        return v
+    return read
 
 
-def _int(d, key, path, low=1):
-    """``d[key]`` if ``_is_integer`` and at least ``low``."""
-    v = d[key]
-    if not _is_integer(v) or v < low:
-        raise ParseError(f"{path}.{key}: expected an integer >= {low}, got {v!r}")
-    return v
+_count, _seed = _at_least(1), _at_least(0)
 
 
 def _real(v) -> float:
     """A real value as written: a finite JSON number. A boolean, string,
-    NaN or infinity is refused with a ``ValueError``, never converted; read
-    it inside ``_at``, which names the key."""
+    NaN or infinity is refused, never converted."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a number, got {v!r}")
     try:
@@ -228,16 +182,11 @@ def _real(v) -> float:
     return x
 
 
-def _lambda(d, path, m: int) -> float:
-    """``d["lambda"]``, a ``_real`` that must be positive, with a finite
-    shift ``m * lambda`` for a fit on ``m`` anchors; ``path`` names it."""
-    with _at(path):
-        lam = _real(d["lambda"])
-    if not lam > 0:
-        raise ParseError(f"{path}: must be positive")
-    if not m * lam < math.inf:
-        raise ParseError(f"{path}: m * lambda overflows for m={m}")
-    return lam
+def _bandwidth(v) -> float:
+    """A Gaussian ``sigma``: a ``_real`` that the kernels' own check accepts."""
+    x = _real(v)
+    _check_bandwidth(x)
+    return x
 
 
 def _reals(v) -> tuple:
@@ -247,21 +196,110 @@ def _reals(v) -> tuple:
     return tuple(_real(x) for x in v)
 
 
-def _flag(d, key, path, default: bool) -> bool:
-    """``d[key]`` as written, ``default`` when absent: a JSON boolean."""
-    v = d.get(key, default)
+def _bool(v) -> bool:
+    """A flag as written: a JSON boolean."""
     if not isinstance(v, bool):
-        raise ParseError(f"{path}.{key}: expected true or false, got {v!r}")
+        raise ValueError(f"expected true or false, got {v!r}")
     return v
 
 
-def _check_keys(d, allowed, path, optional=frozenset()):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ParseError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = set(allowed) - set(optional) - set(d)
-    if missing:
-        raise ParseError(f"{path}: missing keys {sorted(missing)}")
+def _string(v) -> str:
+    """A JSON string, such as a file path."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def _check_lambda(lam: float, m: int, path: str) -> None:
+    """Refuse a ``lambda`` that is not positive, or whose shift ``m * lambda``
+    overflows for a fit on ``m`` anchors."""
+    if not lam > 0:
+        raise ParseError(f"{path}: must be positive")
+    if not m * lam < math.inf:
+        raise ParseError(f"{path}: m * lambda overflows for m={m}")
+
+
+# ---------------------------------------------------------------------------
+# Schemes, kernels and part distributions
+# ---------------------------------------------------------------------------
+
+_SCHEMES = _Kinds({
+    "sequence_windows": (lambda k, l: SequenceWindows(seq_len=k, window_len=l),
+                         {"k": _count, "l": _count}),
+    "vector_blocks": (VectorBlocks, {"block_dim": _count, "num_blocks": _count}),
+    "grid_patches": (GridPatches, {"width": _count, "height": _count, "patch_w": _count,
+                                   "patch_h": _count, "stride": _count, "circular": _bool},
+                     {"circular"}),
+})
+_PART_KERNELS = _Kinds({"linear": (LinearParts, {}),
+                        "gaussian": (GaussianParts, {"sigma": _bandwidth})})
+_PAIR_KERNELS = _Kinds({"restriction": (Restriction, {"base": _PART_KERNELS}),
+                       "gaussian_global": (GaussianGlobal, {"sigma": _bandwidth})})
+_PAIR_KERNELS["sum"] = (SumKernel, {"universal": _PAIR_KERNELS, "local": _PAIR_KERNELS})
+_KERNELS = _Kinds({**_PART_KERNELS, **_PAIR_KERNELS})
+# a uniform distribution reads as None: its part count is the scheme's
+_PART_DISTRIBUTIONS = _Kinds({"uniform": (lambda: None, {}),
+                             "weighted": (Weighted, {"probs": _reals})})
+
+
+def scheme_to_json(scheme) -> dict:
+    if isinstance(scheme, SequenceWindows):
+        return {"kind": "sequence_windows", "k": scheme.seq_len, "l": scheme.window_len}
+    if isinstance(scheme, VectorBlocks):
+        return {"kind": "vector_blocks", "block_dim": scheme.block_dim,
+                "num_blocks": scheme.num_blocks}
+    if isinstance(scheme, GridPatches):
+        return {"kind": "grid_patches", "width": scheme.width, "height": scheme.height,
+                "patch_w": scheme.patch_w, "patch_h": scheme.patch_h,
+                "stride": scheme.stride, "circular": scheme.circular}
+    raise TypeError(f"unknown scheme {scheme!r}")
+
+
+def scheme_from_json(d: dict, path="scheme"):
+    return _tagged(d, path, _SCHEMES)
+
+
+def kernel_to_json(spec: KernelSpec) -> dict:
+    if isinstance(spec, LinearParts):
+        return {"kind": "linear"}
+    if isinstance(spec, GaussianParts):
+        return {"kind": "gaussian", "sigma": spec.sigma}
+    if isinstance(spec, Restriction):
+        return {"kind": "restriction", "base": kernel_to_json(spec.base)}
+    if isinstance(spec, GaussianGlobal):
+        return {"kind": "gaussian_global", "sigma": spec.sigma}
+    if isinstance(spec, SumKernel):
+        return {"kind": "sum", "universal": kernel_to_json(spec.universal),
+                "local": kernel_to_json(spec.local)}
+    raise TypeError(f"unknown kernel {spec!r}")
+
+
+def kernel_from_json(d: dict, path="kernel"):
+    """A part kernel or a pair kernel."""
+    return _tagged(d, path, _KERNELS)
+
+
+def pi_to_json(pi) -> dict:
+    if isinstance(pi, Uniform):
+        return {"kind": "uniform"}
+    if isinstance(pi, Weighted):
+        return {"kind": "weighted", "probs": list(pi.probs)}
+    raise TypeError(f"unknown part distribution {pi!r}")
+
+
+def pi_from_json(d: dict, num_parts: int, path="pi"):
+    """Part distribution over ``num_parts`` parts."""
+    return _pi_over(_tagged(d, path, _PART_DISTRIBUTIONS), num_parts, path)
+
+
+def _pi_over(pi, num_parts: int, path: str):
+    """``pi``, read from a ``_PART_DISTRIBUTIONS`` stanza at ``path``, over
+    ``num_parts`` parts: None is uniform, and a weighted one must give one
+    probability per part."""
+    pi = Uniform(num_parts) if pi is None else pi
+    if pi.num_parts != num_parts:
+        raise ParseError(f"{path}.probs: {pi.num_parts} probabilities for {num_parts} parts")
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +397,31 @@ def save_model(model: AlphaModel, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _list(v) -> list:
+    """A non-empty JSON list."""
+    if not (isinstance(v, list) and v):
+        raise ValueError(f"expected a non-empty list, got {v!r}")
+    return v
+
+
+def _is_index(v, n: int) -> bool:
+    return _is_integer(v) and 0 <= v < n
+
+
+def _index(n: int):
+    """A reader of an index into ``n`` entries."""
+    def read(v) -> int:
+        if not _is_index(v, n):
+            raise ValueError(f"expected an integer in [0, {n})")
+        return v
+    return read
+
+
+_MODEL = {"format": _string, "version": _count, "kernel": _PAIR_KERNELS, "lambda": _real,
+          "scheme": _SCHEMES, "inputs": lambda v: [decode_value(x) for x in _list(v)],
+          "samples": _list}
+
+
 def load_model(path) -> AlphaModel:
     """Load a model document and rebuild its factorization.
 
@@ -375,28 +438,17 @@ def load_model(path) -> AlphaModel:
         raise UnsupportedVersionError(
             f"{path}: version {doc.get('version')!r} unsupported (expected {MODEL_VERSION})"
         )
-    _check_keys(doc, {"format", "version", "kernel", "lambda", "scheme", "inputs", "samples"},
-                path=str(path))
-    where = f"{path}: "
-    with _at(f"{where}kernel"):
-        kernel = kernel_from_json(doc["kernel"], f"{where}kernel")
-    if not isinstance(kernel, KernelSpec):
-        raise ParseError(f"{where}kernel: expected a restriction, gaussian_global or sum kernel")
-    with _at(f"{where}scheme"):
-        scheme = scheme_from_json(doc["scheme"], f"{where}scheme")
-    with _at(f"{where}inputs"):
-        inputs = [decode_value(v) for v in doc["inputs"]]
-    samples = doc["samples"]
-    if not (isinstance(samples, list) and samples and all(isinstance(s, dict) for s in samples)):
-        raise ParseError(f"{where}samples: expected a non-empty list of objects")
-    for i, s in enumerate(samples):
-        key = f"{where}samples[{i}]"
-        _check_keys(s, {"chi", "p", "eta"}, path=key)
-        for name, bound in (("chi", len(inputs)), ("p", scheme.num_parts)):
-            v = s[name]
-            if not _is_integer(v) or not 0 <= v < bound:
-                raise ParseError(f"{key}.{name}: expected an integer in [0, {bound})")
-    with _at(f"{where}samples"):
+    root = f"{path}: model"
+    f = _read(doc, root, _MODEL)
+    inputs, scheme, samples = f["inputs"], f["scheme"], f["samples"]
+    n, parts = len(inputs), scheme.num_parts
+    sample = {"chi": _index(n), "p": _index(parts), "eta": decode_value}
+    # the table is checked in bulk; a per-sample read names the first bad sample
+    if not all(isinstance(s, dict) and s.keys() == sample.keys() and _is_index(s["chi"], n)
+               and _is_index(s["p"], parts) for s in samples):
+        for i, s in enumerate(samples):
+            _read(s, f"{root}.samples[{i}]", sample)
+    with _at(f"{root}.samples"):
         aux = [AuxiliarySample(s["chi"], s["p"], decode_value(s["eta"])) for s in samples]
-    lam = _lambda(doc, f"{where}lambda", len(aux))
-    return fit_alpha(inputs, aux, kernel, lam, scheme)
+    _check_lambda(f["lambda"], len(aux), f"{root}.lambda")
+    return fit_alpha(inputs, aux, f["kernel"], f["lambda"], scheme)

@@ -7,6 +7,7 @@ artifacts can be compared byte for byte across runs.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
-        return [10.0**e for e in range(lo_e, hi_e + 1)]
+        return [10.0**e for e in range(lo_e, min(hi_e, 308) + 1)]  # 1e309 overflows
     span = hi - lo or 1.0
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
@@ -45,9 +46,10 @@ class _Axis:
     def __init__(self, lo, hi, pix_lo, pix_hi, log):
         if log:
             lo = max(lo, 1e-300)
-            hi = max(hi, lo * 10)
-        if hi <= lo:
-            hi = lo + 1.0
+            hi = max(hi, min(float(lo) * 10, sys.float_info.max))
+        if hi <= lo:  # one value: a span that scales with it, so tick steps advance
+            span = max(1.0, abs(lo) * 1e-4)
+            lo, hi = (lo, lo + span) if lo <= sys.float_info.max - span else (lo - span, lo)
         self.lo, self.hi, self.log = lo, hi, log
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locstruct import config
+from locstruct import config, svgplot
 from locstruct.cli import run_command
-from locstruct.modelio import read_dataset, write_dataset
+from locstruct.modelio import ParseError, read_dataset, write_dataset
 
 
 def _write_json(path, doc):
@@ -368,7 +370,25 @@ STRICT_NUMBERS = {
     "bench_angular_lambda_grid_negative": ("bench-angular", {"lambda_grid": [-1e-3]},
                                            "lambda grid"),
 }
-BAD_INPUTS.update({name: row[:2] for name, row in STRICT_NUMBERS.items()})
+# paths must be JSON strings, and an exact alphabet a list of symbols or a
+# string of single characters; the key its error names
+LS_JSON = {"method": "least_squares"}
+STRICT_VALUES = {
+    "train_dataset_null": ("train", {"dataset": None}, "train.dataset"),
+    "train_dataset_number": ("train", {"dataset": 5}, "train.dataset"),
+    "predict_model_null": ("predict", {"model": None, "decoder": LS_JSON}, "predict.model"),
+    "predict_model_number": ("predict", {"model": 5, "decoder": LS_JSON}, "predict.model"),
+    "predict_dataset_null": ("predict", {"dataset": None, "decoder": LS_JSON}, "predict.dataset"),
+    "exact_alphabet_object": ("predict", {"decoder": {**EXACT_JSON, "alphabet": {"a": 1, "b": 2}}},
+                              "predict.decoder.alphabet"),
+    "exact_alphabet_number": ("predict", {"decoder": {**EXACT_JSON, "alphabet": 5}},
+                              "predict.decoder.alphabet"),
+    "exact_alphabet_null": ("predict", {"decoder": {**EXACT_JSON, "alphabet": None}},
+                            "predict.decoder.alphabet"),
+    "exact_alphabet_null_symbol": ("predict", {"decoder": {**EXACT_JSON, "alphabet": [None, 1]}},
+                                   "predict.decoder.alphabet"),
+}
+BAD_INPUTS.update({name: row[:2] for name, row in {**STRICT_NUMBERS, **STRICT_VALUES}.items()})
 
 
 @pytest.fixture(scope="module")
@@ -465,8 +485,9 @@ class TestBadInput:
         assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "parse"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("command,change,key", STRICT_NUMBERS.values(),
-                             ids=STRICT_NUMBERS.keys())
+    @pytest.mark.parametrize("command,change,key", [*STRICT_NUMBERS.values(),
+                                                    *STRICT_VALUES.values()],
+                             ids=[*STRICT_NUMBERS, *STRICT_VALUES])
     def test_lenient_number_names_its_key(self, tmp_path, capsys, vector_model, command,
                                           change, key):
         ds, model = vector_model
@@ -489,6 +510,34 @@ class TestBadInput:
         assert run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["kind"] == "parse" and "diagnose.annotate" in err["message"]
+
+    @pytest.mark.parametrize("dataset", [None, 5])
+    def test_diagnose_dataset_must_be_a_string(self, tmp_path, capsys, dataset):
+        cfg = _write_json(tmp_path / "diag.json", {
+            "dataset": dataset, "scheme": SCHEME_JSON, "similarity": {"kind": "raw_inner"}})
+        capsys.readouterr()
+        assert run_command(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "parse" and "diagnose.dataset" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alphabet,symbols", [
+        ("abc", ("a", "b", "c")),
+        (["a", "b", "c"], ("a", "b", "c")),
+        ([0, 1.5], (0, 1.5)),
+    ], ids=["string", "list_of_characters", "list_of_numbers"])
+    def test_exact_alphabet_forms(self, alphabet, symbols):
+        doc = {"model": "m.json", "dataset": "d.jsonl", "loss": "zero_one_window",
+               "decoder": {"method": "exact", "budget": 10, "alphabet": alphabet}}
+        assert config.parse_predict(doc).decoder.alphabet == symbols
+
+    def test_unknown_method_lists_the_accepted_ones(self):
+        doc = {"model": "m.json", "dataset": "d.jsonl", "loss": "squared_vector",
+               "decoder": {"method": "ridge"}}
+        with pytest.raises(ParseError, match=re.escape(
+                "predict.decoder.method: unknown method 'ridge', expected one of "
+                "['least_squares', 'angular', 'exact', 'sgm']")):
+            config.parse_predict(doc)
 
 
 class TestDiagnose:
@@ -625,6 +674,21 @@ class TestBenchCommands:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["kind"] == "failed_cells" and err["count"] == 4
 
+    def test_infinite_test_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a finite hold-out, then a test error that overflows to infinity
+        monkeypatch.setattr("locstruct.bench._ridge_path", lambda A, B: lambda At, Bt, grid: (
+            [1.0] * len(grid) if len(grid) > 1 else [float("inf")]))
+        doc = dict(BENCH_JSON["bench-synthetic"], repeats=2, lambda_grid=[1e-3, 1e-1])
+        out = tmp_path / "out"
+        rc = run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                          "--out", str(out)])
+        assert rc == 3
+        rows = [line.split(",") for line in
+                (out / "bench_synthetic.csv").read_text().splitlines()[1:]]
+        assert sorted(r[0] for r in rows if r[5] == r[6] == "nan") == [
+            "global_ls", "global_ls", "independent_parts_ls", "independent_parts_ls"]
+        assert not (out / "bench_synthetic.svg").exists()
+
     def test_unknown_estimator_rejected(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "b.json", {
             "seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": 12,
@@ -633,6 +697,25 @@ class TestBenchCommands:
         assert run_command(["bench-synthetic", "--config", cfg, "--out",
                             str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("gamma", [1e17, 1e308])
+    def test_one_huge_gamma_is_plotted(self, tmp_path, gamma):
+        # the plot's x axis holds the one gamma: its span must be wide enough
+        # for the tick loop's steps to advance at that magnitude
+        ax = svgplot._Axis(gamma, gamma, 0, 1, log=False)
+        assert ax.lo < ax.hi < math.inf and math.ulp(ax.hi) < (ax.hi - ax.lo) / 100
+        doc = dict(BENCH_JSON["bench-synthetic"], gamma=gamma)
+        out = tmp_path / "out"
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 0
+        assert "<polyline" in (out / "bench_synthetic.svg").read_text()
+
+
+    @pytest.mark.parametrize("ys", [[5e307, 6e307], [1e308, 1e308]], ids=["span", "one_value"])
+    def test_near_limit_log_axis_is_plotted(self, tmp_path, ys):
+        # a log axis widens to ten times its least value, which overflows here
+        svgplot.line_plot(tmp_path / "p.svg", {"a": ([1, 2], ys)}, logy=True)
+        assert "<polyline" in (tmp_path / "p.svg").read_text()
 
 
 class TestBoundCheck:
@@ -727,3 +810,72 @@ def test_cli_import_leaves_scipy_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# each README config leaf is set in turn to each of these
+SWEEP_VALUES = [True, "x", None, [], {}, -1, 0.5, 1e308]
+README_COMMANDS = {"train.json": "train", "predict.json": "predict", "diagnose.json": "diagnose",
+                   "bench.json": "bench-synthetic", "angular.json": "bench-angular"}
+
+
+def _leaves(doc, path=()):
+    """The key path of every scalar, empty list or empty object in ``doc``."""
+    for key, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(v, (dict, list)) and v:
+            yield from _leaves(v, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestConfigSweep:
+    """Every leaf of every README config example, set in turn to each of
+    ``SWEEP_VALUES``, either runs (exit 0), is refused with a named error
+    kind (exit 2) and writes no file, or fails its cells (exit 3); never an
+    error no kind names (exit 1). ``predict`` loads and decodes with every
+    model that a swept ``train`` writes."""
+
+    def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys):
+        ds = tmp_path / "train.jsonl"
+        _vector_dataset(ds, n=12, seed=5)
+        docs = {README_COMMANDS[name]: json.loads(text) for name, text in _readme_configs()}
+        docs["train"]["dataset"] = docs["diagnose"]["dataset"] = str(ds)
+        docs["predict"]["dataset"] = str(ds)
+        model = tmp_path / "model"
+        assert run_command(["train", "--config", _write_json(tmp_path / "t.json", docs["train"]),
+                            "--out", str(model)]) == 0
+        docs["predict"]["model"] = str(model / "model.json")
+        runs = 0
+
+        def run(command, doc):
+            nonlocal runs
+            runs += 1
+            out = tmp_path / f"run{runs}"
+            capsys.readouterr()
+            rc = run_command([command, "--config", _write_json(tmp_path / "c.json", doc),
+                              "--out", str(out)])
+            return rc, out, capsys.readouterr().err
+
+        for command, doc in docs.items():  # the examples as written run
+            assert run(command, doc)[0] == 0, command
+        bad = []
+        for command, doc in docs.items():
+            for path in _leaves(doc):
+                for value in SWEEP_VALUES:
+                    rc, out, err = run(command, _replaced(doc, path, value))
+                    if rc not in (0, 2, 3) or rc == 2 and out.exists():
+                        bad.append((command, path, value, rc, err))
+                    if command == "train" and rc == 0:
+                        rc, _, err = run("predict", {**docs["predict"],
+                                                     "model": str(out / "model.json")})
+                        if rc != 0:
+                            bad.append(("predict", path, value, rc, err))
+        assert not bad

@@ -67,6 +67,16 @@ class TestCodecs:
         with pytest.raises(ParseError, match="unknown keys"):
             scheme_from_json({"kind": "vector_blocks", "block_dim": 2, "num_blocks": 3, "pad": 1})
 
+    def test_unknown_kind_lists_the_accepted_kinds(self):
+        with pytest.raises(ParseError, match=r"^scheme\.kind: unknown kind 'rings', expected one "
+                                             r"of \['sequence_windows', 'vector_blocks', "
+                                             r"'grid_patches'\]$"):
+            scheme_from_json({"kind": "rings"})
+        with pytest.raises(ParseError, match=r"unknown kind 'linear', expected one of "
+                                             r"\['restriction', 'gaussian_global', 'sum'\]"):
+            kernel_from_json({"kind": "sum", "universal": {"kind": "linear"},
+                              "local": {"kind": "gaussian_global", "sigma": 1.0}})
+
 
 class TestDataset:
     def test_round_trip(self, tmp_path):
@@ -186,6 +196,22 @@ class TestModelRoundTrip:
         (tmp_path / "broken.json").write_text(text[: len(text) // 2])
         with pytest.raises(ParseError):
             load_model(tmp_path / "broken.json")
+
+    @pytest.mark.parametrize("sample,message", [
+        ({"chi": 0, "p": 3, "eta": [0.0, 0.0]},
+         r"samples\[1\]\.p: expected an integer in \[0, 3\)"),
+        ({"chi": True, "p": 0, "eta": [0.0, 0.0]}, r"samples\[1\]\.chi: expected an integer"),
+        ({"chi": 0, "p": 0}, r"samples\[1\]: missing keys \['eta'\]"),
+        ([0, 0, [0.0, 0.0]], r"samples\[1\]: expected an object"),
+    ], ids=["part_out_of_range", "boolean_input", "no_eta", "not_an_object"])
+    def test_bad_sample_is_named(self, tmp_path, sample, message):
+        aux = [AuxiliarySample(0, p, np.zeros(2)) for p in range(3)]
+        save_model(fit_alpha([np.zeros(6)], aux, GAUSS, 1.0, SCHEME), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["samples"][1] = sample
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_model(tmp_path / "m.json")
 
     def test_version_mismatch_rejected(self, tmp_path):
         x = np.zeros(6)
