@@ -27,9 +27,10 @@ whichever is smaller), or of the local estimator's lambda-free system, so
 each lambda is a diagonal rescale. The orientation-field path fits and
 scores one lambda at a time (``_per_lambda``).
 
-Every cell of a sweep derives its generator from (master seed, cell
-coordinates) through ``numpy.random.SeedSequence``, so results are a pure
-function of the configuration and the seed.
+The seed is the configuration's ``seed``: every cell of a sweep derives its
+generator from (``cfg.seed``, cell coordinates) through
+``numpy.random.SeedSequence``, so results are a pure function of the
+configuration.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ LOCAL_DELTA = "local_delta"
 LS_ESTIMATORS = (GLOBAL_LS, INDEPENDENT_PARTS_LS, LOCAL_LS)
 
 # seed-splitting task codes (documented contract: streams come from
-# SeedSequence(master_seed, spawn_key=(task_code, n, repeat)))
+# SeedSequence(cfg.seed, spawn_key=(task_code, n, repeat)))
 _TASK_LS = 1
 _TASK_ANGULAR = 2
 _TASK_ANGULAR_AUX = 3
@@ -189,8 +190,8 @@ def merge_results(results: Sequence[BenchResult]) -> BenchResult:
     return BenchResult(rows=tuple(rows))
 
 
-def _cell_rng(master_seed: int, task: int, n: int, repeat: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(task, n, repeat)))
+def _cell_rng(seed: int, task: int, n: int, repeat: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(task, n, repeat)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +400,7 @@ def _run_ls_cell(cfg: SyntheticConfig, rng: np.random.Generator, repeat: int) ->
     return rows
 
 
-def run_estimator_comparison(cfg: SyntheticConfig, repeats: int,
-                             master_seed: Optional[int] = None) -> BenchResult:
+def run_estimator_comparison(cfg: SyntheticConfig, repeats: int) -> BenchResult:
     """Compare the configured estimators over seeded dataset repeats.
 
     Each repeat draws a fresh train/test split, selects lambda per estimator
@@ -409,16 +409,14 @@ def run_estimator_comparison(cfg: SyntheticConfig, repeats: int,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    seed = cfg.seed if master_seed is None else master_seed
     rows = []
     for rep in range(repeats):
-        rng = _cell_rng(seed, _TASK_LS, cfg.n_train, rep)
+        rng = _cell_rng(cfg.seed, _TASK_LS, cfg.n_train, rep)
         rows.extend(_run_ls_cell(cfg, rng, rep))
     return BenchResult(rows=tuple(rows))
 
 
-def run_learning_curve(task: str, n_grid: Sequence[int], cfg, repeats: int,
-                       master_seed: Optional[int] = None) -> BenchResult:
+def run_learning_curve(task: str, n_grid: Sequence[int], cfg, repeats: int) -> BenchResult:
     """Error of each estimator across an ascending grid of training sizes."""
     n_grid = list(n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -427,10 +425,10 @@ def run_learning_curve(task: str, n_grid: Sequence[int], cfg, repeats: int,
         results = []
         for n in n_grid:
             sub = replace(cfg, n_train=n)
-            results.append(run_estimator_comparison(sub, repeats, master_seed))
+            results.append(run_estimator_comparison(sub, repeats))
         return merge_results(results)
     if task == "synthetic_angular":
-        return _run_angular_curve(n_grid, cfg, repeats, master_seed)
+        return _run_angular_curve(n_grid, cfg, repeats)
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -464,12 +462,13 @@ def gen_orientation_fields(n: int, grid_size: int, freq_cutoff: int,
     return X, Y
 
 
-def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
+def _angular_path(cfg: AngularConfig, n: int, repeat: int):
     """Fits of the orientation-field estimator, ``path(X, Y)(lam)``: ``cfg.m``
-    anchors drawn once per training set from the cell's own stream, a
-    Gaussian restriction kernel, and the angular closed form. Every lambda
-    factors a copy of one Gram over the distinct anchor parts
-    (``training._LambdaPath``); ``_per_lambda`` scores them one at a time."""
+    anchors drawn once per training set from the cell's own stream (from
+    ``cfg.seed``, ``n`` and ``repeat``), a Gaussian restriction kernel, and
+    the angular closed form. Every lambda factors a copy of one Gram over
+    the distinct anchor parts (``training._LambdaPath``); ``_per_lambda``
+    scores them one at a time."""
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
     kernel = Restriction(GaussianParts(cfg.bandwidth))
@@ -478,7 +477,7 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
         train = list(zip(X, Y))
         m = min(cfg.m, len(train) * scheme.num_parts)
         aux = generate_auxiliary(train, m, scheme, pi,
-                                 _cell_rng(aux_seed, _TASK_ANGULAR_AUX, n, repeat))
+                                 _cell_rng(cfg.seed, _TASK_ANGULAR_AUX, n, repeat))
         fit_at = _LambdaPath(list(X), aux, kernel, scheme)
 
         def fit(lam):
@@ -487,8 +486,7 @@ def _angular_path(cfg: AngularConfig, aux_seed: int, n: int, repeat: int):
     return path
 
 
-def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> BenchResult:
-    seed = cfg.seed if master_seed is None else master_seed
+def _run_angular_curve(n_grid, cfg: AngularConfig, repeats) -> BenchResult:
     scheme = cfg.scheme()
     pi = Uniform(scheme.num_parts)
 
@@ -499,12 +497,12 @@ def _run_angular_curve(n_grid, cfg: AngularConfig, repeats, master_seed) -> Benc
     rows = []
     for n in n_grid:
         for rep in range(repeats):
-            rng = _cell_rng(seed, _TASK_ANGULAR, n, rep)
+            rng = _cell_rng(cfg.seed, _TASK_ANGULAR, n, rep)
             Xtr, Ytr = gen_orientation_fields(n, cfg.grid_size, cfg.freq_cutoff,
                                               cfg.input_noise, rng)
             Xte, Yte = gen_orientation_fields(cfg.n_test, cfg.grid_size, cfg.freq_cutoff,
                                               cfg.input_noise, rng)
-            lam, err = _run_cell(_per_lambda(_angular_path(cfg, seed, n, rep), loss),
+            lam, err = _run_cell(_per_lambda(_angular_path(cfg, n, rep), loss),
                                  (Xtr, Ytr), (Xte, Yte), cfg.lambda_grid,
                                  f"{LOCAL_DELTA} n={n} repeat {rep}")
             rows.append(BenchRow(

@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import cache, partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -185,14 +186,14 @@ def _cmd_bench_synthetic(args) -> int:
         result = bench.merge_results([
             bench.run_estimator_comparison(replace(cfg, num_parts=P, gamma=g), repeats)
             for P in parts for g in gammas])
+        # one series per estimator and part count, named by the estimator
+        # alone when there is one part count
         series = {}
-        for est in cfg.estimators:
-            pts = []
-            for g in gammas:
-                errs = [r.test_error for r in result.rows
-                        if r.estimator == est and r.gamma == g]
-                pts.append(float(np.median(errs)))
-            series[est] = (list(gammas), pts)
+        for est, P in product(cfg.estimators, parts):
+            cells = [[r.test_error for r in result.rows
+                      if (r.estimator, r.num_parts, r.gamma) == (est, P, g)] for g in gammas]
+            label = est if len(parts) == 1 else f"{est} P={P}"
+            series[label] = (list(gammas), [float(np.median(errs)) for errs in cells])
         plot = partial(line_plot, series=series, title="estimator comparison",
                        xlabel="gamma", ylabel="median test error", logy=True)
     return _finish_bench(out, "bench_synthetic", result, plot)

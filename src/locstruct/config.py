@@ -5,9 +5,10 @@ parsed: the scheme, kernel, part distribution, loss and decoder method, or a
 study's configuration, so a command only runs them. A command's config is one
 field table read by ``modelio._read``, which refuses unknown and missing keys
 and names the key path of every bad value, plus its cross-field checks: the
-lambda shift against ``m``, the decoder against the loss, the seed rules and
-the size grids. Every error is a ``ParseError``, raised before the command
-reads a dataset or writes a file.
+lambda shift against the largest ``m`` the command fits (``train.lambda``
+and every ``lambda_grid`` entry), the decoder against the loss, the seed
+rules and the size grids. Every error is a ``ParseError``, raised before
+the command reads a dataset or writes a file.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
 from .modelio import (_PAIR_KERNELS, _PART_DISTRIBUTIONS, _PART_KERNELS, _SCHEMES, ParseError,
-                      _at, _at_least, _bool, _check_lambda, _count, _Kinds, _pi_over,
-                      _read, _real, _reals, _seed, _string)
+                      _at, _at_least, _bool, _count, _Kinds, _pi_over, _read, _real, _reals,
+                      _seed, _string)
 from .parts import PartDistribution, PartScheme, Weighted
+from .training import _check_lambda
 
 
 def _grid(read):
@@ -53,6 +55,15 @@ def _strings(v) -> tuple:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of strings, got {v!r}")
     return tuple(_string(x) for x in v)
+
+
+def _check_shifts(grid, m: int, path: str) -> None:
+    """Refuse, as a ``ParseError`` at ``path``, a lambda of ``grid`` that is
+    not positive or whose shift ``m * lambda`` overflows, m the largest
+    system the command fits."""
+    with _at(path):
+        for lam in grid:
+            _check_lambda(lam, m)
 
 
 def _loss(v) -> LossSpec:
@@ -94,7 +105,7 @@ _TRAIN = {"seed": _seed, "dataset": _string, "scheme": _SCHEMES, "kernel": _PAIR
 def parse_train(doc: dict) -> TrainConfig:
     f = _read(doc, "train", _TRAIN, optional={"pi"})
     lam = f.pop("lambda")
-    _check_lambda(lam, f["m"], "train.lambda")
+    _check_shifts([lam], f["m"], "train.lambda")
     pi = _pi_over(f.pop("pi", None), f["scheme"].num_parts, "train.pi")
     return TrainConfig(lam=lam, pi=pi, **f)
 
@@ -174,7 +185,9 @@ _SYNTHETIC = {"seed": _seed, "block_dim": _count, "num_parts": _grid(_count),
 def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
     """The study's first cell, its ``(num_parts, gamma, n_grid)`` grids and the
     repeat count. ``n_grid`` is None unless ``n_train`` is a list, which asks
-    for a learning curve."""
+    for a learning curve. Every ``lambda_grid`` entry is checked against the
+    largest system a cell fits: ``n_train * num_parts`` anchors at the
+    largest of each."""
     name = "bench-synthetic"
     f = _read(doc, name, _SYNTHETIC, optional={"noise_std", "lambda_grid", "estimators"})
     parts, gammas, n_grid, repeats = (f.pop(k) for k in ("num_parts", "gamma", "n_train",
@@ -186,6 +199,7 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
         cfg = SyntheticConfig(num_parts=parts[0], gamma=gammas[0], n_train=n_grid[0], **f)
         for P, g in product(parts, gammas):  # every cell of the grid must be valid
             replace(cfg, num_parts=P, gamma=g)
+    _check_shifts(cfg.lambda_grid, n_grid[-1] * max(parts), f"{name}.lambda_grid")
     return cfg, (parts, gammas, n_grid if curve else None), repeats
 
 
@@ -200,7 +214,9 @@ def parse_bench_angular(doc: dict) -> tuple[AngularConfig, tuple, int]:
                           **_ANGULAR_FIELDS}, optional=_ANGULAR_FIELDS.keys())
     n_grid, repeats = f.pop("n_train"), f.pop("repeats")
     with _at(name):
-        return AngularConfig(**f), n_grid, repeats
+        cfg = AngularConfig(**f)
+    _check_shifts(cfg.lambda_grid, cfg.m, f"{name}.lambda_grid")
+    return cfg, n_grid, repeats
 
 
 def parse_bound_check(gamma: str, parts: str, r2: float) -> tuple[tuple, tuple, float]:

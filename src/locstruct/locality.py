@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .kernels import LinearParts, PartKernel, part_kernel_matrix
-from .parts import PartScheme, Uniform, Weighted, gather_parts, part_distance, stack_objects
+from .parts import PartScheme, gather_parts, part_distance, stack_objects
 
 
 class InsufficientDataError(ValueError):
@@ -48,12 +48,12 @@ Similarity = Union[RawInner, SquaredKernel]
 
 @dataclass(frozen=True, eq=False)
 class LocalityReport:
-    """Within-locality covariance map with standard errors and constants.
+    """Within-locality covariance map with standard errors.
 
     ``cov_map[p, q]`` estimates C[p, q]; ``std_err`` holds matching jackknife
     standard errors; ``r_sq`` is the largest observed absolute similarity.
-    The aggregate constants and the fitted decay rate are filled in by
-    ``locality_constants`` and stay None until then.
+    The aggregate constants and the fitted decay rate come from
+    ``locality_constants(report, scheme)``.
     """
 
     cov_map: np.ndarray
@@ -61,9 +61,6 @@ class LocalityReport:
     r_sq: float
     n_samples: int
     similarity: Similarity
-    s_hat: Optional[float] = None
-    q_hat: Optional[float] = None
-    gamma_hat: Optional[float] = None
 
 
 def _similarity_matrix(sim: Similarity, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -178,28 +175,21 @@ def empirical_cov_map(samples, scheme: PartScheme, similarity: Similarity,
                           similarity=similarity)
 
 
-def locality_constants(report: LocalityReport, scheme: PartScheme, pi=None):
+def locality_constants(report: LocalityReport, scheme: PartScheme):
     """Aggregate constants (s_hat, q_hat, gamma_hat) from a covariance map.
 
-    Requires a map computed with a squared-kernel similarity and a uniform
-    part distribution. ``q_hat`` averages the map, ``s_hat = |P| * q_hat``,
-    and ``gamma_hat`` is the decay rate of a least-squares line fitted to
-    ``log(C / r^2)`` against the negated part distance over off-diagonal
-    cells that clear three standard errors; it is None unless at least
-    three cells at two or more distinct distances qualify, since a line
-    through a single distance has no slope.
+    Requires a map computed with a squared-kernel similarity; the constants
+    assume a uniform part distribution. ``q_hat`` averages the map, ``s_hat
+    = |P| * q_hat``, and ``gamma_hat`` is the decay rate of a least-squares
+    line fitted to ``log(C / r^2)`` against the negated part distance over
+    off-diagonal cells that clear three standard errors; it is None unless
+    at least three cells at two or more distinct distances qualify, since a
+    line through a single distance has no slope.
     """
     if not isinstance(report.similarity, SquaredKernel):
         raise UnsupportedConfigurationError(
             "locality constants require a squared-kernel similarity map"
         )
-    if pi is not None:
-        if isinstance(pi, Weighted):
-            probs = pi.probabilities()
-            if not np.allclose(probs, probs[0]):
-                raise UnsupportedConfigurationError("locality constants require a uniform part distribution")
-        elif not isinstance(pi, Uniform):
-            raise UnsupportedConfigurationError(f"unsupported part distribution {pi!r}")
     P = report.cov_map.shape[0]
     q_hat = float(report.cov_map.sum() / P**2)
     s_hat = float(P * q_hat)

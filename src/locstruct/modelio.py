@@ -1,10 +1,11 @@
 """Persistence and the strict reader: JSON-lines datasets, model documents,
-the JSON codecs for schemes, kernels and part distributions, and ``_read``,
-the one reader of every config and model stanza: a field table (key ->
-reader) per object, a ``_Kinds`` table per family of tagged stanzas.
+the JSON codecs for schemes and kernels, and ``_read``, the one reader of
+every config and model stanza: a field table (key -> reader) per object, a
+``_Kinds`` table per family of tagged stanzas (part distributions included).
 
 Structured values travel as JSON strings (sequences) or nested float lists
-(arrays); floats serialize through ``repr`` so round-trips are exact. Model
+(arrays); floats serialize through ``repr`` so round-trips are exact. One
+reader, ``_read_value``, takes them back from datasets and model documents. Model
 documents store everything needed to rebuild the estimator except the
 factorization, which is recomputed deterministically on load.
 """
@@ -36,7 +37,7 @@ from .parts import (
     VectorBlocks,
     Weighted,
 )
-from .training import AlphaModel, AuxiliarySample, fit_alpha
+from .training import AlphaModel, AuxiliarySample, _check_lambda, fit_alpha
 
 MODEL_FORMAT = "locstruct-model"
 MODEL_VERSION = 1
@@ -59,12 +60,6 @@ def encode_value(v):
         return v
     a = np.asarray(v, dtype=float)
     return a.tolist()
-
-
-def decode_value(v):
-    if isinstance(v, str):
-        return v
-    return np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +205,6 @@ def _string(v) -> str:
     return v
 
 
-def _check_lambda(lam: float, m: int, path: str) -> None:
-    """Refuse a ``lambda`` that is not positive, or whose shift ``m * lambda``
-    overflows for a fit on ``m`` anchors."""
-    if not lam > 0:
-        raise ParseError(f"{path}: must be positive")
-    if not m * lam < math.inf:
-        raise ParseError(f"{path}: m * lambda overflows for m={m}")
-
-
 # ---------------------------------------------------------------------------
 # Schemes, kernels and part distributions
 # ---------------------------------------------------------------------------
@@ -279,19 +265,6 @@ def kernel_from_json(d: dict, path="kernel"):
     return _tagged(d, path, _KERNELS)
 
 
-def pi_to_json(pi) -> dict:
-    if isinstance(pi, Uniform):
-        return {"kind": "uniform"}
-    if isinstance(pi, Weighted):
-        return {"kind": "weighted", "probs": list(pi.probs)}
-    raise TypeError(f"unknown part distribution {pi!r}")
-
-
-def pi_from_json(d: dict, num_parts: int, path="pi"):
-    """Part distribution over ``num_parts`` parts."""
-    return _pi_over(_tagged(d, path, _PART_DISTRIBUTIONS), num_parts, path)
-
-
 def _pi_over(pi, num_parts: int, path: str):
     """``pi``, read from a ``_PART_DISTRIBUTIONS`` stanza at ``path``, over
     ``num_parts`` parts: None is uniform, and a weighted one must give one
@@ -311,7 +284,8 @@ def read_dataset(path, require_y: bool = True) -> list[tuple]:
     ``require_y`` is False and absent.
 
     Fails at the offending ``path:line``: ``ParseError`` for malformed
-    records, ``NonFiniteError`` for NaN or infinite numbers, and
+    records (a boolean, ``null`` or string among numbers included),
+    ``NonFiniteError`` for NaN, infinite or out-of-range numbers, and
     ``ShapeMismatchError`` for a ragged array or an ``x`` or ``y`` whose
     shape differs from the first record's (a string's shape is its length)."""
     records = []
@@ -346,16 +320,30 @@ def read_dataset(path, require_y: bool = True) -> list[tuple]:
     return records
 
 
+_NUMBERS = {int, float}  # the types of a JSON number; a boolean is not one
+
+
 def _read_value(v, where: str):
-    """``decode_value`` of one dataset field, refused with a typed error."""
+    """The one reader of a structured value, a dataset's ``x`` or ``y`` and
+    a model file's ``inputs`` or sample ``eta``: a JSON string as written,
+    or a JSON number or regular nested array of numbers as a float array.
+    Refused, with a message that starts with ``where``: a boolean, ``null``,
+    string or object in an array (``ParseError``), a ragged array
+    (``ShapeMismatchError``), and a NaN, infinite or out-of-range number
+    (``NonFiniteError``). The element types are read in one pass of
+    ``map`` over an object array, so an accepted value costs no Python loop
+    over its numbers."""
     if isinstance(v, str):
         return v
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+    a = np.asarray(v, dtype=object)
+    if not set(map(type, a.ravel())) <= _NUMBERS:
         if _numbers_only(v):
-            raise ShapeMismatchError(f"{where} is a ragged array") from None
-        raise ParseError(f"{where} must be a string or an array of numbers") from None
+            raise ShapeMismatchError(f"{where} is a ragged array")
+        raise ParseError(f"{where} must be a string or an array of numbers")
+    try:
+        a = a.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise NonFiniteError(f"{where} holds a number beyond the float range") from None
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{where} holds a NaN or infinite value")
     return a
@@ -364,7 +352,7 @@ def _read_value(v, where: str):
 def _numbers_only(v) -> bool:
     if isinstance(v, list):
         return all(_numbers_only(e) for e in v)
-    return isinstance(v, (int, float))
+    return type(v) in _NUMBERS
 
 
 def _form(v) -> tuple:
@@ -418,8 +406,7 @@ def _index(n: int):
 
 
 _MODEL = {"format": _string, "version": _count, "kernel": _PAIR_KERNELS, "lambda": _real,
-          "scheme": _SCHEMES, "inputs": lambda v: [decode_value(x) for x in _list(v)],
-          "samples": _list}
+          "scheme": _SCHEMES, "inputs": _list, "samples": _list}
 
 
 def load_model(path) -> AlphaModel:
@@ -427,9 +414,12 @@ def load_model(path) -> AlphaModel:
 
     The factorization is not persisted; it is recomputed from the stored
     anchors, so a loaded model reproduces the original's weights up to
-    factorization determinism. A bad kernel, scheme, input, sample or
-    ``lambda`` value is a ``ParseError`` naming its key, raised before the
-    refit; a version this build cannot read is an ``UnsupportedVersionError``.
+    factorization determinism. A bad kernel, scheme, sample or ``lambda``
+    value is a ``ParseError`` naming its key, raised before the refit, as is
+    a ``lambda`` whose shift ``m * lambda`` overflows for the m samples. An
+    input or ``eta`` is read as a dataset value is (``_read_value``), and
+    its error names its key. A version this build cannot read is an
+    ``UnsupportedVersionError``.
     """
     doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:
@@ -440,15 +430,17 @@ def load_model(path) -> AlphaModel:
         )
     root = f"{path}: model"
     f = _read(doc, root, _MODEL)
-    inputs, scheme, samples = f["inputs"], f["scheme"], f["samples"]
+    scheme, samples = f["scheme"], f["samples"]
+    inputs = [_read_value(x, f"{root}.inputs[{i}]") for i, x in enumerate(f["inputs"])]
     n, parts = len(inputs), scheme.num_parts
-    sample = {"chi": _index(n), "p": _index(parts), "eta": decode_value}
+    sample = {"chi": _index(n), "p": _index(parts), "eta": lambda v: v}  # eta is read below
     # the table is checked in bulk; a per-sample read names the first bad sample
     if not all(isinstance(s, dict) and s.keys() == sample.keys() and _is_index(s["chi"], n)
                and _is_index(s["p"], parts) for s in samples):
         for i, s in enumerate(samples):
             _read(s, f"{root}.samples[{i}]", sample)
-    with _at(f"{root}.samples"):
-        aux = [AuxiliarySample(s["chi"], s["p"], decode_value(s["eta"])) for s in samples]
-    _check_lambda(f["lambda"], len(aux), f"{root}.lambda")
+    aux = [AuxiliarySample(s["chi"], s["p"], _read_value(s["eta"], f"{root}.samples[{i}].eta"))
+           for i, s in enumerate(samples)]
+    with _at(f"{root}.lambda"):
+        _check_lambda(f["lambda"], len(aux))
     return fit_alpha(inputs, aux, f["kernel"], f["lambda"], scheme)

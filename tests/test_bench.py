@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,7 +413,7 @@ class TestAngularTask:
         aux = generate_auxiliary(list(zip(X, Y)), min(ANG.m, 3 * scheme.num_parts), scheme, pi,
                                  _cell_rng(5, _TASK_ANGULAR_AUX, 3, 1))
         kernel = Restriction(GaussianParts(ANG.bandwidth))
-        fits = _angular_path(ANG, 5, 3, 1)
+        fits = _angular_path(replace(ANG, seed=5), 3, 1)
         fit = fits(X, Y)
         decoders = [AngularDecoder(fit_alpha(list(X), aux, kernel, lam, scheme), pi).decode_batch
                     for lam in ANG.lambda_grid]

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -9,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locstruct import config, svgplot
+from locstruct.bench import LS_ESTIMATORS
 from locstruct.cli import run_command
-from locstruct.modelio import ParseError, read_dataset, write_dataset
+from locstruct.modelio import ParseError, load_model, read_dataset, write_dataset
+from locstruct.parts import Uniform, Weighted
 
 
 def _write_json(path, doc):
@@ -162,6 +167,17 @@ class TestTrainPredict:
         err = np.mean([np.sin(np.asarray(z) - y) ** 2
                        for (_, y), (_, z) in zip(pairs, preds)])
         assert err <= 0.05
+
+    @pytest.mark.parametrize("stanza,pi", [
+        ({"kind": "uniform"}, Uniform(3)),
+        ({"kind": "weighted", "probs": [0.25, 0.25, 0.5]}, Weighted((0.25, 0.25, 0.5))),
+    ], ids=["uniform", "weighted"])
+    def test_pi_stanza_is_read(self, stanza, pi):
+        doc = {**TRAIN_JSON, "dataset": "train.jsonl", "pi": stanza}
+        assert config.parse_train(doc).pi == pi
+        doc = {"model": "m.json", "dataset": "q.jsonl", "loss": "squared_vector",
+               "decoder": {"method": "least_squares"}, "pi": stanza}
+        assert config.parse_predict(doc).pi == (None if isinstance(pi, Uniform) else pi)
 
     def test_sgm_decoder_needs_seed(self, tmp_path, capsys):
         ds = tmp_path / "d.jsonl"
@@ -540,6 +556,109 @@ class TestBadInput:
             config.parse_predict(doc)
 
 
+# a boolean, or an integer beyond the float range, as a JSON leaf
+BAD_LEAVES = st.sampled_from([True, False, int("9" * 400), -int("9" * 400)])
+LS_PREDICT = {"loss": "squared_vector", "decoder": {"method": "least_squares"}}
+
+
+def _with_leaf(plain: np.ndarray, pos: int, value):
+    """``plain`` as nested JSON lists, with its ``pos``-th leaf (row-major)
+    set to ``value``."""
+    nested = plain.tolist()
+    *outer, last = np.unravel_index(pos, plain.shape)
+    node = nested
+    for i in outer:
+        node = node[i]
+    node[last] = value
+    return nested
+
+
+def _run_quiet(command, doc, cfg: Path):
+    """Exit status and the JSON error (None on success) of ``command`` on
+    config ``doc``, written to ``cfg``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run_command([command, "--config", _write_json(cfg, doc),
+                          "--out", str(cfg.parent / "out")])
+    return rc, json.loads(err.getvalue())["error"] if rc else None
+
+
+@pytest.fixture(scope="module")
+def value_models(vector_model, tmp_path_factory):
+    """Trained models whose inputs and etas nest to depths 1 to 3: the vector
+    model (6-vectors, 2-vectors) and a grid model (2 x 2 x 2 two-channel
+    fields, 1 x 1 patches), each with a dataset it decodes."""
+    d = tmp_path_factory.mktemp("value_models")
+    rng = np.random.default_rng(3)
+    ds = d / "grid.jsonl"
+    write_dataset(ds, [(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
+                       for _ in range(4)])
+    grid = {"kind": "grid_patches", "width": 2, "height": 2, "patch_w": 1, "patch_h": 1,
+            "stride": 1}
+    rc, err = _run_quiet("train", {**TRAIN_JSON, "scheme": grid, "dataset": str(ds)},
+                         d / "train.json")
+    assert rc == 0, err
+    return {"vector": (vector_model[1], vector_model[0]), "grid": (d / "out" / "model.json", ds)}
+
+
+class TestValueReader:
+    """One reader takes every structured value: a dataset's ``x`` and ``y``
+    and a model file's ``inputs`` and sample ``eta``. A boolean or an
+    integer beyond the float range at any depth is refused with a named
+    kind (exit 2, never 1), and the same nesting of plain numbers loads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+           key=st.sampled_from(["x", "y"]), bad=BAD_LEAVES, data=st.data())
+    def test_dataset_leaf(self, vector_model, tmp_path_factory, shape, key, bad, data):
+        d = tmp_path_factory.mktemp("dataset_leaf")
+        plain = np.arange(math.prod(shape)).reshape(shape) + 0.5
+        pos = data.draw(st.integers(0, plain.size - 1))
+        record = {"x": plain.tolist(), "y": plain.tolist()}
+        ds = d / "values.jsonl"
+        ds.write_text(json.dumps(record) + "\n"
+                      + json.dumps({**record, key: _with_leaf(plain, pos, bad)}) + "\n")
+        for command, doc in (("train", {**TRAIN_JSON, "dataset": str(ds)}),
+                             ("predict", {**LS_PREDICT, "model": str(vector_model[1]),
+                                          "dataset": str(ds)})):
+            rc, err = _run_quiet(command, doc, d / "c.json")
+            assert rc == 2, err
+            assert err["kind"] == ("parse" if isinstance(bad, bool) else "non_finite")
+            assert f"values.jsonl:2: '{key}'" in err["message"]
+        ds.write_text(json.dumps({**record, key: _with_leaf(plain, pos, 7)}) + "\n")
+        (x, y), = read_dataset(ds)
+        plain.flat[pos] = 7
+        assert np.array_equal({"x": x, "y": y}[key], plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["vector", "grid"]), key=st.sampled_from(["inputs", "eta"]),
+           bad=BAD_LEAVES, data=st.data())
+    def test_model_leaf(self, value_models, tmp_path_factory, name, key, bad, data):
+        d = tmp_path_factory.mktemp("model_leaf")
+        model, ds = value_models[name]
+        doc = json.loads(model.read_text())
+        if key == "inputs":
+            i = data.draw(st.integers(0, len(doc["inputs"]) - 1))
+            holder, field, where = doc["inputs"], i, f"model.inputs[{i}]"
+        else:
+            i = data.draw(st.integers(0, len(doc["samples"]) - 1))
+            holder, field, where = doc["samples"][i], "eta", f"model.samples[{i}].eta"
+        plain = np.asarray(holder[field])
+        pos = data.draw(st.integers(0, plain.size - 1))
+        holder[field] = _with_leaf(plain, pos, bad)
+        path = _write_json(d / "model.json", doc)
+        rc, err = _run_quiet("predict", {**LS_PREDICT, "model": path, "dataset": str(ds)},
+                             d / "c.json")
+        assert rc == 2, err
+        assert err["kind"] == ("parse" if isinstance(bad, bool) else "non_finite")
+        assert where in err["message"]
+        holder[field] = _with_leaf(plain, pos, 7)
+        loaded = load_model(_write_json(d / "model.json", doc))
+        plain.flat[pos] = 7
+        value = loaded.inputs[i] if key == "inputs" else loaded.aux[i].eta
+        assert np.array_equal(value, plain)
+
+
 class TestDiagnose:
     def test_artifacts_written(self, tmp_path):
         ds = tmp_path / "d.jsonl"
@@ -698,6 +817,52 @@ class TestBenchCommands:
                             str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
 
+    def test_lambda_overflowing_at_the_largest_n_train_is_refused(self, tmp_path, capsys):
+        # m = n_train * num_parts: 32 * lam is finite, 64 * lam is not, so
+        # only the n_train = 16 cells would overflow
+        lam = sys.float_info.max / 40
+        doc = {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": [8, 16],
+               "n_test": 20, "repeats": 1, "lambda_grid": [1e-3, lam], "estimators": ["local_ls"]}
+        out = tmp_path / "out"
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "parse" and "bench-synthetic.lambda_grid" in err["message"]
+        assert "m=64" in err["message"] and not out.exists()
+        doc["n_train"] = [8]
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 0
+
+    def test_angular_lambda_whose_shift_overflows_is_refused(self, tmp_path, capsys):
+        doc = dict(BENCH_JSON["bench-angular"], lambda_grid=[1e-3, sys.float_info.max / 10])
+        out = tmp_path / "out"
+        assert run_command(["bench-angular", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "parse" and "bench-angular.lambda_grid" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parts", [[2, 4], 4])
+    def test_one_series_per_estimator_and_part_count(self, tmp_path, monkeypatch, parts):
+        drawn = {}
+        monkeypatch.setattr("locstruct.cli.line_plot", lambda path, series, **kw:
+                            drawn.update(series))
+        doc = {"seed": 3, "block_dim": 2, "num_parts": parts, "gamma": [0.0, 8.0],
+               "n_train": 8, "n_test": 10, "repeats": 3, "lambda_grid": [1e-3, 1e-1]}
+        out = tmp_path / "out"
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "bench_synthetic.csv").read_text().splitlines()[1:]]
+        expected = {}
+        for est in LS_ESTIMATORS:
+            for P in parts if isinstance(parts, list) else [parts]:
+                label = f"{est} P={P}" if isinstance(parts, list) else est
+                expected[label] = ([0.0, 8.0], [
+                    float(np.median([float(r[6]) for r in rows if (r[0], r[2], r[3]) ==
+                                     (est, str(P), repr(g))])) for g in (0.0, 8.0)])
+        assert drawn == expected
+
     @pytest.mark.parametrize("gamma", [1e17, 1e308])
     def test_one_huge_gamma_is_plotted(self, tmp_path, gamma):
         # the plot's x axis holds the one gamma: its span must be wide enough
@@ -840,8 +1005,9 @@ class TestConfigSweep:
     """Every leaf of every README config example, set in turn to each of
     ``SWEEP_VALUES``, either runs (exit 0), is refused with a named error
     kind (exit 2) and writes no file, or fails its cells (exit 3); never an
-    error no kind names (exit 1). ``predict`` loads and decodes with every
-    model that a swept ``train`` writes."""
+    error no kind names (exit 1). A ``lambda_grid`` entry of 1e308, whose
+    shift ``m * lambda`` overflows, exits 2. ``predict`` loads and decodes
+    with every model that a swept ``train`` writes."""
 
     def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "train.jsonl"
@@ -872,6 +1038,9 @@ class TestConfigSweep:
                 for value in SWEEP_VALUES:
                     rc, out, err = run(command, _replaced(doc, path, value))
                     if rc not in (0, 2, 3) or rc == 2 and out.exists():
+                        bad.append((command, path, value, rc, err))
+                    # a lambda_grid entry whose m * lambda overflows is refused at read
+                    if "lambda_grid" in path and value == 1e308 and rc != 2:
                         bad.append((command, path, value, rc, err))
                     if command == "train" and rc == 0:
                         rc, _, err = run("predict", {**docs["predict"],

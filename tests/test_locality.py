@@ -18,7 +18,7 @@ from locstruct.locality import (
     locality_constants,
     sequence_bound_check,
 )
-from locstruct.parts import SequenceWindows, Uniform, VectorBlocks, Weighted, extract_part
+from locstruct.parts import SequenceWindows, VectorBlocks, extract_part
 
 
 def brute_force_cell(samples, scheme, p, q, sim):
@@ -269,17 +269,6 @@ class TestLocalityConstants:
         report = empirical_cov_map([rng.standard_normal(2) for _ in range(5)], scheme, RawInner())
         with pytest.raises(UnsupportedConfigurationError):
             locality_constants(report, scheme)
-
-    def test_non_uniform_pi_rejected(self):
-        rng = np.random.default_rng(11)
-        scheme = VectorBlocks(block_dim=1, num_blocks=2)
-        report = empirical_cov_map([rng.standard_normal(2) for _ in range(5)],
-                                   scheme, SquaredKernel(GaussianParts(1.0)))
-        with pytest.raises(UnsupportedConfigurationError):
-            locality_constants(report, scheme, pi=Weighted((0.9, 0.1)))
-        # uniform distributions in either spelling are fine
-        locality_constants(report, scheme, pi=Uniform(2))
-        locality_constants(report, scheme, pi=Weighted((0.5, 0.5)))
 
 
 class TestSequenceBound:

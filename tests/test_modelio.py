@@ -10,8 +10,6 @@ from locstruct.modelio import (
     kernel_from_json,
     kernel_to_json,
     load_model,
-    pi_from_json,
-    pi_to_json,
     read_dataset,
     save_model,
     scheme_from_json,
@@ -25,7 +23,6 @@ from locstruct.parts import (
     ShapeMismatchError,
     Uniform,
     VectorBlocks,
-    Weighted,
 )
 from locstruct.training import alpha_at, fit_alpha, generate_auxiliary, AuxiliarySample
 
@@ -51,11 +48,6 @@ class TestCodecs:
     ])
     def test_kernel_round_trip(self, kernel):
         assert kernel_from_json(kernel_to_json(kernel)) == kernel
-
-    def test_pi_round_trip(self):
-        assert pi_from_json(pi_to_json(Uniform(4)), 4) == Uniform(4)
-        w = Weighted((0.25, 0.75))
-        assert pi_from_json(pi_to_json(w), 2) == w
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParseError):
