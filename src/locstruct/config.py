@@ -19,17 +19,16 @@ from functools import partial
 from itertools import product
 from typing import Optional
 
-from .bench import AngularConfig, SyntheticConfig
+from .bench import LOCAL_LS, AngularConfig, SyntheticConfig
 from .decoder import SGM, AngleWrap, BoxProjection, ClosedForm, ExactEnumeration
 from .kernels import KernelSpec
 from .locality import RawInner, SquaredKernel
 from .losses import ANGULAR_SIN_SQ, SQUARED_VECTOR, ZERO_ONE_WINDOW, LossSpec
 from .losses import BY_NAME as LOSSES_BY_NAME
 from .modelio import (_PAIR_KERNELS, _PART_DISTRIBUTIONS, _PART_KERNELS, _SCHEMES, ParseError,
-                      _at, _at_least, _bool, _count, _Kinds, _pi_over, _read, _real, _reals,
-                      _seed, _string)
+                      _at, _at_least, _bool, _check_shifts, _count, _Kinds, _pi_over, _read,
+                      _real, _reals, _seed, _string)
 from .parts import PartDistribution, PartScheme, Weighted
-from .training import _check_lambda
 
 
 def _grid(read):
@@ -55,15 +54,6 @@ def _strings(v) -> tuple:
     if not isinstance(v, list):
         raise ValueError(f"expected a list of strings, got {v!r}")
     return tuple(_string(x) for x in v)
-
-
-def _check_shifts(grid, m: int, path: str) -> None:
-    """Refuse, as a ``ParseError`` at ``path``, a lambda of ``grid`` that is
-    not positive or whose shift ``m * lambda`` overflows, m the largest
-    system the command fits."""
-    with _at(path):
-        for lam in grid:
-            _check_lambda(lam, m)
 
 
 def _loss(v) -> LossSpec:
@@ -187,7 +177,7 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
     repeat count. ``n_grid`` is None unless ``n_train`` is a list, which asks
     for a learning curve. Every ``lambda_grid`` entry is checked against the
     largest system a cell fits: ``n_train * num_parts`` anchors at the
-    largest of each."""
+    largest of each when ``local_ls`` runs, else the baselines' ``n_train``."""
     name = "bench-synthetic"
     f = _read(doc, name, _SYNTHETIC, optional={"noise_std", "lambda_grid", "estimators"})
     parts, gammas, n_grid, repeats = (f.pop(k) for k in ("num_parts", "gamma", "n_train",
@@ -199,7 +189,8 @@ def parse_bench_synthetic(doc: dict) -> tuple[SyntheticConfig, tuple, int]:
         cfg = SyntheticConfig(num_parts=parts[0], gamma=gammas[0], n_train=n_grid[0], **f)
         for P, g in product(parts, gammas):  # every cell of the grid must be valid
             replace(cfg, num_parts=P, gamma=g)
-    _check_shifts(cfg.lambda_grid, n_grid[-1] * max(parts), f"{name}.lambda_grid")
+    m = n_grid[-1] * (max(parts) if LOCAL_LS in cfg.estimators else 1)
+    _check_shifts(cfg.lambda_grid, m, f"{name}.lambda_grid")
     return cfg, (parts, gammas, n_grid if curve else None), repeats
 
 

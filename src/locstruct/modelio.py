@@ -91,6 +91,15 @@ def _at(path: str):
         raise ParseError(f"{path}: {e}") from None
 
 
+def _check_shifts(grid, m: int, path: str) -> None:
+    """Refuse, as a ``ParseError`` at ``path``, a lambda of ``grid`` that is
+    not positive or whose shift ``m * lambda`` overflows, m the largest
+    system the command fits."""
+    with _at(path):
+        for lam in grid:
+            _check_lambda(lam, m)
+
+
 class _Kinds(dict):
     """A family's table of kinds for ``_tagged``: kind -> ``(constructor,
     fields)`` or ``(constructor, fields, optional keys)``, with ``fields`` a
@@ -441,6 +450,5 @@ def load_model(path) -> AlphaModel:
             _read(s, f"{root}.samples[{i}]", sample)
     aux = [AuxiliarySample(s["chi"], s["p"], _read_value(s["eta"], f"{root}.samples[{i}].eta"))
            for i, s in enumerate(samples)]
-    with _at(f"{root}.lambda"):
-        _check_lambda(f["lambda"], len(aux))
+    _check_shifts([f["lambda"]], len(aux), f"{root}.lambda")
     return fit_alpha(inputs, aux, f["kernel"], f["lambda"], scheme)

@@ -833,6 +833,21 @@ class TestBenchCommands:
         assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
                             "--out", str(out)]) == 0
 
+    def test_baselines_check_lambda_against_n_train(self, tmp_path, capsys):
+        # the baselines shift by n_train * lam; only local_ls fits
+        # n_train * num_parts anchors, so lam passes without it
+        lam = sys.float_info.max / 40
+        doc = {"seed": 3, "block_dim": 3, "num_parts": 4, "gamma": 8.0, "n_train": 16,
+               "n_test": 20, "repeats": 1, "lambda_grid": [1e-3, lam],
+               "estimators": ["global_ls", "independent_parts_ls"]}
+        out = tmp_path / "out"
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(out)]) == 0
+        doc["estimators"].append("local_ls")
+        assert run_command(["bench-synthetic", "--config", _write_json(tmp_path / "b.json", doc),
+                            "--out", str(tmp_path / "out2")]) == 2
+        assert "m=64" in json.loads(capsys.readouterr().err)["error"]["message"]
+
     def test_angular_lambda_whose_shift_overflows_is_refused(self, tmp_path, capsys):
         doc = dict(BENCH_JSON["bench-angular"], lambda_grid=[1e-3, sys.float_info.max / 10])
         out = tmp_path / "out"
