@@ -39,6 +39,7 @@ from .losses import (
 from .training import (
     AlphaModel,
     AuxiliarySample,
+    AuxiliarySet,
     FactorizationError,
     NonFiniteError,
     alpha_at,

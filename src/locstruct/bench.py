@@ -73,6 +73,18 @@ class NumericalError(RuntimeError):
 # Configuration and results
 # ---------------------------------------------------------------------------
 
+# The largest noise level a study takes: its draws, and the squared errors
+# and distances built from them, then stay far inside the float range.
+MAX_NOISE = 1e100
+
+
+def _check_noise(name: str, value: float) -> None:
+    """A noise level is in ``[0, MAX_NOISE]``; NaN fails, as every
+    comparison with it is false."""
+    if not 0 <= value <= MAX_NOISE:
+        raise ValueError(f"{name} must be >= 0 and at most {MAX_NOISE:g}, got {value!r}")
+
+
 def _check_grid(grid) -> None:
     """A lambda grid holds at least one lambda, each positive and finite."""
     if not grid:
@@ -83,7 +95,8 @@ def _check_grid(grid) -> None:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Configuration of the block-correlated regression study."""
+    """Configuration of the block-correlated regression study.
+    ``noise_std`` is in ``[0, MAX_NOISE]``, so no noisy target overflows."""
 
     num_parts: int
     block_dim: int
@@ -98,9 +111,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if min(self.num_parts, self.block_dim, self.n_train, self.n_test) < 1:
             raise ValueError("num_parts, block_dim, n_train and n_test must be >= 1")
+        _check_noise("noise_std", self.noise_std)
         # written so that NaN fails: every comparison with it is false
-        if not 0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std!r}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma!r}")
         _check_grid(self.lambda_grid)
@@ -113,7 +125,8 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class AngularConfig:
-    """Configuration of the orientation-field study."""
+    """Configuration of the orientation-field study. ``input_noise`` is in
+    ``[0, MAX_NOISE]``, so no noisy input overflows."""
 
     grid_size: int = 16
     patch: int = 4
@@ -131,8 +144,7 @@ class AngularConfig:
         GaussianParts(self.bandwidth)  # and the bandwidth be positive
         if min(self.m, self.n_test) < 1:
             raise ValueError("m and n_test must be >= 1")
-        if not 0 <= self.input_noise < math.inf:
-            raise ValueError(f"input_noise must be >= 0 and finite, got {self.input_noise!r}")
+        _check_noise("input_noise", self.input_noise)
         if self.freq_cutoff < 0:
             raise ValueError(f"freq_cutoff must be >= 0, got {self.freq_cutoff!r}")
         _check_grid(self.lambda_grid)
@@ -199,9 +211,12 @@ def _cell_rng(seed: int, task: int, n: int, repeat: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def block_correlation(num_parts: int, gamma: float) -> np.ndarray:
-    """Correlation matrix M with M[p, q] = exp(-gamma |p - q| / num_parts)."""
+    """Correlation matrix M with M[p, q] = exp(-gamma |p - q| / num_parts).
+    A huge ``gamma`` overflows the exponent to -inf, whose ``exp`` is the
+    intended 0, so that overflow is not warned about."""
     idx = np.arange(num_parts)
-    return np.exp(-gamma * np.abs(idx[:, None] - idx[None, :]) / num_parts)
+    with np.errstate(over="ignore"):
+        return np.exp(-gamma * np.abs(idx[:, None] - idx[None, :]) / num_parts)
 
 
 def _psd_factor(M: np.ndarray) -> np.ndarray:

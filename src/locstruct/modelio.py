@@ -36,8 +36,9 @@ from .parts import (
     Uniform,
     VectorBlocks,
     Weighted,
+    decode_strings,
 )
-from .training import AlphaModel, AuxiliarySample, _check_lambda, fit_alpha
+from .training import AlphaModel, AuxiliarySet, _check_lambda, _stack_etas, fit_alpha
 
 MODEL_FORMAT = "locstruct-model"
 MODEL_VERSION = 1
@@ -380,6 +381,8 @@ def write_dataset(path, pairs) -> None:
 # ---------------------------------------------------------------------------
 
 def save_model(model: AlphaModel, path) -> None:
+    aux = model.aux
+    etas = decode_strings(aux.etas) if aux.etas.dtype.kind == "u" else aux.etas.tolist()
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -387,9 +390,8 @@ def save_model(model: AlphaModel, path) -> None:
         "lambda": model.lam,
         "scheme": scheme_to_json(model.scheme),
         "inputs": [encode_value(x) for x in model.inputs],
-        "samples": [
-            {"chi": s.chi_ref, "p": s.p, "eta": encode_value(s.eta)} for s in model.aux
-        ],
+        "samples": [{"chi": chi, "p": p, "eta": eta}
+                    for chi, p, eta in zip(aux.chi.tolist(), aux.p.tolist(), etas)],
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -448,7 +450,8 @@ def load_model(path) -> AlphaModel:
                and _is_index(s["p"], parts) for s in samples):
         for i, s in enumerate(samples):
             _read(s, f"{root}.samples[{i}]", sample)
-    aux = [AuxiliarySample(s["chi"], s["p"], _read_value(s["eta"], f"{root}.samples[{i}].eta"))
-           for i, s in enumerate(samples)]
-    _check_shifts([f["lambda"]], len(aux), f"{root}.lambda")
+    etas = [_read_value(s["eta"], f"{root}.samples[{i}].eta") for i, s in enumerate(samples)]
+    _check_shifts([f["lambda"]], len(samples), f"{root}.lambda")
+    aux = AuxiliarySet(np.array([s["chi"] for s in samples], dtype=np.intp),
+                       np.array([s["p"] for s in samples], dtype=np.intp), _stack_etas(etas))
     return fit_alpha(inputs, aux, f["kernel"], f["lambda"], scheme)

@@ -11,7 +11,7 @@ object with every part) or of flat positions (pairs of an object and a
 part). A scatter back sums columns in layers: layer ``r`` of a cached plan
 holds, per output coordinate, the column of its ``r``-th covering part, so
 the sum is one ``take`` and one add per layer, not per part.
-``extract_part`` is the scalar selection and ``part_values`` its batched
+``extract_part`` is the scalar selection and ``gather_parts`` its batched
 form.
 """
 
@@ -253,24 +253,13 @@ def gather_parts(X: np.ndarray, scheme: PartScheme, rows, parts) -> np.ndarray:
     return X.ravel().take(flat + J)
 
 
-def part_values(objs, scheme: PartScheme, rows, parts) -> list:
-    """``[extract_part(objs[r], scheme, p) for r, p in zip(rows, parts)]``
-    from one ``stack_objects`` and one ``gather_parts``.
-
-    String objects give Python strings. Numeric objects give float64 arrays
-    of ``extract_part``'s shape, the first object's channel axes included,
-    as views of one array. Objects that do not stack raise the errors of
-    ``stack_objects``, including a NaN in an object no pair selects.
-    """
-    X = stack_objects(objs, scheme)
-    V = gather_parts(X, scheme, rows, parts)
-    if X.dtype.kind == "u":
-        l = V.shape[1]
-        strs = V.view(f"U{l}").ravel().tolist()
-        # numpy drops trailing NUL characters when it hands out a string
-        return strs if V.all() else [s.ljust(l, "\0") for s in strs]
-    lead = np.shape(objs[0])[: np.ndim(objs[0]) - len(scheme.shape)]
-    return list(V.reshape(V.shape[:1] + lead + scheme.part_shape))
+def decode_strings(codes: np.ndarray) -> list[str]:
+    """The strings whose character codes are the rows of ``codes``, shape
+    (n, l): the inverse of ``stack_objects`` on strings of length l."""
+    l = codes.shape[1]
+    strs = np.ascontiguousarray(codes).view(f"U{l}").ravel().tolist()
+    # numpy drops trailing NUL characters when it hands out a string
+    return strs if codes.all() else [s.ljust(l, "\0") for s in strs]
 
 
 @lru_cache(maxsize=128)

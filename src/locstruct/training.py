@@ -1,8 +1,9 @@
 """Auxiliary dataset generation and the alpha-weight model fit.
 
 Training draws ``m`` (input index, part) pairs from the training set, stores
-the matching output parts, and factorizes ``K + m * lambda * I`` over the
-sampled anchors. The fitted model maps any query ``(x, p)`` to the weight
+them with the matching output parts in one read-only columnar table
+(``AuxiliarySet``), and factorizes ``K + m * lambda * I`` over the sampled
+anchors. The fitted model maps any query ``(x, p)`` to the weight
 vector ``alpha(x, p) = (K + m lambda I)^{-1} v(x, p)`` with
 ``v(x, p)_j = k((chi_j, p_j), (x, p))``.
 
@@ -39,6 +40,7 @@ factors none.
 from __future__ import annotations
 
 import logging
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -52,8 +54,9 @@ from .parts import (
     PartScheme,
     SequenceWindows,
     ShapeMismatchError,
+    decode_strings,
+    gather_parts,
     part_cdf,
-    part_values,
     part_weights,
     stack_objects,
 )
@@ -91,13 +94,51 @@ class AuxiliarySample:
     eta: object
 
 
+@dataclass(frozen=True, eq=False)
+class AuxiliarySet(abc.Sequence):
+    """The auxiliary dataset as one read-only table of m anchors: ``chi``
+    and ``p``, the input references and parts as intp arrays of length m,
+    and ``etas``, the stacked output parts, float64 of shape (m,) + channel
+    axes + part shape, or the (m, l) ``uint32`` character codes of length-l
+    string windows. The arrays are read-only views.
+
+    It is also a sequence of ``AuxiliarySample``: item ``j`` is built on
+    demand from row ``j``, with Python ``int``s ``chi_ref`` and ``p`` and,
+    as ``eta``, a Python ``str`` (trailing NULs kept) or a float64 view of
+    ``etas``; a slice is the table of its rows."""
+
+    chi: np.ndarray
+    p: np.ndarray
+    etas: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("chi", np.intp), ("p", np.intp), ("etas", None)):
+            a = np.asarray(getattr(self, name), dtype=dtype).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        m = len(self.chi)
+        if not (self.chi.ndim == self.p.ndim == 1 and len(self.p) == len(self.etas) == m):
+            raise ShapeMismatchError("chi, p and etas must give one row per anchor")
+
+    def __len__(self) -> int:
+        return len(self.chi)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return AuxiliarySet(self.chi[j], self.p[j], self.etas[j])
+        eta = self.etas[j]
+        if eta.dtype.kind == "u":
+            eta = decode_strings(eta[None])[0]
+        return AuxiliarySample(int(self.chi[j]), int(self.p[j]), eta)
+
+
 def generate_auxiliary(
     train: Sequence[tuple],
     m: int,
     scheme: PartScheme,
     pi: PartDistribution,
     rng: np.random.Generator,
-) -> list[AuxiliarySample]:
+) -> AuxiliarySet:
     """Draw ``m`` auxiliary samples from ``train = [(x_1, y_1), ...]``.
 
     Each sample picks a training index uniformly with replacement, a part
@@ -105,7 +146,7 @@ def generate_auxiliary(
     gives ``rng.integers(n)`` and then one ``rng.random()`` for the part, as
     ``sample_part`` draws it, so a fixed generator state reproduces the
     samples. The output parts come from one gather over all outputs
-    (``parts.part_values``), so every output must stack.
+    (``parts.gather_parts``), so every output must stack.
     """
     if not train:
         raise ValueError("training set must be non-empty")
@@ -116,22 +157,40 @@ def generate_auxiliary(
     draws = [(rng.integers(n), rng.random()) for _ in range(m)]
     rows = np.array([i for i, _ in draws], dtype=np.intp)
     parts = part_cdf(pi).searchsorted([u for _, u in draws], side="right")
-    return _samples(train, scheme, rows, parts)
+    return _table([y for _, y in train], scheme, rows, parts)
 
 
-def enumerate_auxiliary(train: Sequence[tuple], scheme: PartScheme) -> list[AuxiliarySample]:
+def enumerate_auxiliary(train: Sequence[tuple], scheme: PartScheme) -> AuxiliarySet:
     """The full part expansion of the training set, all (i, p) pairs in order."""
     if not train:
-        return []
+        empty = np.empty(0, dtype=np.intp)
+        return AuxiliarySet(empty, empty, np.empty((0,) + scheme.part_shape))
     P = scheme.num_parts
-    return _samples(train, scheme, np.repeat(np.arange(len(train)), P),
-                    np.tile(np.arange(P), len(train)))
+    return _table([y for _, y in train], scheme, np.repeat(np.arange(len(train)), P),
+                  np.tile(np.arange(P), len(train)))
 
 
-def _samples(train, scheme: PartScheme, rows: np.ndarray, parts: np.ndarray) -> list[AuxiliarySample]:
-    """Samples ``(rows[j], parts[j])`` with their output parts."""
-    etas = part_values([y for _, y in train], scheme, rows, parts)
-    return list(map(AuxiliarySample, rows.tolist(), parts.tolist(), etas))
+def _table(outputs, scheme: PartScheme, rows: np.ndarray, parts: np.ndarray) -> AuxiliarySet:
+    """The anchors ``(rows[j], parts[j])`` with their output parts, from one
+    ``stack_objects`` and one ``gather_parts`` over all ``outputs``; numeric
+    parts keep the first output's channel axes, as ``extract_part`` does."""
+    V = gather_parts(stack_objects(outputs, scheme), scheme, rows, parts)
+    if V.dtype.kind == "f":
+        lead = np.shape(outputs[0])[: np.ndim(outputs[0]) - len(scheme.shape)]
+        V = V.reshape(V.shape[:1] + lead + scheme.part_shape)
+    return AuxiliarySet(rows, parts, V)
+
+
+def _as_table(aux: Sequence[AuxiliarySample]) -> AuxiliarySet:
+    """``aux`` as an ``AuxiliarySet``: a table as it is, any other non-empty
+    sequence of samples with its output parts stacked by ``_stack_etas``."""
+    if isinstance(aux, AuxiliarySet):
+        return aux
+    aux = tuple(aux)
+    m = len(aux)
+    return AuxiliarySet(np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m),
+                        np.fromiter((s.p for s in aux), dtype=np.intp, count=m),
+                        _stack_etas([s.eta for s in aux]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +248,7 @@ class AlphaModel:
 
     @cached_property
     def anchors(self) -> tuple:
-        return tuple((self.inputs[s.chi_ref], s.p) for s in self.aux)
+        return tuple(zip(map(self.inputs.__getitem__, self.aux.chi.tolist()), self.aux.p.tolist()))
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """Solve ``(K + m lambda I) u = v`` for a vector or stacked columns.
@@ -278,12 +337,11 @@ def _rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return v.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
-def _stack_etas(aux: Sequence[AuxiliarySample]) -> np.ndarray:
-    """Output parts of non-empty ``aux`` stacked row-wise: character codes
-    of shape (m, l) for strings, float64 of shape (m,) + part shape
-    otherwise. Raises ``ShapeMismatchError`` when the parts do not share
-    one shape and ``NonFiniteError`` when a numeric part is NaN or infinite."""
-    etas = [s.eta for s in aux]
+def _stack_etas(etas: list) -> np.ndarray:
+    """Non-empty output parts stacked row-wise: character codes of shape
+    (m, l) for strings, float64 of shape (m,) + part shape otherwise.
+    Raises ``ShapeMismatchError`` when the parts do not share one shape and
+    ``NonFiniteError`` when a numeric part is NaN or infinite."""
     if isinstance(etas[0], str):
         return stack_objects(etas, SequenceWindows(len(etas[0]), len(etas[0])))
     try:
@@ -353,7 +411,8 @@ def fit_alpha(
         Training inputs referenced by ``aux[j].chi_ref``; they are stacked
         once (``parts.stack_objects``), so all must share one shape.
     aux : sequence of AuxiliarySample
-        Non-empty auxiliary dataset.
+        Non-empty auxiliary dataset. An ``AuxiliarySet`` is read as its
+        columns; any other sequence is stacked into one first.
     kernel : KernelSpec
         Pair kernel used for the Gram and all queries.
     lam : float
@@ -391,15 +450,14 @@ class _LambdaPath:
 
     def __init__(self, inputs: Sequence, aux: Sequence[AuxiliarySample], kernel: KernelSpec,
                  scheme: PartScheme):
-        aux = tuple(aux)
-        if not aux:
+        if not len(aux):
             raise ValueError("auxiliary set must be non-empty")
+        aux = _as_table(aux)
         self.inputs, self.aux, self.kernel, self.scheme = tuple(inputs), aux, kernel, scheme
         m = self.m = len(aux)
-        self.etas = _stack_etas(aux)
-        rows = np.fromiter((s.chi_ref for s in aux), dtype=np.intp, count=m)
-        parts = np.fromiter((s.p for s in aux), dtype=np.intp, count=m)
-        prepared = PreparedAnchors(kernel, stack_objects(self.inputs, scheme), rows, parts, scheme)
+        self.etas = aux.etas
+        prepared = PreparedAnchors(kernel, stack_objects(self.inputs, scheme), aux.chi, aux.p,
+                                   scheme)
         F, roots = prepared.features, None
         if F is not None and F.shape[1] < m:
             G = F.T @ F

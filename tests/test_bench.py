@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,13 @@ class TestSyntheticData:
         M = block_correlation(16, gamma)
         F = _psd_factor(M)
         assert np.allclose(F @ F.T, M, atol=1e-8)
+
+    def test_huge_gamma_gives_identity_silently(self):
+        # -gamma |p - q| overflows to -inf, whose exp is the intended 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = block_correlation(32, 1e308)
+        assert np.array_equal(M, np.eye(32))
 
     def test_weight_vector_tiles_one_block(self):
         cfg = _cfg(num_parts=6, block_dim=4)
@@ -199,10 +207,13 @@ class TestEstimatorComparison:
                 _cfg(noise_std=bad)
             with pytest.raises(ValueError, match="gamma"):
                 _cfg(gamma=bad)
+        with pytest.raises(ValueError, match="noise_std"):  # its draws would overflow
+            _cfg(noise_std=1e308)
         with pytest.raises(ValueError, match="gamma"):
             _cfg(gamma=-1.0)
         for field, bad in (("m", 0), ("n_test", 0), ("input_noise", -0.1),
                            ("input_noise", math.nan), ("input_noise", math.inf),
+                           ("input_noise", 1e308),
                            ("freq_cutoff", -1)):
             with pytest.raises(ValueError, match=field):
                 AngularConfig(**{field: bad})

@@ -1021,8 +1021,9 @@ class TestConfigSweep:
     ``SWEEP_VALUES``, either runs (exit 0), is refused with a named error
     kind (exit 2) and writes no file, or fails its cells (exit 3); never an
     error no kind names (exit 1). A ``lambda_grid`` entry of 1e308, whose
-    shift ``m * lambda`` overflows, exits 2. ``predict`` loads and decodes
-    with every model that a swept ``train`` writes."""
+    shift ``m * lambda`` overflows, exits 2, as does a ``noise_std`` or
+    ``input_noise`` of 1e308, whose draws would overflow. ``predict`` loads
+    and decodes with every model that a swept ``train`` writes."""
 
     def test_every_leaf_value_exits_cleanly(self, tmp_path, capsys):
         ds = tmp_path / "train.jsonl"
@@ -1035,6 +1036,8 @@ class TestConfigSweep:
                             "--out", str(model)]) == 0
         docs["predict"]["model"] = str(model / "model.json")
         runs = 0
+        refused = {"lambda_grid", "noise_std", "input_noise"}  # at 1e308, before any cell runs
+        swept = set()
 
         def run(command, doc):
             nonlocal runs
@@ -1054,12 +1057,16 @@ class TestConfigSweep:
                     rc, out, err = run(command, _replaced(doc, path, value))
                     if rc not in (0, 2, 3) or rc == 2 and out.exists():
                         bad.append((command, path, value, rc, err))
-                    # a lambda_grid entry whose m * lambda overflows is refused at read
-                    if "lambda_grid" in path and value == 1e308 and rc != 2:
-                        bad.append((command, path, value, rc, err))
+                    # a lambda_grid entry whose m * lambda overflows, or a noise
+                    # level whose draws overflow, is refused at read
+                    if refused & set(path) and value == 1e308:
+                        swept |= refused & set(path)
+                        if rc != 2:
+                            bad.append((command, path, value, rc, err))
                     if command == "train" and rc == 0:
                         rc, _, err = run("predict", {**docs["predict"],
                                                      "model": str(out / "model.json")})
                         if rc != 0:
                             bad.append(("predict", path, value, rc, err))
         assert not bad
+        assert swept == refused

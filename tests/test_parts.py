@@ -21,13 +21,13 @@ from locstruct.parts import (
     index_map,
     part_cdf,
     part_distance,
-    part_values,
     part_weights,
     sample_part,
     scatter_parts,
     stack_objects,
 )
 from locstruct.parts import _scatter_plan
+from locstruct.training import _table
 
 from helpers import scatter_loop
 
@@ -306,17 +306,18 @@ class TestIndexMap:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_part_values_equal_extract_part(self, data):
+    def test_anchor_table_items_equal_extract_part(self, data):
         scheme, objects, _ = data.draw(scheme_inputs())
         xs = data.draw(st.lists(objects, min_size=1, max_size=3))
         pairs = data.draw(st.lists(st.tuples(st.integers(0, len(xs) - 1),
                                              st.integers(0, scheme.num_parts - 1)), max_size=8))
         rows = np.array([i for i, _ in pairs], dtype=np.intp)
         parts = np.array([p for _, p in pairs], dtype=np.intp)
-        values = part_values(xs, scheme, rows, parts)
-        assert len(values) == len(pairs)
-        for v, (i, p) in zip(values, pairs):
-            want = extract_part(xs[i], scheme, p)
+        table = _table(xs, scheme, rows, parts)
+        assert len(table) == len(pairs)
+        for s, (i, p) in zip(table, pairs):
+            assert (s.chi_ref, s.p) == (i, p)
+            v, want = s.eta, extract_part(xs[i], scheme, p)
             assert type(v) is type(want)
             if isinstance(want, str):
                 assert v == want
@@ -324,13 +325,13 @@ class TestIndexMap:
                 assert v.dtype == want.dtype and v.shape == want.shape
                 assert np.array_equal(v, want)
 
-    def test_part_values_stack_every_object(self):
+    def test_anchor_table_stacks_every_object(self):
         scheme = VectorBlocks(2, 2)
         xs = [np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0])]
         with pytest.raises(NonFiniteError):
-            part_values(xs, scheme, np.array([0]), np.array([0]))
+            _table(xs, scheme, np.array([0]), np.array([0]))
         with pytest.raises(ShapeMismatchError):
-            part_values([np.zeros(4), np.zeros(3)], scheme, np.array([0]), np.array([0]))
+            _table([np.zeros(4), np.zeros(3)], scheme, np.array([0]), np.array([0]))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

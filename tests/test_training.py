@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from locstruct.kernels import (
     gram_matrix,
 )
 from locstruct import training
+from locstruct.modelio import encode_value, save_model
 from locstruct.parts import (
     GridPatches,
     SequenceWindows,
@@ -29,6 +33,7 @@ from locstruct.parts import (
 )
 from locstruct.training import (
     AuxiliarySample,
+    AuxiliarySet,
     FactorizationError,
     NonFiniteError,
     _factor_system,
@@ -190,6 +195,67 @@ class TestGenerateAuxiliary:
             generate_auxiliary(train, 10, SCHEME, Weighted((0.5, 0.5)), np.random.default_rng(0))
 
 
+class TestAuxiliarySet:
+    @settings(max_examples=100, deadline=None)
+    @given(case=training_sets(), m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+           linear=st.booleans())
+    def test_table_fits_and_saves_as_its_sample_list(self, case, m, seed, linear):
+        scheme, train, pi = case
+        train = [(y, y) for _, y in train]  # inputs on the outputs' scheme
+        inputs = [x for x, _ in train]
+        kernel = LINEAR if linear and not isinstance(inputs[0], str) else GAUSS
+        table = generate_auxiliary(train, m, scheme, pi, np.random.default_rng(seed))
+        a, b = (fit_alpha(inputs, aux, kernel, 0.1, scheme) for aux in (table, list(table)))
+        assert a.etas.dtype == b.etas.dtype and a.etas.shape == b.etas.shape
+        assert np.array_equal(a.etas, b.etas)
+        assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
+        assert a.jitter == b.jitter
+        parts = list(range(scheme.num_parts))
+        assert np.array_equal(a.alphas(inputs, parts), b.alphas(inputs, parts))
+        E = np.arange(2.0 * m).reshape(m, 2)
+        assert np.array_equal(a.readout(a.readout_weights(E), inputs, parts),
+                              b.readout(b.readout_weights(E), inputs, parts))
+        with tempfile.TemporaryDirectory() as d:
+            files = [Path(d) / "a.json", Path(d) / "b.json"]
+            for model, path in zip((a, b), files):
+                save_model(model, path)
+            texts = [path.read_bytes() for path in files]
+        assert texts[0] == texts[1]
+        # the samples exactly as one stanza per sample object writes them
+        samples = [{"chi": s.chi_ref, "p": s.p, "eta": encode_value(s.eta)} for s in table]
+        assert texts[0].endswith(b'"samples": ' + json.dumps(samples).encode() + b"}")
+
+    def test_columns_are_read_only(self):
+        rng = np.random.default_rng(3)
+        table = generate_auxiliary(_train_set(rng, 3), 5, SCHEME, Uniform(3), rng)
+        for a in (table.chi, table.p, table.etas, table[0].eta, table[1:3].etas):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # a table is a read-only view: the caller's arrays stay writeable
+        chi, etas = np.array([0, 1]), np.zeros((2, 2))
+        view = AuxiliarySet(chi, chi, etas)
+        assert chi.flags.writeable and etas.flags.writeable
+        assert not view.chi.flags.writeable and not view.etas.flags.writeable
+
+    def test_slices_and_items(self):
+        rng = np.random.default_rng(4)
+        table = generate_auxiliary(_train_set(rng, 3), 6, SCHEME, Uniform(3), rng)
+        part = table[1:5:2]
+        assert isinstance(part, AuxiliarySet)
+        assert np.array_equal(part.chi, table.chi[1:5:2]) and np.array_equal(part.p, table.p[1:5:2])
+        assert np.array_equal(part.etas, table.etas[1:5:2])
+        assert table[-1].chi_ref == table.chi[5] and table[np.intp(2)].p == table.p[2]
+        with pytest.raises(IndexError):
+            table[6]
+
+    def test_columns_of_other_lengths_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            AuxiliarySet(np.array([0, 1]), np.array([0]), np.zeros((2, 2)))
+        with pytest.raises(ShapeMismatchError):
+            AuxiliarySet(np.array([0, 1]), np.array([0, 1]), np.zeros((3, 2)))
+
+
 class TestFitAlpha:
     def test_unit_system(self):
         # single anchor, k(a, a) = 1, lambda = 1: (1 + 1) u = 1
@@ -324,7 +390,7 @@ class TestFitAlpha:
     def test_non_finite_output_part_rejected(self, kernel):
         rng = np.random.default_rng(14)
         train = _train_set(rng, 4)
-        aux = enumerate_auxiliary(train, SCHEME)
+        aux = list(enumerate_auxiliary(train, SCHEME))
         aux[5] = AuxiliarySample(aux[5].chi_ref, aux[5].p, np.array([1.0, np.inf]))
         with pytest.raises(NonFiniteError):
             fit_alpha([x for x, _ in train], aux, kernel, 0.1, SCHEME)
@@ -446,7 +512,7 @@ def distinct_part_fits(draw):
         aux = enumerate_auxiliary(train, scheme)
     elif kind == "single":
         aux = generate_auxiliary(train, 1, scheme, Uniform(scheme.num_parts), rng)
-        aux = aux * draw(st.integers(1, 12))
+        aux = list(aux) * draw(st.integers(1, 12))
     else:
         m = draw(st.integers(1, 3 * pairs))
         aux = generate_auxiliary(train, m, scheme, Uniform(scheme.num_parts), rng)
