@@ -32,9 +32,9 @@ from .parts import (
     PartScheme,
     SequenceWindows,
     ShapeMismatchError,
+    _sum_parts,
     index_map,
     part_weights,
-    scatter_parts,
     stack_objects,
 )
 from .training import AlphaModel, _LambdaPath, alpha_at_parts
@@ -191,17 +191,20 @@ def _active_parts(weights: np.ndarray) -> np.ndarray:
 
 def _read_parts(model: AlphaModel, R: np.ndarray, xs, active: np.ndarray) -> np.ndarray:
     """Alpha-weighted sums ``sum_j alpha_j(x, p) E[j]`` from the readout weights
-    ``R`` of ``E``, for every input and active part: (channels, n, len(active))."""
+    ``R`` of ``E``, for every input and active part: (n, len(active), channels),
+    a reshape of ``AlphaModel.readout``'s rows, which the caller may write into."""
     S = model.readout(R, xs, active)
-    return S.reshape(S.shape[0], -1, len(active))
+    return S.reshape(-1, len(active), S.shape[1])
 
 
-def _scatter(scheme: PartScheme, weights: np.ndarray, active: np.ndarray, channel: np.ndarray,
+def _scatter(scheme: PartScheme, weights: np.ndarray, active: np.ndarray, values: np.ndarray,
              canvas: tuple) -> np.ndarray:
-    """Sum one channel of flat part values, shape (d, n, len(active)),
-    weighted by pi, into outputs of shape (n,) + ``canvas``."""
-    V = np.multiply(np.moveaxis(channel, 0, -1), weights[active][:, None], order="C")
-    return scatter_parts(V, scheme, active).reshape((V.shape[0],) + canvas)
+    """Sum flat part values, shape (n, len(active), d), weighted by pi, into
+    outputs of shape (n,) + ``canvas``. The weighted values are one new
+    array, which the scatter adds into in place when the active parts tile
+    the canvas in order."""
+    V = np.multiply(values, weights[active][:, None], order="C")
+    return _sum_parts(V, scheme, active, reuse=True).reshape((len(V),) + canvas)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def decode_exact(req: DecodeRequest):
         return part_losses(req.loss, windows[None], model.etas[:, None])
 
     R = model.memo_readout_weights((req.loss.kind, tuple(alphabet)), losses)
-    cost = weights[:, None] * model.readout(R, [req.x], np.arange(P)).T  # (P, U)
+    cost = weights[:, None] * model.readout(R, [req.x], np.arange(P))  # (P, U)
 
     # window u = (prefix of l - 1 symbols) * s + last symbol; the next window
     # keeps the last l - 1 symbols, so u's successors are (u % q) * s + b
@@ -349,8 +352,9 @@ def _with_totals(H: np.ndarray) -> np.ndarray:
 def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray,
                           active: np.ndarray, canvas: tuple, normalize: bool) -> np.ndarray:
     """Least-squares outputs, shape (n,) + ``canvas``, from the readout ``S``
-    of ``_with_totals``, shape (channels + 1, n, len(active))."""
-    wy, wsum = S[:-1], S[-1]
+    of ``_with_totals``, shape (n, len(active), channels + 1), which the
+    normalizing divide overwrites."""
+    wy, wsum = S[..., :-1], S[..., -1:]
     if normalize:
         ok = wsum > 1e-10
         if not np.all(ok):
@@ -359,11 +363,12 @@ def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray
                 "unnormalized weighted sum",
                 DegenerateDecodeWarning,
             )
-        wy = wy / np.where(ok, wsum, 1.0)
+        wy /= np.where(ok, wsum, 1.0)
     num = _scatter(scheme, weights, active, wy, canvas)
-    den = _scatter(scheme, weights, active, np.ones(wy[:, :1].shape), canvas)
-    # a coordinate that no active part covers sums to +0.0 in both and stays 0
-    return np.divide(num, den, out=num, where=den > 0)
+    den = _scatter(scheme, weights, active, np.ones(wy[:1].shape), canvas)
+    # a coordinate that no active part covers sums to +0.0 in both and stays
+    # 0; when every one is covered, the divide needs no mask
+    return np.divide(num, den, out=num, where=True if den.all() else den > 0)
 
 
 def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):
@@ -378,7 +383,7 @@ def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):
 
     def decode(lam: float) -> np.ndarray:
         S = readout(lam)
-        return _finish_least_squares(path.scheme, S.reshape(S.shape[0], -1, len(active)),
+        return _finish_least_squares(path.scheme, S.reshape(-1, len(active), S.shape[1]),
                                      weights, active, canvas, normalize)
     return decode
 
@@ -414,9 +419,9 @@ class AngularDecoder:
     def decode_batch(self, xs) -> np.ndarray:
         active = _active_parts(self.weights)
         S = _read_parts(self.model, self._readout, xs, active)
-        d = S.shape[0] // 2
-        c = _scatter(self.model.scheme, self.weights, active, S[:d], self.canvas)
-        s = _scatter(self.model.scheme, self.weights, active, S[d:], self.canvas)
+        d = S.shape[-1] // 2
+        c = _scatter(self.model.scheme, self.weights, active, S[..., :d], self.canvas)
+        s = _scatter(self.model.scheme, self.weights, active, S[..., d:], self.canvas)
         theta = 0.5 * np.arctan2(s, c)
         dead = (c == 0.0) & (s == 0.0)
         if np.any(dead):

@@ -10,7 +10,10 @@ from objects stacked by ``stack_objects`` is one ``take`` of columns (every
 object with every part) or of flat positions (pairs of an object and a
 part). A scatter back sums columns in layers: layer ``r`` of a cached plan
 holds, per output coordinate, the column of its ``r``-th covering part, so
-the sum is one ``take`` and one add per layer, not per part.
+the sum is one ``take`` and one add per layer, not per part. When the parts
+tile the object in order (every block of ``VectorBlocks``, say), the
+columns are the identity: the gather is a read-only reshape of the stack
+and the scatter takes no column at all.
 ``extract_part`` is the scalar selection and ``gather_parts`` its batched
 form.
 """
@@ -214,7 +217,8 @@ def stack_objects(objs, scheme: PartScheme) -> np.ndarray:
     character codes for strings, float64 otherwise. Shapes are checked as
     ``extract_part`` checks them (numeric sequences must be 1-d, and all
     grids must share their channel axes); a mismatch raises
-    ``ShapeMismatchError`` and a NaN or infinite value ``NonFiniteError``."""
+    ``ShapeMismatchError`` and a NaN or infinite value ``NonFiniteError``.
+    No objects stack into (0, size)."""
     if not isinstance(objs, np.ndarray):
         objs = list(objs)
     if len(objs) and isinstance(objs[0], str):
@@ -227,30 +231,54 @@ def stack_objects(objs, scheme: PartScheme) -> np.ndarray:
         X = np.asarray(objs, dtype=float)
     except ValueError as e:
         raise ShapeMismatchError(f"objects do not stack into one array ({e})") from None
+    if X.shape == (0,):
+        X = X.reshape((0,) + scheme.shape)
     shape = X.shape[1:]
     lead = len(shape) - len(scheme.shape) if isinstance(scheme, GridPatches) else 0
     if lead < 0 or shape[lead:] != scheme.shape:
         raise ShapeMismatchError(f"objects of shape {shape} do not fit shape {scheme.shape}")
     if not np.isfinite(X).all():
         raise NonFiniteError("non-finite values in the inputs; check them for NaN or inf")
-    return X.reshape(len(X), -1)
+    return X.reshape(len(X), math.prod(shape))
 
 
 def gather_parts(X: np.ndarray, scheme: PartScheme, rows, parts) -> np.ndarray:
     """Flat parts of the objects stacked in ``X``.
 
     With ``rows=None``, every object with every part of ``parts``, shape
-    (len(X), len(parts), width): one ``take`` of columns. Otherwise part
+    (len(X), len(parts), width): one ``take`` of columns, or, when those
+    columns are every column of ``X`` in order (``_columns``), a read-only
+    reshape of ``X`` itself, which no caller may write into. Otherwise part
     ``parts[i]`` of object ``rows[i]``, for ``rows`` and ``parts``
     broadcast together, with the shape of the broadcast plus (width,): one
     ``take`` of flat positions. Rows index as ``X[rows]`` does, so one out
     of range raises ``IndexError``; a part out of range raises
     ``PartIndexError``."""
-    J = index_map(scheme, X.shape[1] // math.prod(scheme.shape))[check_parts(scheme, parts)]
+    channels = X.shape[1] // math.prod(scheme.shape)
+    parts = check_parts(scheme, parts)
     if rows is None:
-        return X.take(J.ravel(), axis=1).reshape((len(X),) + J.shape)
+        cols = _columns(scheme, channels, tuple(parts.tolist()))
+        shape = (len(X), len(parts), index_map(scheme, channels).shape[1])
+        if cols is None:
+            V = X.reshape(shape)
+            V.flags.writeable = False
+            return V
+        return X.take(cols, axis=1).reshape(shape)
     flat = np.multiply(np.asarray(rows)[..., None], X.shape[1], dtype=np.intp)
-    return X.ravel().take(flat + J)
+    return X.ravel().take(flat + index_map(scheme, channels)[parts])
+
+
+@lru_cache(maxsize=128)
+def _columns(scheme: PartScheme, channels: int, parts: tuple):
+    """The flat columns of ``parts`` in an object with ``channels`` leading
+    channels, part after part, or None when they are every column once and
+    in order: non-overlapping parts that tile the object, listed in order.
+    Computed once per (scheme, channels, parts); read-only."""
+    cols = index_map(scheme, channels)[list(parts)].ravel()
+    if np.array_equal(cols, np.arange(channels * math.prod(scheme.shape))):
+        return None
+    cols.setflags(write=False)
+    return cols
 
 
 def decode_strings(codes: np.ndarray) -> list[str]:
@@ -263,14 +291,17 @@ def decode_strings(codes: np.ndarray) -> list[str]:
 
 
 @lru_cache(maxsize=128)
-def _scatter_plan(scheme: PartScheme, channels: int, parts: tuple) -> tuple[np.ndarray, bool]:
+def _scatter_plan(scheme: PartScheme, channels: int, parts: tuple) -> tuple:
     """Where ``scatter_parts`` reads each output coordinate: an array of
-    shape (layers, channels * size), and whether it reads the zero column.
+    shape (layers, channels * size), and whether it reads the zero column;
+    (None, False) when the parts' columns are the identity (``_columns``).
     Layer ``r`` holds, per coordinate, the column of its ``r``-th covering
     part, counted in the order of ``parts``, among the ``len(parts) *
     width`` columns of the part values, or the zero column ``len(parts) *
     width`` past its last cover. Computed once per (scheme, channels,
     parts); read-only."""
+    if _columns(scheme, channels, parts) is None:
+        return None, False
     J = index_map(scheme, channels)[list(parts)]
     coords = J.ravel()
     counts = np.bincount(coords, minlength=channels * math.prod(scheme.shape))
@@ -284,18 +315,29 @@ def _scatter_plan(scheme: PartScheme, channels: int, parts: tuple) -> tuple[np.n
 
 def scatter_parts(V: np.ndarray, scheme: PartScheme, parts) -> np.ndarray:
     """Sum flat part values ``V`` of shape (n, len(parts), width) into
-    (n, channels * size) objects, the adjoint of ``gather_parts``.
+    (n, channels * size) objects, the adjoint of ``gather_parts``; a new
+    array.
 
     One column ``take`` per layer of the plan (``_scatter_plan``): the
     first plus 0.0, then each further layer added through one reused
-    array. Every coordinate adds the values of its parts in the order of
+    array. On an identity plan the values themselves, plus 0.0, are the
+    sum. Every coordinate adds the values of its parts in the order of
     ``parts``, starting from +0.0, as a loop of one add per part would;
     that running sum is never -0.0 under round-to-nearest, so the +0.0 a
     coordinate adds past its last cover leaves it as it is."""
+    return _sum_parts(V, scheme, parts, reuse=False)
+
+
+def _sum_parts(V: np.ndarray, scheme: PartScheme, parts, reuse: bool) -> np.ndarray:
+    """``scatter_parts``; with ``reuse``, on an identity plan, the +0.0 is
+    added into ``V`` in place and its memory returned, for callers that
+    own ``V`` and need it no more."""
     n, k, width = V.shape
     channels = width // index_map(scheme).shape[1]
     plan, padded = _scatter_plan(scheme, channels, tuple(check_parts(scheme, parts).tolist()))
     src = V.reshape(n, k * width)
+    if plan is None:
+        return np.add(src, 0.0, out=src if reuse else None)
     if padded:  # some coordinate reads the zero column
         src = np.concatenate([src, np.zeros((n, 1))], axis=1)
     out = src.take(plan[0], axis=1)

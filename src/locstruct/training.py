@@ -305,19 +305,25 @@ class AlphaModel:
         return R
 
     def readout(self, R: np.ndarray, xs, parts) -> np.ndarray:
-        """Alpha-weighted sums in the columns of ``alphas(xs, parts)``, shape
-        (c, len(xs) * len(parts)), from weights made by ``readout_weights``.
+        """Alpha-weighted sums of the queries of ``alphas(xs, parts)``, one row
+        per query, input-major: shape (len(xs) * len(parts), c), from weights
+        made by ``readout_weights``. Row ``i * len(parts) + k`` is ``alphas(xs,
+        parts)[:, i * len(parts) + k] @ E``; the caller may write into it.
 
-        Without features the queries are read out in blocks of inputs whose
-        cross matrix, u x (block * len(parts)) over the u distinct anchor
-        parts, fits ``READOUT_BLOCK_BYTES`` (one input per block when a single
-        one does not), each block's ``R.T @ cross`` written straight into the
-        output. Every block's cross matrix is written into one buffer, made
-        once per call (``PreparedAnchors.cross(..., out=)``): the memory of a
-        decode does not grow with the number of queries, and a decode
-        allocates one block, not one per block."""
+        With features this is one product ``B R`` of the query features
+        ``B``, which are gathered without a copy when the parts tile the
+        inputs in order (``parts.gather_parts``). Without features the
+        queries are read out in blocks of inputs whose cross matrix, u x
+        (block * len(parts)) over the u distinct anchor parts, fits
+        ``READOUT_BLOCK_BYTES`` (one input per block when a single one does
+        not), each block's ``R.T @ cross`` written straight into a
+        channel-major array whose transpose is returned. Every block's cross
+        matrix is written into one buffer, made once per call
+        (``PreparedAnchors.cross(..., out=)``): the memory of a decode does
+        not grow with the number of queries, and a decode allocates one
+        block, not one per block."""
         if self.features is not None:  # d < m query features: one product, no blocks
-            return R.T @ self.path.query_side(xs, parts)
+            return self.prepared_anchors.query_features(xs, parts) @ R
         prepared = self.prepared_anchors
         xs = list(xs)
         P, u = len(parts), prepared.rows
@@ -329,7 +335,7 @@ class AlphaModel:
             w = len(chunk) * P
             C = prepared.cross(chunk, parts, out=buf[:u * w].reshape(u, w))
             np.matmul(R.T, C, out=S[:, i * P:i * P + w])
-        return S
+        return S.T
 
 
 def _rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -506,19 +512,21 @@ class _LambdaPath:
     def readouts(self, E: np.ndarray, xs, parts) -> Callable[[float], np.ndarray]:
         """``lam -> model.readout(model.readout_weights(E), xs, parts)`` for
         ``model = path(lam)``, equal up to rounding, from one
-        eigendecomposition ``G = Q diag(w) Q^T``. Both readouts are
-        ``anchor_side(E)^T (G + m lam I)^{-1} query_side(xs, parts)``, so
-        ``Q^T`` times each side is formed once and each lambda is a diagonal
-        rescale and one product. ``G`` is PSD, so rounding below zero is
-        clipped from ``w``; no jitter is added. The queries are read out in
-        one block, which suits the hold-out and test sets of ``bench``."""
+        eigendecomposition ``G = Q diag(w) Q^T``: a new array per call with
+        one row per query, shape (len(xs) * len(parts), c). Both readouts
+        are ``query_side(xs, parts)^T (G + m lam I)^{-1} anchor_side(E)``,
+        so ``Q^T`` times each side is formed once and each lambda is a
+        diagonal rescale and one product. ``G`` is PSD, so rounding below
+        zero is clipped from ``w``; no jitter is added. The queries are read
+        out in one block, which suits the hold-out and test sets of
+        ``bench``."""
         w, Q = np.linalg.eigh(self._system)
         w = np.clip(w, 0.0, None)
         anchor, query = Q.T @ self.anchor_side(E), Q.T @ self.query_side(xs, parts)
 
         def readout(lam: float) -> np.ndarray:
             _check_lambda(lam, self.m)
-            return (anchor / (w + self.m * lam)[:, None]).T @ query
+            return query.T @ (anchor / (w + self.m * lam)[:, None])
         return readout
 
 

@@ -182,6 +182,43 @@ class TestFeatureSpaceOracle:
         close(AngularDecoder(primal, pi).decode_batch(Q), AngularDecoder(dual, pi).decode_batch(Q))
 
 
+class TestBatchInputs:
+    """Batches at the edges of the gather, which hands the parts of inputs
+    that the parts tile in order on as a view of the stacked inputs: an
+    empty batch on either solve path, and a read-only batch, which a decode
+    must leave as it is."""
+
+    @staticmethod
+    def _decoders(path):
+        rng = np.random.default_rng(5)
+        scheme = VectorBlocks(block_dim=3, num_blocks=4)
+        X = rng.uniform(0.5, 1.5, (4, 12))
+        aux = generate_auxiliary(list(zip(X, 0.5 * X)), 16, scheme, Uniform(4), rng)
+        fit = fit_alpha if path == "feature_space" else dense_fit
+        model = fit(list(X), aux, Restriction(LinearParts()), 0.1, scheme)
+        assert (model.features is not None) == (path == "feature_space")
+        pi = Uniform(4)
+        return [LeastSquaresDecoder(model, pi), LeastSquaresDecoder(model, pi, normalize=False),
+                AngularDecoder(model, pi)]
+
+    @pytest.mark.parametrize("path", ["feature_space", "dense"])
+    def test_empty_batch_decodes_to_an_empty_array(self, path):
+        for decoder in self._decoders(path):
+            for batch in ([], np.empty((0, 12))):
+                out = decoder.decode_batch(batch)
+                assert out.shape == (0, 12) and out.dtype == float
+
+    @pytest.mark.parametrize("path", ["feature_space", "dense"])
+    def test_read_only_batch_is_left_as_it_is(self, path):
+        X = np.random.default_rng(6).uniform(0.5, 1.5, (3, 12))
+        X.flags.writeable = False
+        before = X.copy()
+        for decoder in self._decoders(path):
+            out = decoder.decode_batch(X)
+            assert np.array_equal(X, before) and not np.shares_memory(out, X)
+            assert np.array_equal(out, decoder.decode_batch(before))
+
+
 class TestDecodeAngular:
     def test_single_anchor_copies_the_angle(self):
         model = unit_factor_model([0.7], [np.pi / 4])
@@ -534,7 +571,7 @@ class TestDistinctAnchorOracle:
         C = cross_matrix(kernel, model.anchors, [(x, p) for x in Q for p in parts], GRID)
         got = model.readout(model.readout_weights(E), Q, parts)
         # the bound of rounding in either summation order
-        assert np.all(np.abs(got - R.T @ C) <= 1e-13 * (np.abs(R).T @ np.abs(C)))
+        assert np.all(np.abs(got - (R.T @ C).T) <= 1e-13 * (np.abs(R).T @ np.abs(C)).T)
 
         pi = Uniform(4)
         decoders = [lambda m: LeastSquaresDecoder(m, pi), lambda m: AngularDecoder(m, pi),

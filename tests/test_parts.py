@@ -26,7 +26,7 @@ from locstruct.parts import (
     scatter_parts,
     stack_objects,
 )
-from locstruct.parts import _scatter_plan
+from locstruct.parts import _scatter_plan, _sum_parts
 from locstruct.training import _table
 
 from helpers import scatter_loop
@@ -407,6 +407,34 @@ class TestIndexMap:
                          & np.isnan(scatter_loop(V[:, k:k + 1], scheme, parts[k:k + 1])))
         same_bits = got.view(np.uint64) == want.view(np.uint64)
         assert (same_bits | both_nan & np.isnan(got) & np.isnan(want)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_identity_shortcuts_equal_the_take_path(self, data):
+        """Parts that tile the object in order (every block of
+        ``VectorBlocks``, windows of length 1) gather as a read-only view of
+        the stack and scatter with no column take, bit for bit as the
+        general take path and the per-part loop, signed zeros and NaN
+        payloads included; ``scatter_parts`` still returns a new array."""
+        if data.draw(st.booleans()):
+            scheme = VectorBlocks(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+        else:
+            scheme = SequenceWindows(data.draw(st.integers(1, 6)), 1)
+        parts = list(range(scheme.num_parts))
+        n = data.draw(st.integers(0, 3))
+        X = data.draw(arrays(float, (n, scheme.shape[0]), elements=_ODD_VALUE))
+        every = gather_parts(X, scheme, None, parts)
+        take = X.take(index_map(scheme)[parts].ravel(), axis=1).reshape(every.shape)
+        assert every.tobytes() == take.tobytes()
+        assert np.shares_memory(every, X) or not X.size
+        assert not every.flags.writeable
+        V = data.draw(arrays(float, every.shape, elements=_ODD_VALUE))
+        want = scatter_loop(V, scheme, parts).tobytes()
+        got = scatter_parts(V, scheme, parts)
+        assert got.tobytes() == want and not np.shares_memory(got, V)
+        own = V.copy()
+        reused = _sum_parts(own, scheme, parts, reuse=True)
+        assert reused.tobytes() == want and (np.shares_memory(reused, own) or not V.size)
 
     def test_scatter_plan_is_cached_and_read_only(self):
         scheme = GridPatches(4, 4, 2, 2, 1)

@@ -590,7 +590,7 @@ class TestDistinctPartSystem:
         Q = list(rng.standard_normal((3, 6)))
         C = model.prepared_anchors.cross(Q, range(3))
         E = np.column_stack([model.etas.reshape(model.m, -1), np.ones(model.m)])
-        want = cho_solve(factor, E).T @ C
+        want = (cho_solve(factor, E).T @ C).T
         assert np.array_equal(model.readout(model.readout_weights(E), Q, range(3)), want)
 
     def test_jitter_on_a_singular_distinct_system(self):
@@ -723,7 +723,7 @@ class TestLambdaPath:
 
 class TestBlockedReadout:
     """The dense readout in blocks of queries, every block's cross matrix
-    written into one buffer, against ``R.T @ cross``."""
+    written into one buffer, against ``(R.T @ cross).T``."""
 
     @staticmethod
     def _case(data, kernel):
@@ -773,23 +773,45 @@ class TestBlockedReadout:
         exact, so any summation order gives the same bits and the test sees
         only the blocking."""
         model, R, xs, parts, got, _ = self._case(data, LINEAR)
-        assert np.array_equal(got, R.T @ model.prepared_anchors.cross(xs, parts))
+        assert np.array_equal(got, (R.T @ model.prepared_anchors.cross(xs, parts)).T)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_gaussian_blocks_share_one_buffer(self, data):
         """Every block of the Gaussian product path writes its cross matrix
         into one buffer, and reads out as ``R.T @ cross`` of that block into
-        a fresh array: bitwise, so no block sees another's entries."""
+        a fresh array, returned transposed: bitwise, so no block sees another's
+        entries."""
         model, R, xs, parts, got, calls = self._case(data, GAUSS)
         prepared = model.prepared_anchors
         base = calls[0][1].base
-        col = 0
+        row = 0
         for block_xs, out in calls:
             assert out.base is base and out.flags.c_contiguous
-            want = R.T @ prepared.cross(block_xs, parts)
-            assert np.array_equal(got[:, col:col + want.shape[1]], want)
-            col += want.shape[1]
+            want = (R.T @ prepared.cross(block_xs, parts)).T
+            assert np.array_equal(got[row:row + len(want)], want)
+            row += len(want)
+
+
+class TestReadoutLayout:
+    """``AlphaModel.readout`` has one row per query, input-major, as
+    ``alphas`` has one column per query."""
+
+    @pytest.mark.parametrize("case", ["feature_space", "dense"])
+    def test_rows_are_alpha_weighted_sums(self, case):
+        rng = np.random.default_rng(41)
+        train = _train_set(rng, 5)
+        inputs = [x for x, _ in train]
+        aux = generate_auxiliary(train, 12, SCHEME, Uniform(3), rng)
+        fit = fit_alpha if case == "feature_space" else dense_fit
+        model = fit(inputs, aux, LINEAR, 0.1, SCHEME)
+        assert (model.features is not None) == (case == "feature_space")
+        E = rng.standard_normal((model.m, 4))
+        xs, parts = list(rng.standard_normal((3, 6))), [2, 0]
+        got = model.readout(model.readout_weights(E), xs, parts)
+        want = model.alphas(xs, parts).T @ E
+        assert got.shape == (len(xs) * len(parts), 4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestAlphaAt:
