@@ -200,10 +200,14 @@ def _read_parts(model: AlphaModel, R: np.ndarray, xs, active: np.ndarray) -> np.
 def _scatter(scheme: PartScheme, weights: np.ndarray, active: np.ndarray, values: np.ndarray,
              canvas: tuple) -> np.ndarray:
     """Sum flat part values, shape (n, len(active), d), weighted by pi, into
-    outputs of shape (n,) + ``canvas``. The weighted values are one new
-    array, which the scatter adds into in place when the active parts tile
-    the canvas in order."""
-    V = np.multiply(values, weights[active][:, None], order="C")
+    outputs of shape (n,) + ``canvas``. Contiguous values are weighted in
+    place, so the caller hands them over; strided ones, such as a column
+    slice of a readout, are weighted into one new array in row order. When
+    the active parts tile the canvas in order the scatter adds its +0.0 in
+    place too, and the weighted values become the outputs; other plans
+    gather them into one new array."""
+    V = np.multiply(values, weights[active][:, None],
+                    out=values if values.flags.c_contiguous else None, order="C")
     return _sum_parts(V, scheme, active, reuse=True).reshape((len(V),) + canvas)
 
 
@@ -322,6 +326,14 @@ class LeastSquaresDecoder:
 
     With ``normalize=False`` every part uses the unnormalized weighted sum,
     which is the conditional-mean readout of the underlying ridge fit.
+
+    A normalizing decoder reads out ``_with_totals(H)``, the anchor outputs
+    ``H`` and a column of ones, and a decode builds two output-size arrays:
+    the readout and the weighted part sums. One that does not normalize
+    reads out ``H`` alone and finishes in the readout's memory, so when the
+    active parts tile the canvas in order a decode builds one (two on the
+    dense path, whose channel-major readout is weighted into rows). The
+    model keeps the readout weights of the two tables under different keys.
     """
 
     def __init__(self, model: AlphaModel, pi, normalize: bool = True):
@@ -329,8 +341,9 @@ class LeastSquaresDecoder:
         self.weights = _positive_weights(pi, model.scheme.num_parts)
         self.normalize = normalize
         H, self.canvas = _eta_matrix(model.path)
+        # the key names the table: [H, 1] when normalizing, H alone otherwise
         self._readout = model.memo_readout_weights(
-            (SQUARED_VECTOR.kind,), lambda: _with_totals(H))
+            (SQUARED_VECTOR.kind, normalize), lambda: _with_totals(H) if normalize else H)
 
     def decode(self, x) -> np.ndarray:
         return self.decode_batch([x])[0]
@@ -344,18 +357,25 @@ class LeastSquaresDecoder:
 
 
 def _with_totals(H: np.ndarray) -> np.ndarray:
-    """The output table ``[H, 1]``, whose readout yields ``(sum_j alpha_j
-    eta_j, sum_j alpha_j)`` per query."""
+    """The output table ``[H, 1]`` of a normalizing least-squares decode,
+    whose readout yields ``(sum_j alpha_j eta_j, sum_j alpha_j)`` per query.
+    A decode that does not normalize reads no totals and reads out ``H``
+    itself."""
     return np.hstack([H, np.ones((len(H), 1))])
 
 
 def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray,
                           active: np.ndarray, canvas: tuple, normalize: bool) -> np.ndarray:
-    """Least-squares outputs, shape (n,) + ``canvas``, from the readout ``S``
-    of ``_with_totals``, shape (n, len(active), channels + 1), which the
-    normalizing divide overwrites."""
-    wy, wsum = S[..., :-1], S[..., -1:]
+    """Least-squares outputs, shape (n,) + ``canvas``, from a readout ``S``
+    of shape (n, len(active), width), which the finish writes into. With
+    ``normalize``, ``S`` reads out ``_with_totals(H)`` (width channels + 1):
+    each part sum is divided by its total in place, and weighting that
+    strided column slice makes the outputs one new array. Otherwise ``S``
+    reads out ``H`` (width channels), and a contiguous ``S`` is weighted,
+    scattered and divided in place, so when the active parts tile the
+    canvas in order the outputs are its own memory."""
     if normalize:
+        S, wsum = S[..., :-1], S[..., -1:]
         ok = wsum > 1e-10
         if not np.all(ok):
             warnings.warn(
@@ -363,9 +383,9 @@ def _finish_least_squares(scheme: PartScheme, S: np.ndarray, weights: np.ndarray
                 "unnormalized weighted sum",
                 DegenerateDecodeWarning,
             )
-        wy /= np.where(ok, wsum, 1.0)
-    num = _scatter(scheme, weights, active, wy, canvas)
-    den = _scatter(scheme, weights, active, np.ones(wy[:1].shape), canvas)
+        S /= np.where(ok, wsum, 1.0)
+    num = _scatter(scheme, weights, active, S, canvas)
+    den = _scatter(scheme, weights, active, np.ones((1,) + S.shape[1:]), canvas)
     # a coordinate that no active part covers sums to +0.0 in both and stays
     # 0; when every one is covered, the divide needs no mask
     return np.divide(num, den, out=num, where=True if den.all() else den > 0)
@@ -375,11 +395,15 @@ def _least_squares_path(path: _LambdaPath, pi, xs, normalize: bool = True):
     """``lam -> LeastSquaresDecoder(path(lam), pi, normalize).decode_batch(xs)``
     at any lambda of a lambda path, equal up to rounding: the weighted sums
     are read out of one eigendecomposition of the path's lambda-free system
-    (``_LambdaPath.readouts``) and finished as ``decode_batch`` finishes."""
+    (``_LambdaPath.readouts``) and finished as ``decode_batch`` finishes.
+    The table is the decoder's, ``_with_totals(H)`` when normalizing and
+    ``H`` alone otherwise; each lambda's readout is a new array, which the
+    finish writes into, so an unnormalized decode at one lambda builds one
+    output-size array and a normalized one two."""
     weights = _positive_weights(pi, path.scheme.num_parts)
     active = _active_parts(weights)
     H, canvas = _eta_matrix(path)
-    readout = path.readouts(_with_totals(H), xs, active)
+    readout = path.readouts(_with_totals(H) if normalize else H, xs, active)
 
     def decode(lam: float) -> np.ndarray:
         S = readout(lam)

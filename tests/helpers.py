@@ -70,6 +70,24 @@ def scatter_loop(V, scheme, parts):
     return out
 
 
+def least_squares_loop(sums, scheme, weights, parts, canvas, normalize):
+    """The least-squares finish one part at a time: the oracle of
+    ``decoder._finish_least_squares``. ``sums`` holds, per input and part
+    of ``parts``, the alpha-weighted sum of the anchor output parts, flat,
+    and with ``normalize`` their weight total as a last entry, shape (n,
+    len(parts), width). Each part's value, divided by its total where that
+    exceeds 1e-10 when normalizing, is weighted by its pi weight in
+    ``weights`` and added into a zero field (``scatter_loop``); the field is
+    then divided by the pi-weighted coverage where that is positive."""
+    values = sums[..., :-1] / np.where(sums[..., -1:] > 1e-10, sums[..., -1:], 1.0) \
+        if normalize else sums
+    w = weights[list(parts)][:, None]
+    num = scatter_loop(values * w, scheme, parts)
+    den = scatter_loop(np.ones((1,) + values.shape[1:]) * w, scheme, parts)
+    out = np.divide(num, den, out=num, where=den > 0)
+    return out.reshape((len(sums),) + canvas)
+
+
 def sgm_loop(req):
     """The subgradient decode one iteration at a time, on any scheme: the
     oracle of ``decode_sgm``'s per-coordinate sweep.

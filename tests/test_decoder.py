@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locstruct.bench import DEFAULT_LAMBDA_GRID
 
@@ -56,11 +57,12 @@ from locstruct.training import (
     NonFiniteError,
     alpha_at,
     alpha_at_parts,
+    enumerate_auxiliary,
     fit_alpha,
     generate_auxiliary,
 )
 
-from helpers import dense_fit, sgm_loop, unit_factor_model
+from helpers import dense_fit, least_squares_loop, sgm_loop, unit_factor_model
 
 
 QUERY = np.array([1.0])
@@ -138,6 +140,78 @@ class TestDecodeLeastSquares:
         z = decode_least_squares(req)
         assert z.shape == (3,)
         assert np.all(np.isfinite(z))
+
+
+class TestLeastSquaresFinish:
+    """The least-squares finish against the per-part oracle
+    (``helpers.least_squares_loop``). Bit for bit on every case when the
+    oracle finishes the decoder's own readout, with and without
+    normalizing; within 1e-10 of the output scale when it finishes sums of
+    the per-anchor weights ``model.alphas``, which reach the readout
+    through another solve."""
+
+    CASES = ["zero_weight_part", "overlapping_patches", "dense", "one_channel"]
+
+    @staticmethod
+    def _case(case):
+        rng = np.random.default_rng(12)
+        scheme, kernel, fit, pi = VectorBlocks(block_dim=3, num_blocks=4), LinearParts(), \
+            fit_alpha, np.ones(4)
+        if case == "zero_weight_part":  # the active parts leave a gap: not the identity plan
+            pi[1] = 0.0
+        elif case == "overlapping_patches":
+            scheme = GridPatches(width=5, height=4, patch_w=3, patch_h=2, stride=1)
+            pi = rng.uniform(0.5, 1.5, scheme.num_parts)
+        elif case == "dense":
+            kernel = GaussianParts(1.0)
+        else:  # one output channel per part: the readout is one column
+            scheme = VectorBlocks(block_dim=1, num_blocks=4)
+        shape = scheme.shape if isinstance(scheme, GridPatches) else (scheme.total_dim,)
+        X = rng.uniform(0.5, 1.5, (6,) + shape)
+        Y = 0.5 * X + 0.1 * rng.standard_normal(X.shape)
+        aux = generate_auxiliary(list(zip(X, Y)), 40, scheme, Uniform(scheme.num_parts), rng)
+        model = fit(list(X), aux, Restriction(kernel), 1e-2, scheme)
+        assert (model.features is None) == (case == "dense")
+        return model, pi, rng.uniform(0.5, 1.5, (5,) + shape)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_per_part_oracle(self, case, normalize):
+        model, pi, Q = self._case(case)
+        decoder = LeastSquaresDecoder(model, pi, normalize)
+        active = np.flatnonzero(decoder.weights > 0)
+        got = decoder.decode_batch(Q)
+        table = decoder._readout.shape[1]
+        assert table == model.etas[0].size + normalize  # a totals column only to normalize
+        finish = lambda sums: least_squares_loop(sums.reshape(len(Q), len(active), table),
+                                                 model.scheme, decoder.weights, active,
+                                                 decoder.canvas, normalize)
+        assert got.tobytes() == finish(model.readout(decoder._readout, Q, active)).tobytes()
+
+        H = model.etas.reshape(model.m, -1)
+        E = np.column_stack([H, np.ones(model.m)]) if normalize else H
+        _assert_rel(got, finish(model.alphas(Q, active).T @ E), 1e-10)
+
+    def test_unnormalized_decode_builds_one_output(self):
+        """A feature-space decode of a ``blocks_ls``-sized batch (500 inputs,
+        32 parts of 50) that does not normalize finishes in its readout: its
+        traced peak stays within 1.1 times the output's bytes."""
+        rng = np.random.default_rng(3)
+        scheme = VectorBlocks(block_dim=50, num_blocks=32)
+        X = rng.standard_normal((100, 1600))
+        model = fit_alpha(list(X), enumerate_auxiliary(list(zip(X, X)), scheme),
+                          Restriction(LinearParts()), 1e-2, scheme)
+        decoder = LeastSquaresDecoder(model, Uniform(32), normalize=False)
+        Q = rng.standard_normal((500, 1600))
+        want = decoder.decode_batch(Q)  # fills the readout memo
+        tracemalloc.start()
+        try:
+            got = decoder.decode_batch(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 1.1 * got.nbytes
 
 
 class TestFeatureSpaceOracle:
@@ -504,10 +578,37 @@ class TestReadoutMemo:
         aux = [AuxiliarySample(i, p, X[i, p : p + 1]) for i in range(4) for p in range(3)]
         model = fit_alpha(list(X), aux, Restriction(GaussianParts(1.0)), 0.1, scheme)
         squared = LeastSquaresDecoder(model, Uniform(3))
+        unnormalized = LeastSquaresDecoder(model, Uniform(3), normalize=False)
         angular = AngularDecoder(model, Uniform(3))
-        assert LeastSquaresDecoder(model, Uniform(3), normalize=False)._readout is squared._readout
+        assert LeastSquaresDecoder(model, Uniform(3))._readout is squared._readout
+        assert LeastSquaresDecoder(model, Uniform(3), normalize=False)._readout \
+            is unnormalized._readout
         assert AngularDecoder(model, Uniform(3))._readout is angular._readout
-        assert angular._readout is not squared._readout
+        # three tables: [H, 1], H alone (no totals column) and the angular one
+        assert len({id(squared._readout), id(unnormalized._readout), id(angular._readout)}) == 3
+        assert unnormalized._readout.shape[1] == squared._readout.shape[1] - 1
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_least_squares_tables_keep_apart(self, first):
+        """A normalizing least-squares decoder reads out ``[H, 1]`` and one
+        that does not reads out ``H`` alone; built on one model in either
+        order, each decodes bit for bit as on a model of its own, through
+        ``decode_least_squares`` too."""
+        rng = np.random.default_rng(8)
+        scheme = VectorBlocks(block_dim=2, num_blocks=3)
+        X = rng.uniform(0.5, 1.5, (5, 6))
+        aux = generate_auxiliary(list(zip(X, 0.5 * X)), 12, scheme, Uniform(3), rng)
+        fit = lambda: fit_alpha(list(X), aux, Restriction(GaussianParts(1.0)), 0.05, scheme)
+        Q = rng.uniform(0.5, 1.5, (4, 6))
+        shared = fit()
+        for normalize in (first, not first):
+            got = LeastSquaresDecoder(shared, Uniform(3), normalize).decode_batch(Q)
+            want = LeastSquaresDecoder(fit(), Uniform(3), normalize).decode_batch(Q)
+            assert got.tobytes() == want.tobytes()
+            request = lambda model: DecodeRequest(model, Q[0], SQUARED_VECTOR, Uniform(3),
+                                                  ClosedForm(normalize=normalize))
+            got = decode_least_squares(request(shared))
+            assert got.tobytes() == decode_least_squares(request(fit())).tobytes()
 
 
 def oracle_alpha(model, x, p):
@@ -538,11 +639,17 @@ def grid_fits(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3 * 4 * n))
     lam = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    return grid_fit(seed, n, m, lam, draw(st.integers(1, 3)))
+
+
+def grid_fit(seed, n, m, lam, queries):
+    """The case of ``grid_fits`` for one draw: training fields, m anchors,
+    lambda and the query fields."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.5, 1.5, (n, 4, 4))
     Y = 0.3 * X + 0.05 * rng.standard_normal(X.shape)
     aux = generate_auxiliary(list(zip(X, Y)), m, GRID, Uniform(4), rng)
-    return list(X), aux, lam, rng.uniform(0.5, 1.5, (draw(st.integers(1, 3)), 4, 4))
+    return list(X), aux, lam, rng.uniform(0.5, 1.5, (queries, 4, 4))
 
 
 def _assert_rel(got, want, rtol):
@@ -556,6 +663,9 @@ class TestDistinctAnchorOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(case=grid_fits())
+    # 4 anchors from one field at lambda 1e-3: the readout is 3.5e-14 off the
+    # oracle, past the 2.8e-14 that the summation order alone allows
+    @example(case=grid_fit(1499588496, 1, 4, 1e-3, 3))
     def test_weights_readout_and_closed_forms(self, case):
         inputs, aux, lam, Q = case
         kernel = Restriction(GaussianParts(1.0))
@@ -570,8 +680,25 @@ class TestDistinctAnchorOracle:
         R = model.apply_inverse(E)
         C = cross_matrix(kernel, model.anchors, [(x, p) for x in Q for p in parts], GRID)
         got = model.readout(model.readout_weights(E), Q, parts)
-        # the bound of rounding in either summation order
-        assert np.all(np.abs(got - (R.T @ C).T) <= 1e-13 * (np.abs(R).T @ np.abs(C)).T)
+        # Both sides are C^T x for x = (K + s I)^{-1} E, but reach x through
+        # different solves: readout_weights solves the folded system, and
+        # apply_inverse adds the part of E off the span of the anchor parts,
+        # divided by s, whose rounding C^T then only nearly cancels. A
+        # backward-stable solve with a system of condition number kappa =
+        # (w_max + s) / s, the largest eigenvalue of K over the smallest of
+        # K + s I, is off by about kappa * eps * |x| (a few ulps of backward
+        # error, times kappa), and C^T carries that into each entry as at
+        # most |C_q| |x_c|: two solves, each allowed 2 kappa eps. On top
+        # comes the rounding of the last product in either summation order,
+        # 1e-13 |R|^T |C|. Over 7,000 cases drawn as grid_fits draws them,
+        # the solves took at most 0.08 kappa eps |C_q| |x_c| of the 4 allowed,
+        # and a readout off by 1e-10 relative broke the bound in every case.
+        w_max = np.linalg.eigvalsh(model.path._system)[-1]
+        kappa = (w_max + model.shift) / model.shift
+        solves = 4 * kappa * np.finfo(float).eps * np.outer(np.linalg.norm(R, axis=0),
+                                                            np.linalg.norm(C, axis=0))
+        bound = 1e-13 * (np.abs(R).T @ np.abs(C)) + solves
+        assert np.all(np.abs(got - (R.T @ C).T) <= bound.T)
 
         pi = Uniform(4)
         decoders = [lambda m: LeastSquaresDecoder(m, pi), lambda m: AngularDecoder(m, pi),
